@@ -42,10 +42,9 @@ class Tensor:
     and gradient maps key on.
     """
 
-    __slots__ = ("data", "requires_grad", "name")
+    __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None,
-                 dtype=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
         if dtype is not None:
             arr = np.ascontiguousarray(arr, dtype=dtype)
@@ -53,7 +52,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.name = name
 
     @property
     def shape(self) -> tuple:
@@ -68,21 +66,24 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
 class Node:
-    """One executed operation: inputs, output, replay closure, and VJP."""
+    """One executed operation: inputs, output, and VJP.
 
-    __slots__ = ("op", "inputs", "output", "forward_fn", "vjp_fn")
+    ``vjp_fn`` maps the output cotangent to one gradient (or None) per
+    input. It is a plain writable slot, so a caller may wrap it, for
+    example to time each node's backward step.
+    """
+
+    __slots__ = ("op", "inputs", "output", "vjp_fn")
 
     def __init__(self, op: str, inputs: Sequence[Tensor], output: Tensor,
-                 forward_fn: Callable, vjp_fn: Callable):
+                 vjp_fn: Callable):
         self.op = op
         self.inputs = tuple(inputs)
         self.output = output
-        self.forward_fn = forward_fn
         self.vjp_fn = vjp_fn
 
 
@@ -109,25 +110,12 @@ class Graph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def replay(self) -> dict:
-        """Recompute every node from its recorded inputs, in order.
-
-        Returns a map from output tensor to the recomputed array. Earlier
-        replayed values feed later nodes, so in deterministic settings the
-        result must match the recorded outputs bit for bit.
-        """
-        env: dict[Tensor, np.ndarray] = {}
-        for node in self.nodes:
-            args = [env.get(t, t.data) for t in node.inputs]
-            env[node.output] = node.forward_fn(*args)
-        return env
-
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-            forward_fn: Callable, vjp_fn: Callable) -> Tensor:
+            vjp_fn: Callable) -> Tensor:
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     if _ACTIVE_GRAPHS:
-        _ACTIVE_GRAPHS[-1].nodes.append(Node(op, inputs, out, forward_fn, vjp_fn))
+        _ACTIVE_GRAPHS[-1].nodes.append(Node(op, inputs, out, vjp_fn))
     return out
 
 
@@ -205,16 +193,13 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     og = o // groups
     k_per_group = cg * kh * kw
 
-    def fwd(xd: np.ndarray, kd: np.ndarray):
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-            if padding else xd
-        cols = _im2col(xp, kh, kw, stride, ho, wo)
-        colsg = cols.reshape(n, groups, k_per_group, ho * wo)
-        kmat = kd.reshape(groups, og, k_per_group)
-        out = np.matmul(kmat, colsg)          # (n, groups, og, ho*wo)
-        return out.reshape(n, o, ho, wo), colsg
-
-    out_data, colsg = fwd(xd, kd)
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+        if padding else xd
+    cols = _im2col(xp, kh, kw, stride, ho, wo)
+    colsg = cols.reshape(n, groups, k_per_group, ho * wo)
+    kmat = kd.reshape(groups, og, k_per_group)
+    out_data = np.matmul(kmat, colsg)      # (n, groups, og, ho*wo)
+    out_data = out_data.reshape(n, o, ho, wo)
     xp_shape = (n, c, h + 2 * padding, w + 2 * padding)
 
     def vjp_fn(g: np.ndarray):
@@ -224,7 +209,6 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
             gk = np.matmul(gg, colsg.transpose(0, 1, 3, 2)).sum(axis=0)
             gk = gk.reshape(kd.shape)
         if x.requires_grad:
-            kmat = kd.reshape(groups, og, k_per_group)
             gcols = np.matmul(kmat.transpose(0, 2, 1), gg)
             gcols = gcols.reshape(n, c, kh, kw, ho, wo)
             gxp = _col2im(gcols, xp_shape, stride)
@@ -232,8 +216,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
                 else gxp
         return gx, gk
 
-    return _record("conv2d", (x, kernel), out_data,
-                   lambda a, b: fwd(a, b)[0], vjp_fn)
+    return _record("conv2d", (x, kernel), out_data, vjp_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +230,6 @@ class BatchNormState:
     def __init__(self, channels: int, dtype=np.float64):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-
-    def copy(self) -> "BatchNormState":
-        st = BatchNormState.__new__(BatchNormState)
-        st.running_mean = self.running_mean.copy()
-        st.running_var = self.running_var.copy()
-        return st
 
 
 def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
@@ -296,17 +273,6 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
     shift = (beta.data - mu * scale).astype(xd.dtype)
     out_data = xd * scale[None, :, None, None] + shift[None, :, None, None]
 
-    def fwd(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray):
-        # pure recomputation of the recorded normalization (no state update)
-        if mode == "train":
-            mu_ = xd.mean(axis=(0, 2, 3))
-            var_ = np.maximum(np.einsum("nchw,nchw->c", xd, xd) / m - mu_ * mu_, 0.0)
-        else:
-            mu_, var_ = mu, var
-        s = (gd / np.sqrt(var_ + eps)).astype(xd.dtype)
-        return xd * s[None, :, None, None] + \
-            (bd - mu_ * s).astype(xd.dtype)[None, :, None, None]
-
     mu_c = mu.astype(xd.dtype)
     invstd_c = invstd.astype(xd.dtype)
 
@@ -330,7 +296,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
                 gx = g * scale[None, :, None, None]
         return gx, ggamma, gbeta
 
-    return _record("batch_norm", (x, gamma, beta), out_data, fwd, vjp_fn)
+    return _record("batch_norm", (x, gamma, beta), out_data, vjp_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +311,7 @@ def relu(x) -> Tensor:
     def vjp_fn(g: np.ndarray):
         return (g * mask if x.requires_grad else None,)
 
-    return _record("relu", (x,), out_data, lambda a: np.maximum(a, 0), vjp_fn)
+    return _record("relu", (x,), out_data, vjp_fn)
 
 
 def global_avg_pool(x) -> Tensor:
@@ -362,8 +328,7 @@ def global_avg_pool(x) -> Tensor:
         gx = np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w))
         return (np.ascontiguousarray(gx),)
 
-    return _record("global_avg_pool", (x,), out_data,
-                   lambda a: a.mean(axis=(2, 3)), vjp_fn)
+    return _record("global_avg_pool", (x,), out_data, vjp_fn)
 
 
 def dense(x, weight, bias=None) -> Tensor:
@@ -376,30 +341,24 @@ def dense(x, weight, bias=None) -> Tensor:
         raise ValueError(
             f"dense input has {x.data.shape[1]} features, weight expects "
             f"{weight.data.shape[1]}")
-    if bias is None:
-        out_data = x.data @ weight.data.T
+    inputs = (x, weight)
+    out_data = x.data @ weight.data.T
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.data.shape != (weight.data.shape[0],):
+            raise ValueError(
+                f"bias must have shape ({weight.data.shape[0]},), got "
+                f"{bias.data.shape}")
+        inputs += (bias,)
+        out_data = out_data + bias.data
 
-        def vjp2(g: np.ndarray):
-            gx = g @ weight.data if x.requires_grad else None
-            gw = g.T @ x.data if weight.requires_grad else None
-            return gx, gw
-
-        return _record("dense", (x, weight), out_data, lambda a, b: a @ b.T, vjp2)
-
-    bias = _as_tensor(bias)
-    if bias.data.shape != (weight.data.shape[0],):
-        raise ValueError(
-            f"bias must have shape ({weight.data.shape[0]},), got {bias.data.shape}")
-    out_data = x.data @ weight.data.T + bias.data
-
-    def vjp3(g: np.ndarray):
+    def vjp_fn(g: np.ndarray):
         gx = g @ weight.data if x.requires_grad else None
         gw = g.T @ x.data if weight.requires_grad else None
-        gb = g.sum(axis=0) if bias.requires_grad else None
+        gb = g.sum(axis=0) if bias is not None and bias.requires_grad else None
         return gx, gw, gb
 
-    return _record("dense", (x, weight, bias), out_data,
-                   lambda a, b, c: a @ b.T + c, vjp3)
+    return _record("dense", inputs, out_data, vjp_fn)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -425,7 +384,7 @@ def add(a, b) -> Tensor:
         gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
-    return _record("add", (a, b), out_data, lambda x, y: x + y, vjp_fn)
+    return _record("add", (a, b), out_data, vjp_fn)
 
 
 def channel_mix(x, matrix: np.ndarray) -> Tensor:
@@ -444,9 +403,7 @@ def channel_mix(x, matrix: np.ndarray) -> Tensor:
             f"mixing matrix has shape {mat.shape}, input has {c} channels")
     mat = mat.astype(x.dtype, copy=False)
     mat_t = np.ascontiguousarray(mat.T)
-
-    def fwd(xd: np.ndarray) -> np.ndarray:
-        return np.matmul(mat, xd.reshape(n, c, h * w)).reshape(n, c, h, w)
+    out_data = np.matmul(mat, x.data.reshape(n, c, h * w)).reshape(n, c, h, w)
 
     def vjp_fn(g: np.ndarray):
         if not x.requires_grad:
@@ -454,7 +411,7 @@ def channel_mix(x, matrix: np.ndarray) -> Tensor:
         gx = np.matmul(mat_t, g.reshape(n, c, h * w)).reshape(n, c, h, w)
         return (gx,)
 
-    return _record("channel_mix", (x,), fwd(x.data), fwd, vjp_fn)
+    return _record("channel_mix", (x,), out_data, vjp_fn)
 
 
 def reduce_sum(x) -> Tensor:
@@ -467,8 +424,7 @@ def reduce_sum(x) -> Tensor:
             return (None,)
         return (np.full(x.data.shape, g, dtype=x.dtype),)
 
-    return _record("reduce_sum", (x,), out_data, lambda a: np.asarray(a.sum()),
-                   vjp_fn)
+    return _record("reduce_sum", (x,), out_data, vjp_fn)
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
@@ -485,24 +441,20 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
             f"labels must lie in [0, {k}), got range "
             f"[{labels.min()}, {labels.max()}]")
     labels = labels.astype(np.int64)
-
-    def fwd(ld: np.ndarray) -> np.ndarray:
-        shifted = ld - ld.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1)) + ld.max(axis=1)
-        return np.asarray((lse - ld[np.arange(n), labels]).mean())
-
-    out_data = fwd(logits.data)
+    ld = logits.data
+    shifted = ld - ld.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1)) + ld.max(axis=1)
+    out_data = np.asarray((lse - ld[np.arange(n), labels]).mean())
 
     def vjp_fn(g: np.ndarray):
         if not logits.requires_grad:
             return (None,)
-        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(n), labels] -= 1.0
         return (g * p / n,)
 
-    return _record("softmax_cross_entropy", (logits,), out_data, fwd, vjp_fn)
+    return _record("softmax_cross_entropy", (logits,), out_data, vjp_fn)
 
 
 # ---------------------------------------------------------------------------

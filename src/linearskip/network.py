@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "BNLayer",
     "BuildingBlock",
     "Network",
-    "make_transform",
     "build_block",
     "build_network",
     "describe",
@@ -36,19 +36,18 @@ BRANCH_MODES = ("single", "multi", "depthwise")
 TRANSFORM_KINDS = transforms.KINDS + ("none",)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
-
-
 @dataclass
 class NetworkSpec:
     """Declarative architecture description.
 
     ``transform_kind`` accepts any structured-transform kind plus
     ``"none"`` for the no-skip control (P = 0). ``transform_params`` may
-    carry ``B`` (an integer or ``"width"``, resolved per stage), ``N``
-    (period), and ``seed``. ``share_random_per_stage`` forces one shared
-    random orthogonal matrix per stage instead of one per block.
+    carry only ``B`` (idempotent branch count: an integer or ``"width"``,
+    resolved per stage) and ``N`` (period of a periodic transform);
+    :meth:`validate` rejects any other key. Random transforms are seeded
+    from the ``seed`` passed to :func:`build_network`.
+    ``share_random_per_stage`` forces one shared random orthogonal matrix
+    per stage instead of one per block.
     """
 
     blocks_per_stage: int
@@ -67,6 +66,7 @@ class NetworkSpec:
         return 6 * self.blocks_per_stage + 2
 
     def resolve_branches(self, width: int) -> int:
+        """Branch count of a block of this width: its convolution groups."""
         if self.branch_mode == "single":
             return 1
         if self.branch_mode == "depthwise":
@@ -74,9 +74,15 @@ class NetworkSpec:
         return self.num_branches
 
     def resolve_transform_b(self, width: int) -> int:
+        """Idempotent branch count B at this width (default: the block's
+        branch count in multi mode, else the width)."""
         b = self.transform_params.get("B", self.num_branches
                                       if self.branch_mode == "multi" else width)
         return width if b == "width" else int(b)
+
+    def resolve_period(self) -> int:
+        """Period N of a periodic transform (default 2)."""
+        return int(self.transform_params.get("N", 2))
 
     def validate(self) -> None:
         if self.blocks_per_stage < 1:
@@ -97,9 +103,13 @@ class NetworkSpec:
         if self.transform_kind not in TRANSFORM_KINDS:
             raise ValueError(f"transform_kind must be one of {TRANSFORM_KINDS}, "
                              f"got {self.transform_kind!r}")
+        unknown = set(self.transform_params) - {"B", "N"}
+        if unknown:
+            raise ValueError(f"transform_params keys {sorted(unknown)} are not "
+                             f"read; only 'B' and 'N' are")
         if self.transform_kind.startswith("orthogonal"):
             for w in self.stage_widths:
-                if not _is_power_of_two(w):
+                if not transforms._is_power_of_two(w):
                     raise ValueError(
                         f"orthogonal transforms require power-of-2 widths, "
                         f"stage width {w} is not")
@@ -111,7 +121,7 @@ class NetworkSpec:
                         f"idempotent transform branch count {b} does not "
                         f"divide stage width {w}")
         if self.transform_kind == "periodic":
-            if int(self.transform_params.get("N", 1)) < 1:
+            if self.resolve_period() < 1:
                 raise ValueError("periodic transform requires N >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
@@ -176,13 +186,11 @@ class BuildingBlock:
     """
 
     def __init__(self, width: int, groups: int, skip: Optional[np.ndarray],
-                 rng: np.random.Generator, dtype=np.float64,
-                 transform_kind: Optional[str] = None):
+                 rng: np.random.Generator, dtype=np.float64):
         if width % groups:
             raise ValueError(f"width {width} not divisible by {groups} branches")
         self.width = width
         self.groups = groups
-        self.transform_kind = transform_kind
         self.bn1 = BNLayer(width, dtype)
         self.conv1 = _he_conv(rng, width, width // groups, 3, dtype)
         self.bn2 = BNLayer(width, dtype)
@@ -201,10 +209,6 @@ class BuildingBlock:
         self.skip = skip
         self._skip_is_identity = skip is not None and \
             np.array_equal(skip, np.eye(self.width))
-
-    @property
-    def num_branches(self) -> int:
-        return self.groups
 
     def branch_parameters(self, branch: int):
         """Views of the two convolution kernels belonging to one branch."""
@@ -226,13 +230,16 @@ class BuildingBlock:
             h = channel_mix(h, self.post_mix)
         return h
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
-        branch = self.branch_output(x, mode)
+    def combine(self, x: Tensor, branch: Tensor) -> Tensor:
+        """The block equation ``y = P x + F(x)``, given ``branch = F(x)``."""
         if self.skip is None:
             return branch
         if self._skip_is_identity:
             return add(x, branch)
         return add(channel_mix(x, self.skip), branch)
+
+    def forward(self, x: Tensor, mode: str) -> Tensor:
+        return self.combine(x, self.branch_output(x, mode))
 
 
 class Network:
@@ -281,13 +288,8 @@ class Network:
 
     def forward(self, x, mode: str = "eval") -> Tensor:
         """Logits for a batch; ``mode`` selects batch-norm behavior."""
-        h = self.stage_input(x, 1, mode)
-        for s in range(3):
-            h = self._run_stage(h, s, mode)
-            if s < 2:
-                h = conv2d(h, self.transitions[s], stride=2, padding=1)
-        h = global_avg_pool(h)
-        return dense(h, self.head_weight, self.head_bias)
+        h = self._run_stage(self.stage_input(x, 3, mode), 2, mode)
+        return dense(global_avg_pool(h), self.head_weight, self.head_bias)
 
     # -- parameters and state ------------------------------------------
 
@@ -314,30 +316,36 @@ class Network:
     def parameter_count(self) -> int:
         return sum(t.size for _, t, _ in self.parameters())
 
-    def state_dict(self) -> dict:
-        """All arrays needed to reconstruct the network exactly."""
-        out = {name: t.data for name, t, _ in self.parameters()}
+    def _buffers(self) -> list:
+        """(checkpoint key, array or None, setter, required) for every
+        non-trainable array, in checkpoint order."""
+        out = []
         for s, stage in enumerate(self.stages):
             for i, blk in enumerate(stage):
                 pre = f"stage{s + 1}.block{i + 1}"
-                out[f"{pre}.bn1.running_mean"] = blk.bn1.state.running_mean
-                out[f"{pre}.bn1.running_var"] = blk.bn1.state.running_var
-                out[f"{pre}.bn2.running_mean"] = blk.bn2.state.running_mean
-                out[f"{pre}.bn2.running_var"] = blk.bn2.state.running_var
-                if blk.skip is not None:
-                    out[f"{pre}.skip"] = blk.skip
-                if blk.pre_mix is not None:
-                    out[f"{pre}.pre_mix"] = blk.pre_mix
-                if blk.post_mix is not None:
-                    out[f"{pre}.post_mix"] = blk.post_mix
-            if self.stage_unmix[s] is not None:
-                out[f"stage{s + 1}.unmix"] = self.stage_unmix[s]
+                for bn in ("bn1", "bn2"):
+                    st = getattr(blk, bn).state
+                    out += [(f"{pre}.{bn}.{attr}", getattr(st, attr),
+                             partial(setattr, st, attr), True)
+                            for attr in ("running_mean", "running_var")]
+                out.append((f"{pre}.skip", blk.skip, blk.set_skip, False))
+                out += [(f"{pre}.{attr}", getattr(blk, attr),
+                         partial(setattr, blk, attr), False)
+                        for attr in ("pre_mix", "post_mix")]
+            out.append((f"stage{s + 1}.unmix", self.stage_unmix[s],
+                        partial(self.stage_unmix.__setitem__, s), False))
+        return out
+
+    def state_dict(self) -> dict:
+        """All arrays needed to reconstruct the network exactly."""
+        out = {name: t.data for name, t, _ in self.parameters()}
+        out.update((key, arr) for key, arr, _, _ in self._buffers()
+                   if arr is not None)
         return out
 
     def load_state(self, state: dict) -> None:
-        params = {name: t for name, t, _ in self.parameters()}
         consumed = set()
-        for name, tensor in params.items():
+        for name, tensor, _ in self.parameters():
             if name not in state:
                 raise KeyError(f"checkpoint is missing parameter {name!r}")
             arr = np.asarray(state[name], dtype=tensor.dtype)
@@ -347,45 +355,22 @@ class Network:
                     f"expected {tensor.data.shape}")
             tensor.data = arr.copy()
             consumed.add(name)
-        for s, stage in enumerate(self.stages):
-            shared_skip = None
-            for i, blk in enumerate(stage):
-                pre = f"stage{s + 1}.block{i + 1}"
-                for attr, key in (("running_mean", f"{pre}.bn1.running_mean"),
-                                  ("running_var", f"{pre}.bn1.running_var")):
-                    setattr(blk.bn1.state, attr, np.asarray(state[key],
-                                                            dtype=np.float64))
-                    consumed.add(key)
-                for attr, key in (("running_mean", f"{pre}.bn2.running_mean"),
-                                  ("running_var", f"{pre}.bn2.running_var")):
-                    setattr(blk.bn2.state, attr, np.asarray(state[key],
-                                                            dtype=np.float64))
-                    consumed.add(key)
-                skip_key = f"{pre}.skip"
-                if skip_key in state:
-                    arr = np.asarray(state[skip_key], dtype=np.float64)
-                    if shared_skip is not None and np.array_equal(shared_skip, arr):
-                        blk.set_skip(shared_skip)
-                    else:
-                        blk.set_skip(arr)
-                        shared_skip = blk.skip
-                    consumed.add(skip_key)
-                else:
-                    blk.set_skip(None)
-                for attr in ("pre_mix", "post_mix"):
-                    key = f"{pre}.{attr}"
-                    if key in state:
-                        setattr(blk, attr, np.asarray(state[key],
-                                                      dtype=np.float64))
-                        consumed.add(key)
-                    else:
-                        setattr(blk, attr, None)
-            key = f"stage{s + 1}.unmix"
-            if key in state:
-                self.stage_unmix[s] = np.asarray(state[key], dtype=np.float64)
-                consumed.add(key)
-            else:
-                self.stage_unmix[s] = None
+        stage_skip = {}
+        for key, _, store, required in self._buffers():
+            if key not in state:
+                if required:
+                    raise KeyError(f"checkpoint is missing buffer {key!r}")
+                store(None)
+                continue
+            arr = np.asarray(state[key], dtype=np.float64)
+            if key.endswith(".skip"):
+                # blocks of one stage that load equal skips share one array
+                stage = key.partition(".")[0]
+                if stage in stage_skip and np.array_equal(stage_skip[stage], arr):
+                    arr = stage_skip[stage]
+                stage_skip[stage] = arr
+            store(arr)
+            consumed.add(key)
         leftover = set(state) - consumed
         if leftover:
             raise ValueError(f"checkpoint has unexpected tensors: "
@@ -411,41 +396,37 @@ class Network:
         return first
 
 
-def make_transform(kind: str, width: int, b: int = 1, n: int = 2,
-                   seed: int = 0) -> Optional[StructuredTransform]:
-    """Construct one transform by kind name; ``"none"`` gives None."""
+def _make_transform(spec: NetworkSpec, width: int,
+                    seed: int) -> Optional[StructuredTransform]:
+    """The spec's skip transform at one width; ``"none"`` gives None."""
+    kind = spec.transform_kind
     if kind == "none":
         return None
     if kind == "identity":
         return transforms.make_identity(width)
     if kind == "idempotent_mr":
-        return transforms.make_idempotent_mr(width, b)
+        return transforms.make_idempotent_mr(width, spec.resolve_transform_b(width))
     if kind == "idempotent_cmr":
-        return transforms.make_idempotent_cmr(width, b)
+        return transforms.make_idempotent_cmr(width, spec.resolve_transform_b(width))
     if kind == "orthogonal_tp":
         return transforms.make_orthogonal_tp(width)
     if kind == "orthogonal_random":
         return transforms.make_orthogonal_random(width, seed)
     if kind == "periodic":
-        return transforms.make_periodic(width, n, seed)
+        return transforms.make_periodic(width, spec.resolve_period(), seed)
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
 def _stage_transform_matrices(spec: NetworkSpec, width: int,
                               seed_rng: np.random.Generator) -> list:
     """Per-block skip matrices for one stage; shared kinds share instances."""
-    kind = spec.transform_kind
     k = spec.blocks_per_stage
-    if kind == "none":
-        return [None] * k
-    if kind == "orthogonal_random" and not spec.share_random_per_stage:
-        return [make_transform(kind, width,
-                               seed=int(seed_rng.integers(2 ** 31))).matrix
-                for _ in range(k)]
-    t = make_transform(kind, width, b=spec.resolve_transform_b(width),
-                       n=int(spec.transform_params.get("N", 2)),
-                       seed=int(seed_rng.integers(2 ** 31)))
-    return [t.matrix] * k
+    per_block = spec.transform_kind == "orthogonal_random" and \
+        not spec.share_random_per_stage
+    made = [_make_transform(spec, width, int(seed_rng.integers(2 ** 31)))
+            for _ in range(k if per_block else 1)]
+    mats = [None if t is None else t.matrix for t in made]
+    return mats if per_block else mats * k
 
 
 def build_block(width: int, branch_mode: str = "single",
@@ -456,38 +437,23 @@ def build_block(width: int, branch_mode: str = "single",
     """Construct a single block with He-initialized branch convolutions.
 
     ``transform`` may be a kind name (constructed here for this width), an
-    existing StructuredTransform, or None for no skip.
+    existing StructuredTransform, or None for no skip. ``transform_params``
+    takes the :class:`NetworkSpec` keys plus ``seed`` for random kinds
+    (default: ``seed``).
     """
-    if branch_mode not in BRANCH_MODES:
-        raise ValueError(f"branch_mode must be one of {BRANCH_MODES}")
-    groups = {"single": 1, "multi": num_branches, "depthwise": width}[branch_mode]
-    if branch_mode == "multi" and num_branches < 2:
-        raise ValueError("multi-branch mode requires num_branches >= 2")
-    if width % groups:
-        raise ValueError(f"width {width} not divisible by {groups} branches")
-    kind = None
+    params = dict(transform_params or {})
+    transform_seed = int(params.pop("seed", seed))
+    kind = transform if isinstance(transform, str) else "none"
+    spec = NetworkSpec(1, (width,) * 3, branch_mode, num_branches, kind, params)
+    spec.validate()
     if isinstance(transform, str):
-        params = transform_params or {}
-        b = params.get("B", num_branches if branch_mode == "multi" else width)
-        b = width if b == "width" else int(b)
-        t = make_transform(transform, width, b=b,
-                           n=int(params.get("N", 2)),
-                           seed=int(params.get("seed", seed)))
-        skip = None if t is None else t.matrix
-        kind = None if t is None else transform
-    elif isinstance(transform, StructuredTransform):
-        if transform.size != width:
-            raise ValueError(
-                f"transform is {transform.size}x{transform.size}, block width "
-                f"is {width}")
-        skip, kind = transform.matrix, transform.kind
-    elif transform is None:
-        skip = None
-    else:
+        transform = _make_transform(spec, width, transform_seed)
+    elif not isinstance(transform, (StructuredTransform, type(None))):
         raise TypeError("transform must be a kind name, StructuredTransform, "
                         "or None")
+    skip = None if transform is None else transform.matrix
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    return BuildingBlock(width, groups, skip, rng, dtype, transform_kind=kind)
+    return BuildingBlock(width, spec.resolve_branches(width), skip, rng, dtype)
 
 
 def build_network(spec: NetworkSpec, seed: int = 0,
@@ -503,15 +469,12 @@ def build_network(spec: NetworkSpec, seed: int = 0,
     widths = spec.stage_widths
     stem = _he_conv(rng, widths[0], c_in, 3, dtype)
     stages = []
-    kind_tag = None if spec.transform_kind == "none" else spec.transform_kind
-    for s, width in enumerate(widths):
-        groups = {"single": 1, "multi": spec.num_branches,
-                  "depthwise": width}[spec.branch_mode]
+    for width in widths:
+        groups = spec.resolve_branches(width)
         mats = _stage_transform_matrices(spec, width, seed_rng)
         # set_skip keeps the instance when the dtype already matches, so
         # blocks built from one stage matrix share it
-        stages.append([BuildingBlock(width, groups, mats[i], rng, dtype,
-                                     transform_kind=kind_tag)
+        stages.append([BuildingBlock(width, groups, mats[i], rng, dtype)
                        for i in range(spec.blocks_per_stage)])
     transitions = [_he_conv(rng, widths[1], widths[0], 3, dtype),
                    _he_conv(rng, widths[2], widths[1], 3, dtype)]
@@ -543,13 +506,8 @@ def describe(network: Network) -> NetworkSummary:
     """Deterministic layer list, parameter count, and per-stage skip ranks."""
     layers = [(name, tuple(t.shape), t.size)
               for name, t, _ in network.parameters()]
-    ranks = []
-    for s in range(1, 4):
-        mats = [b.skip for b in network.stages[s - 1]]
-        if mats[0] is None:
-            ranks.append(0)
-        else:
-            ranks.append(transforms.rank(mats[0]))
+    ranks = [0 if stage[0].skip is None else transforms.rank(stage[0].skip)
+             for stage in network.stages]
     return NetworkSummary(depth_label=network.spec.depth_label, layers=layers,
                           parameter_count=network.parameter_count(),
                           stage_transform_ranks=ranks)

@@ -22,7 +22,9 @@ from typing import Optional
 import numpy as np
 
 from . import transforms
-from .autodiff import Graph, add, reduce_sum, vjp
+# ``add`` is no longer called here, but tracers that wrap module attributes
+# (the benchmark's among them) still look it up on this module
+from .autodiff import Graph, add, reduce_sum, vjp  # noqa: F401
 from .network import Network
 from .transforms import apply_transform, is_idempotent, matrix_power
 
@@ -101,21 +103,14 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     with Graph() as graph:
         h = network.stage_input(x, stage, mode)
         h.requires_grad = True
+        for blk in blocks[:m - 1]:
+            h = blk.forward(h, mode)
         input_tensors = []
         branch_tensors = []
-        for i in range(1, n):
-            if i >= m:
-                input_tensors.append(h)
-            blk = blocks[i - 1]
-            if i >= m:
-                branch = blk.branch_output(h, mode)
-                branch_tensors.append(branch)
-                if blk.skip is not None:
-                    h = add(apply_transform(blk.skip, h), branch)
-                else:
-                    h = branch
-            else:
-                h = blk.forward(h, mode)
+        for blk in blocks[m - 1:n - 1]:
+            input_tensors.append(h)
+            branch_tensors.append(blk.branch_output(h, mode))
+            h = blk.combine(h, branch_tensors[-1])
         input_tensors.append(h)  # x_n
         loss = reduce_sum(h)
 
@@ -148,8 +143,15 @@ class ExpansionCheck:
     deviation: float
     collapsed_deviation: Optional[float] = None
 
-    def __float__(self) -> float:
-        return self.deviation
+
+def _span(trace: PropagationTrace, m: Optional[int],
+          n: Optional[int]) -> tuple:
+    """Blocks m..n of an expansion, defaulting to the whole trace."""
+    m = trace.m if m is None else m
+    n = trace.n if n is None else n
+    if not (trace.m <= m < n <= trace.n):
+        raise ValueError(f"need {trace.m} <= m < n <= {trace.n}")
+    return m, n
 
 
 def verify_forward_expansion(trace: PropagationTrace, m: Optional[int] = None,
@@ -159,10 +161,7 @@ def verify_forward_expansion(trace: PropagationTrace, m: Optional[int] = None,
     For an idempotent P the collapsed form (every positive power replaced
     by P itself) is checked as well.
     """
-    m = trace.m if m is None else m
-    n = trace.n if n is None else n
-    if not (trace.m <= m < n <= trace.n):
-        raise ValueError(f"need {trace.m} <= m < n <= {trace.n}")
+    m, n = _span(trace, m, n)
     p = trace.transform
 
     def reconstruct(power):
@@ -185,10 +184,7 @@ def verify_forward_expansion(trace: PropagationTrace, m: Optional[int] = None,
 def verify_backward_expansion(trace: PropagationTrace, m: Optional[int] = None,
                               n: Optional[int] = None) -> float:
     """Rebuild dL/dx_m from dL/dx_n plus branch vector-Jacobian terms."""
-    m = trace.m if m is None else m
-    n = trace.n if n is None else n
-    if not (trace.m <= m < n <= trace.n):
-        raise ValueError(f"need {trace.m} <= m < n <= {trace.n}")
+    m, n = _span(trace, m, n)
     p = trace.transform
     g_n = trace.grad(n)
     x_m_tensor = trace._input_tensors[m - trace.m]
@@ -212,8 +208,7 @@ def skip_path_gain(p, k: int, x) -> float:
     """|| P^k x ||_2 / || x ||_2 over k stacked skip-connections."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    mat = p.matrix if isinstance(p, transforms.StructuredTransform) else \
-        np.asarray(p, dtype=np.float64)
+    mat = transforms._as_matrix(p)
     xd = np.asarray(x, dtype=np.float64)
     base = _norm(xd)
     if base == 0.0:
@@ -225,9 +220,7 @@ def skip_path_gain(p, k: int, x) -> float:
 
 def gradient_skip_gain(p, k: int, g) -> float:
     """|| (P^k)^T g ||_2 / || g ||_2 for a gradient signal g."""
-    mat = p.matrix if isinstance(p, transforms.StructuredTransform) else \
-        np.asarray(p, dtype=np.float64)
-    return skip_path_gain(mat.T, k, g)
+    return skip_path_gain(transforms._as_matrix(p).T, k, g)
 
 
 @dataclass
@@ -244,8 +237,7 @@ def null_space_components(p, v) -> NullSpaceSplit:
     fractions sum to 1; for oblique projectors only the algebraic split
     is meaningful and ``fractions`` is None.
     """
-    mat = p.matrix if isinstance(p, transforms.StructuredTransform) else \
-        np.asarray(p, dtype=np.float64)
+    mat = transforms._as_matrix(p)
     if not is_idempotent(mat, 1e-8):
         raise ValueError("null-space split requires an idempotent matrix")
     vd = np.asarray(v, dtype=np.float64)
@@ -314,13 +306,11 @@ def flow_report(trace: PropagationTrace) -> FlowReport:
                                    trace.branch(i)))
              for i in range(trace.m, trace.n)]
     nf_m = nf_n = None
-    if is_idempotent(p, 1e-8) and np.abs(p - p.T).max() <= 1e-10:
-        split_m = null_space_components(p, x_m)
-        split_n = null_space_components(p, trace.x(trace.n))
-        if split_m.fractions is not None:
-            nf_m = split_m.fractions[1]
-        if split_n.fractions is not None:
-            nf_n = split_n.fractions[1]
+    if is_idempotent(p, 1e-8):
+        frac_m = null_space_components(p, x_m).fractions
+        frac_n = null_space_components(p, trace.x(trace.n)).fractions
+        nf_m = None if frac_m is None else frac_m[1]
+        nf_n = None if frac_n is None else frac_n[1]
     return FlowReport(
         stage=trace.stage, m=trace.m, n=trace.n,
         skip_gain=skip_path_gain(p, span, x_m) if _norm(x_m) else 0.0,

@@ -131,8 +131,12 @@ def make_idempotent_cmr(r: int, b: int) -> StructuredTransform:
 _TP_FACTOR = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 
 
+def _is_power_of_two(r: int) -> bool:
+    return r >= 2 and r & (r - 1) == 0
+
+
 def _check_power_of_two(r: int) -> int:
-    if r < 2 or r & (r - 1):
+    if not _is_power_of_two(r):
         raise ValueError(f"channel count must be a power of 2, got {r}")
     return r.bit_length() - 1
 

@@ -64,6 +64,22 @@ def test_block_width_group_mismatch():
         build_block(6, branch_mode="multi", transform=None, num_branches=4)
 
 
+@pytest.mark.parametrize("b", [None, 2, "width"])
+@pytest.mark.parametrize("mode", ["single", "multi", "depthwise"])
+def test_build_block_matches_network_block(mode, b):
+    params = {} if b is None else {"B": b}
+    spec = small_spec(stage_widths=(4, 8, 16), branch_mode=mode,
+                      num_branches=2, transform_kind="idempotent_mr",
+                      transform_params=params)
+    net = build_network(spec, seed=0)
+    for stage in net.stages:
+        blk = build_block(stage[0].width, branch_mode=mode,
+                          transform="idempotent_mr", num_branches=2,
+                          transform_params=params)
+        assert blk.groups == stage[0].groups
+        npt.assert_array_equal(blk.skip, stage[0].skip)
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 
@@ -97,6 +113,17 @@ def test_spec_validates_idempotent_b():
                       transform_params={"B": 4})
     with pytest.raises(ValueError, match="divide"):
         spec.validate()
+
+
+def test_spec_rejects_unread_transform_params():
+    # build_network seeds random skips from its own seed argument, so a
+    # "seed" here would be silently ignored
+    spec = small_spec(transform_kind="orthogonal_random",
+                      transform_params={"seed": 1})
+    with pytest.raises(ValueError, match="transform_params"):
+        spec.validate()
+    with pytest.raises(ValueError, match="transform_params"):
+        build_network(spec, seed=0)
 
 
 def test_spec_rejects_unknown_keys():

@@ -40,10 +40,13 @@ def test_trace_zeroed_branches_is_matrix_power():
     npt.assert_allclose(trace.x(4), apply_transform(p3, trace.x(1)), atol=1e-12)
 
 
-def test_trace_matches_direct_forward():
-    net = stage_net("orthogonal_tp", k=3)
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", ["none", "identity", "idempotent_mr",
+                                  "orthogonal_tp"])
+def test_trace_matches_direct_forward(kind, m):
+    net = stage_net(kind, k=3)
     x = input_batch(2)
-    trace = prop.capture_trace(net, x, stage=2, m=1, n=3)
+    trace = prop.capture_trace(net, x, stage=2, m=m, n=3)
     h = net.stage_input(x, 2, mode="eval")
     for blk in net.stages[1][:2]:
         h = blk.forward(h, mode="eval")
