@@ -362,7 +362,7 @@ class Network:
                     raise KeyError(f"checkpoint is missing buffer {key!r}")
                 store(None)
                 continue
-            arr = np.asarray(state[key], dtype=np.float64)
+            arr = np.array(state[key], dtype=np.float64)
             if key.endswith(".skip"):
                 # blocks of one stage that load equal skips share one array
                 stage = key.partition(".")[0]

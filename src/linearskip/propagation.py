@@ -114,7 +114,7 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
         input_tensors.append(h)  # x_n
         loss = reduce_sum(h)
 
-    grads = vjp(graph, loss)
+    grads = vjp(graph, loss, wrt=input_tensors)
     gradients = [np.asarray(grads[t]) for t in input_tensors]
     trace = PropagationTrace(
         stage=stage, m=m, n=n, transform=np.asarray(p, dtype=np.float64),

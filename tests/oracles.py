@@ -34,6 +34,39 @@ def conv2d_loop(x, k, stride=1, padding=0, groups=1):
     return out
 
 
+def conv2d_vjp_loop(x, k, g, stride=1, padding=0, groups=1):
+    """Nested-loop gradients (gx, gk) of sum(g * conv2d(x, k)).
+
+    Every output position spreads ``g`` back over the taps that produced
+    it: into the padded input through the kernel, and into the kernel
+    through the padded input.
+    """
+    n, c, h, w = x.shape
+    o, cg, kh, kw = k.shape
+    _, _, ho, wo = g.shape
+    og = o // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros(xp.shape)
+    gk = np.zeros(k.shape)
+    for ni in range(n):
+        for oi in range(o):
+            gi = oi // og
+            for yi in range(ho):
+                for xi in range(wo):
+                    go = g[ni, oi, yi, xi]
+                    for ci in range(cg):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                row = yi * stride + ki
+                                col = xi * stride + kj
+                                gxp[ni, gi * cg + ci, row, col] += \
+                                    k[oi, ci, ki, kj] * go
+                                gk[oi, ci, ki, kj] += \
+                                    xp[ni, gi * cg + ci, row, col] * go
+    gx = gxp[:, :, padding:padding + h, padding:padding + w]
+    return gx, gk
+
+
 def numeric_gradient(f, arr, h=1e-3):
     """Central finite differences of scalar f with respect to arr, in place."""
     grad = np.zeros_like(arr, dtype=np.float64)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -74,6 +76,76 @@ def test_conv_shape_errors():
         conv2d(x, Tensor(np.zeros((4, 1, 3, 3))), groups=3)
     with pytest.raises(ValueError, match="does not fit"):
         conv2d(x, Tensor(np.zeros((4, 4, 9, 9))))
+
+
+def _conv_vjp_cases():
+    for stride in (1, 2):
+        for padding in (0, 1):
+            for c, o in ((4, 4), (4, 8), (8, 4)):
+                for groups in sorted({1, 2, c}):
+                    if c % groups == 0 and o % groups == 0:
+                        yield stride, padding, groups, c, o
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("stride,padding,groups,c,o", list(_conv_vjp_cases()))
+def test_conv_vjp_matches_loop_oracle(stride, padding, groups, c, o, dtype):
+    rng = np.random.default_rng(1000 * stride + 100 * padding + 10 * groups + c)
+    x = rng.standard_normal((2, c, 6, 5))
+    k = rng.standard_normal((o, c // groups, 3, 3))
+    xt = Tensor(x, requires_grad=True, dtype=dtype)
+    kt = Tensor(k, requires_grad=True, dtype=dtype)
+    with Graph() as graph:
+        out = conv2d(xt, kt, stride=stride, padding=padding, groups=groups)
+    g = rng.standard_normal(out.shape)
+    gx, gk = graph.nodes[0].vjp_fn(g.astype(dtype))
+    ox, ok = oracles.conv2d_vjp_loop(x, k, g, stride, padding, groups)
+    assert gx.dtype == dtype and gk.dtype == dtype
+    tol = 2 ** 4 * np.finfo(dtype).eps
+    assert oracles.relative_error(gx, ox) <= tol
+    assert oracles.relative_error(gk, ok) <= tol
+
+
+@pytest.mark.parametrize("stride,kh,kw", [(1, 3, 3), (2, 3, 3), (1, 1, 1),
+                                          (1, 3, 2)])
+def test_conv_vjp_single_input_gradients(stride, kh, kw):
+    # only the inputs that require a gradient get one, and each matches the
+    # oracle; a 1x1 kernel with padding 1 and a non-square kernel take the
+    # column-scatter path at stride 1
+    rng = np.random.default_rng(100 * stride + 10 * kh + kw)
+    x = rng.standard_normal((2, 4, 6, 6))
+    k = rng.standard_normal((4, 2, kh, kw))
+    for x_grad, k_grad in ((True, True), (True, False), (False, True)):
+        with Graph() as graph:
+            out = conv2d(Tensor(x, requires_grad=x_grad),
+                         Tensor(k, requires_grad=k_grad),
+                         stride=stride, padding=1, groups=2)
+        g = np.random.default_rng(0).standard_normal(out.shape)
+        ox, ok = oracles.conv2d_vjp_loop(x, k, g, stride, 1, 2)
+        gx, gk = graph.nodes[0].vjp_fn(g)
+        assert (gx is None) != x_grad and (gk is None) != k_grad
+        if x_grad:
+            npt.assert_allclose(gx, ox, atol=1e-12)
+        if k_grad:
+            npt.assert_allclose(gk, ok, atol=1e-12)
+
+
+def test_conv_tape_keeps_no_columns():
+    # storing im2col columns would hold about 9x the input; the node may
+    # hold little beyond its own output
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((2, 16, 16, 16)), requires_grad=True)
+    k = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Graph() as graph:
+            out = conv2d(x, k, padding=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 1
+    assert held <= 1.25 * out.data.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -364,3 +364,21 @@ def test_state_dict_roundtrip():
     npt.assert_allclose(other.forward(x).data, net.forward(x).data, atol=0)
     for stage in other.stages:
         assert all(b.skip is stage[0].skip for b in stage)
+
+
+def test_load_state_copies_running_stats():
+    # a loaded network trains its own BN statistics, not its source's
+    spec = small_spec(transform_kind="idempotent_mr", transform_params={"B": 2})
+    source = build_network(spec, seed=6)
+    x = np.random.default_rng(4).standard_normal((2, 3, 8, 8))
+    source.forward(x, mode="train")
+    before = {k: v.copy() for k, v in source.state_dict().items()}
+    loaded = build_network(spec, seed=99)
+    loaded.load_state(source.state_dict())
+    loaded.forward(2.0 * x + 1.0, mode="train")
+    after = source.state_dict()
+    for key, arr in before.items():
+        npt.assert_array_equal(after[key], arr)
+    moved = loaded.state_dict()
+    assert not np.array_equal(moved["stage1.block1.bn1.running_mean"],
+                              before["stage1.block1.bn1.running_mean"])

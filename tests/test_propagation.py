@@ -4,6 +4,7 @@ import pytest
 
 from linearskip import propagation as prop
 from linearskip import transforms as tr
+from linearskip.autodiff import vjp
 from linearskip.network import NetworkSpec, build_network
 from linearskip.transforms import apply_transform
 
@@ -143,6 +144,35 @@ def test_backward_expansion_all_pairs():
     for m in range(1, 4):
         for n in range(m + 1, 5):
             assert prop.verify_backward_expansion(trace, m=m, n=n) <= 1e-8, (m, n)
+
+
+def test_vjp_wrt_walks_only_dependent_nodes():
+    # the stem, stage 1 and block 1 of stage 2 cannot reach x_2's gradient:
+    # a walk restricted to x_2 skips them and gives the same bits
+    net = stage_net("idempotent_mr", {"B": 2}, k=3)
+    trace = prop.capture_trace(net, input_batch(5), stage=2, m=2, n=3)
+    graph = trace._graph
+    calls = []
+    for node in graph.nodes:
+        def counted(g, inner=node.vjp_fn):
+            calls.append(1)
+            return inner(g)
+        node.vjp_fn = counted
+    x_m = trace._input_tensors[0]
+    branch = trace._branch_tensors[0]
+    seed = np.random.default_rng(6).standard_normal(branch.shape)
+    full = vjp(graph, branch, seed=seed)
+    full_calls = len(calls)
+    calls.clear()
+    restricted = vjp(graph, branch, seed=seed, wrt=[x_m])
+    assert list(restricted) == [x_m]
+    assert np.array_equal(restricted[x_m], full[x_m])
+    assert 0 < len(calls) < full_calls
+    # the trace's own restricted walk matches an unrestricted one
+    loss = graph.nodes[-1].output
+    unrestricted = vjp(graph, loss)
+    for t, grad in zip(trace._input_tensors, trace.gradients):
+        assert np.array_equal(grad, unrestricted[t])
 
 
 # ---------------------------------------------------------------------------
