@@ -393,28 +393,17 @@ def dense(x, weight, bias=None) -> Tensor:
     return _record("dense", inputs, out_data, vjp_fn)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def add(a, b) -> Tensor:
-    """Elementwise sum with numpy broadcasting."""
+    """Elementwise sum of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"add needs equal shapes, got {a.data.shape} and "
+                         f"{b.data.shape}")
     out_data = a.data + b.data
 
     def vjp_fn(g: np.ndarray):
-        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
-        return ga, gb
+        return (g if a.requires_grad else None,
+                g if b.requires_grad else None)
 
     return _record("add", (a, b), out_data, vjp_fn)
 

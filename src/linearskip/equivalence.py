@@ -1,12 +1,14 @@
 """Constructive conversions between skip-connection parameterizations.
 
-An orthogonal-skip stage can be rewritten with identity skips by folding
-Q^L into the layer feeding the stage and wrapping every branch composite
-with fixed 1x1 mixes (post Q^(L-i), pre Q^(i-L-1)). An idempotent-skip
-stage diagonalizes to {0,1} skips via P = U^-1 diag(lam) U, with branch
-wraps U / U^-1 and a change of basis U^-1 on the stage output. Both
-rewrites leave the network's function unchanged up to floating-point
-accumulation.
+Both rewrites are one change of basis z_i = B_i x_i per block, chosen so
+that B_{i+1} P B_i^-1 is the new skip: B_1 is folded into the layer
+feeding the stage, block i's branch composite is wrapped by fixed 1x1
+mixes (pre B_i^-1, post B_{i+1}), and the exit basis B_{L+1}^-1 is folded
+into the input channels of the layer after the stage. An orthogonal-skip
+stage becomes an identity-skip stage with B_i = Q^(L+1-i); an
+idempotent-skip stage becomes a diagonal {0,1}-skip stage with B_i = U
+for P = U^-1 diag(lam) U. Both rewrites leave the network's function
+unchanged up to floating-point accumulation.
 """
 
 from __future__ import annotations
@@ -32,27 +34,39 @@ __all__ = [
 ]
 
 
-def _mix_output_channels(kernel, mat: np.ndarray) -> None:
-    """Left-multiply a conv kernel's output-channel axis by a matrix."""
-    kd = kernel.data
-    kernel.data = np.einsum("oc,cihw->oihw", mat.astype(kd.dtype), kd)
-
-
-def _feeding_kernel(net: Network, stage: int):
-    """The convolution whose output is the 1-based stage's input."""
-    return net.stem if stage == 1 else net.transitions[stage - 2]
+def _mix_channels(tensor, mat: np.ndarray, axis: int) -> None:
+    """Fold a channel mix into a layer's weight: left-multiply its output
+    axis (0) by ``mat``, or right-multiply its input axis (1) by ``mat``."""
+    d = tensor.data
+    m = mat.astype(d.dtype) if axis == 0 else mat.T.astype(d.dtype)
+    tensor.data = np.ascontiguousarray(
+        np.moveaxis(np.tensordot(m, d, axes=(1, axis)), 0, axis))
 
 
 def _stage_matrix(net: Network, stage: int) -> np.ndarray:
-    blocks = net.stages[stage - 1]
-    widths = {b.width for b in blocks}
-    if len(widths) != 1:
-        raise ValueError(f"stage {stage} mixes widths {sorted(widths)}; "
-                         "conversion requires constant width")
     p = net.stage_skip_matrix(stage)
     if p is None:
         raise ValueError(f"stage {stage} has no skip transform to convert")
     return p
+
+
+def _change_basis(net: Network, stage: int, bases, inverses,
+                  skip: np.ndarray) -> None:
+    """Rewrite a 1-based stage in place in the basis z_i = B_i x_i.
+
+    ``bases`` and ``inverses`` hold B_1..B_{L+1} and their inverses, with
+    B_{i+1} P B_i^-1 = ``skip``, so block i maps z_i to
+    skip z_i + B_{i+1} F(B_i^-1 z_i). After stage 3 the head absorbs
+    B_{L+1}^-1, because global pooling commutes with a channel mix.
+    """
+    _mix_channels(net.stem if stage == 1 else net.transitions[stage - 2],
+                  bases[0], axis=0)
+    for i, blk in enumerate(net.stages[stage - 1]):
+        blk.pre_mix = inverses[i]
+        blk.post_mix = bases[i + 1]
+        blk.set_skip(skip)
+    _mix_channels(net.head_weight if stage == 3 else net.transitions[stage - 1],
+                  inverses[-1], axis=1)
 
 
 def convert_orthogonal_to_identity(net: Network) -> Network:
@@ -68,16 +82,10 @@ def convert_orthogonal_to_identity(net: Network) -> Network:
             raise ValueError(
                 f"stage {stage} skip matrix is not orthogonal; "
                 "use convert_idempotent_to_diagonal for idempotent skips")
-        blocks = out.stages[stage - 1]
-        lcount = len(blocks)
-        _mix_output_channels(_feeding_kernel(out, stage),
-                             matrix_power(q, lcount))
-        eye = np.eye(q.shape[0])
-        qt = q.T
-        for i, blk in enumerate(blocks, start=1):
-            blk.post_mix = matrix_power(q, lcount - i)
-            blk.pre_mix = matrix_power(qt, lcount + 1 - i)
-            blk.set_skip(eye)
+        lcount = len(out.stages[stage - 1])
+        bases = [matrix_power(q, lcount - i) for i in range(lcount + 1)]
+        _change_basis(out, stage, bases, [b.T for b in bases],
+                      np.eye(q.shape[0]))
     return out
 
 
@@ -91,14 +99,9 @@ def convert_idempotent_to_diagonal(net: Network) -> Network:
                 f"stage {stage} skip matrix is not idempotent; "
                 "use convert_orthogonal_to_identity for orthogonal skips")
         diag = diagonalize_idempotent(p)
-        blocks = out.stages[stage - 1]
-        _mix_output_channels(_feeding_kernel(out, stage), diag.U)
-        lam = np.diag(diag.lam)
-        for blk in blocks:
-            blk.post_mix = diag.U
-            blk.pre_mix = diag.U_inv
-            blk.set_skip(lam)
-        out.stage_unmix[stage - 1] = diag.U_inv
+        n = len(out.stages[stage - 1]) + 1
+        _change_basis(out, stage, [diag.U] * n, [diag.U_inv] * n,
+                      np.diag(diag.lam))
     return out
 
 
@@ -113,9 +116,10 @@ class EquivalenceReport:
         return self.max_deviation <= self.tol
 
 
-def verify_equivalence(net_a: Network, net_b: Network, num_inputs: int = 32,
-                       seed: int = 0, tol: float = 1e-8) -> EquivalenceReport:
-    """Max |logits_a - logits_b| over seeded random inputs, eval mode."""
+def _probe_inputs(net_a: Network, net_b: Network, num_inputs: int,
+                  seed: int) -> np.ndarray:
+    """Seeded standard-normal inputs for two networks that must agree on
+    input shape and class count."""
     if net_a.spec.input_shape != net_b.spec.input_shape:
         raise ValueError(
             f"input shapes differ: {net_a.spec.input_shape} vs "
@@ -125,7 +129,13 @@ def verify_equivalence(net_a: Network, net_b: Network, num_inputs: int = 32,
             f"output sizes differ: {net_a.spec.num_classes} vs "
             f"{net_b.spec.num_classes}")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((num_inputs,) + tuple(net_a.spec.input_shape))
+    return rng.standard_normal((num_inputs,) + tuple(net_a.spec.input_shape))
+
+
+def verify_equivalence(net_a: Network, net_b: Network, num_inputs: int = 32,
+                       seed: int = 0, tol: float = 1e-8) -> EquivalenceReport:
+    """Max |logits_a - logits_b| over seeded random inputs, eval mode."""
+    x = _probe_inputs(net_a, net_b, num_inputs, seed)
     out_a = net_a.forward(x, mode="eval").data
     out_b = net_b.forward(x, mode="eval").data
     return EquivalenceReport(float(np.abs(out_a - out_b).max()), tol,
@@ -135,8 +145,7 @@ def verify_equivalence(net_a: Network, net_b: Network, num_inputs: int = 32,
 def input_gradient_deviation(net_a: Network, net_b: Network,
                              num_inputs: int = 4, seed: int = 0) -> float:
     """Max deviation of d(sum of logits)/d(input) between two networks."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((num_inputs,) + tuple(net_a.spec.input_shape))
+    x = _probe_inputs(net_a, net_b, num_inputs, seed)
     grads = []
     for net in (net_a, net_b):
         xt = Tensor(x, requires_grad=True, dtype=net.dtype)

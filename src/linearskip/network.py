@@ -10,7 +10,7 @@ convolutions between stages, and a global-pool + dense head.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Optional, Sequence, Union
 
@@ -129,17 +129,7 @@ class NetworkSpec:
             raise ValueError("input_shape must be (channels, height, width)")
 
     def to_dict(self) -> dict:
-        return {
-            "blocks_per_stage": self.blocks_per_stage,
-            "stage_widths": list(self.stage_widths),
-            "branch_mode": self.branch_mode,
-            "num_branches": self.num_branches,
-            "transform_kind": self.transform_kind,
-            "transform_params": dict(self.transform_params),
-            "num_classes": self.num_classes,
-            "input_shape": list(self.input_shape),
-            "share_random_per_stage": self.share_random_per_stage,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
@@ -255,7 +245,6 @@ class Network:
         self.transitions = list(transitions)
         self.head_weight = head_weight
         self.head_bias = head_bias
-        self.stage_unmix: list[Optional[np.ndarray]] = [None, None, None]
         self.dtype = dtype
 
     # -- forward ------------------------------------------------------
@@ -282,8 +271,6 @@ class Network:
     def _run_stage(self, h: Tensor, s: int, mode: str) -> Tensor:
         for block in self.stages[s]:
             h = block.forward(h, mode)
-        if self.stage_unmix[s] is not None:
-            h = channel_mix(h, self.stage_unmix[s])
         return h
 
     def forward(self, x, mode: str = "eval") -> Tensor:
@@ -332,8 +319,6 @@ class Network:
                 out += [(f"{pre}.{attr}", getattr(blk, attr),
                          partial(setattr, blk, attr), False)
                         for attr in ("pre_mix", "post_mix")]
-            out.append((f"stage{s + 1}.unmix", self.stage_unmix[s],
-                        partial(self.stage_unmix.__setitem__, s), False))
         return out
 
     def state_dict(self) -> dict:

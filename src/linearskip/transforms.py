@@ -239,20 +239,16 @@ def matrix_power(p, k: int) -> np.ndarray:
 def diagonalize_idempotent(p) -> Diagonalization:
     """Factor an idempotent matrix as U_inv @ diag(lam) @ U, lam in {0,1}.
 
-    Symmetric projectors (both merge-and-run constructions are) use the
-    symmetric eigendecomposition; other idempotents fall back to a basis
-    assembled from the range and null space.
+    The columns of U_inv are an orthonormal basis of the range of P (from
+    its SVD) followed by one of its null space, so lam is rank(P) ones
+    followed by zeros. This serves symmetric projectors (both
+    merge-and-run constructions) and oblique idempotents alike; U_inv is
+    orthogonal when P is symmetric.
     """
     m = _as_matrix(p)
     if not is_idempotent(m, 1e-8):
         raise ValueError("matrix is not idempotent within 1e-8")
     r = m.shape[0]
-    if np.abs(m - m.T).max() <= 1e-10:
-        w, v = np.linalg.eigh(m)
-        lam = np.round(w)
-        if np.abs(w - lam).max() > 1e-8 or not np.all((lam == 0) | (lam == 1)):
-            raise ValueError("idempotent eigenvalues are not within 1e-8 of {0, 1}")
-        return Diagonalization(U=v.T.copy(), U_inv=v, lam=lam)
     u_svd, s, vt = np.linalg.svd(m)
     k = int((s > 1e-8 * max(s[0], 1.0)).sum())
     col_basis = u_svd[:, :k]            # spans range(P)

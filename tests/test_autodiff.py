@@ -255,6 +255,11 @@ def test_backward_requires_scalar_loss():
         backward(g, y)
 
 
+def test_add_rejects_unequal_shapes():
+    with pytest.raises(ValueError, match="equal shapes"):
+        add(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+
+
 def test_backward_accumulates_over_fanout():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with Graph() as g:

@@ -4,6 +4,7 @@ import pytest
 
 from linearskip import equivalence as eq
 from linearskip import transforms as tr
+from linearskip.autodiff import Graph
 from linearskip.network import NetworkSpec, build_network
 
 import oracles
@@ -154,6 +155,13 @@ def test_verify_rejects_shape_mismatch():
         eq.verify_equivalence(a, b)
 
 
+def test_input_gradient_deviation_rejects_class_mismatch():
+    a = make_net("identity", k=1)
+    b = make_net("identity", k=1, num_classes=5)
+    with pytest.raises(ValueError, match="output sizes differ"):
+        eq.input_gradient_deviation(a, b)
+
+
 # ---------------------------------------------------------------------------
 # round-trip fidelity and gradient agreement
 
@@ -172,6 +180,52 @@ def test_round_trip_fidelity(kind, params, converter, k):
     conv = converter(net)
     report = eq.verify_equivalence(net, conv, num_inputs=8, seed=7)
     assert report.max_deviation <= 1e-8, (kind, k)
+
+
+@pytest.mark.parametrize("kind,params,converter", [
+    ("orthogonal_tp", {}, eq.convert_orthogonal_to_identity),
+    ("idempotent_mr", {"B": 2}, eq.convert_idempotent_to_diagonal),
+])
+def test_float32_conversion_keeps_dtype_and_function(kind, params, converter):
+    spec = NetworkSpec(blocks_per_stage=2, stage_widths=(8,) * 3,
+                       transform_kind=kind, transform_params=params,
+                       input_shape=(3, 8, 8))
+    net = build_network(spec, seed=17, dtype=np.float32)
+    conv = converter(net)
+    assert all(t.dtype == np.float32 for _, t, _ in conv.parameters())
+    x = np.random.default_rng(8).standard_normal((4, 3, 8, 8))
+    ref = net.forward(x).data
+    out = conv.forward(x).data
+    assert out.dtype == np.float32
+    tol = 2 ** 8 * np.finfo(np.float32).eps * np.abs(ref).max()
+    assert np.abs(out - ref).max() <= tol
+
+
+@pytest.mark.parametrize("kind,params,converter", [
+    ("orthogonal_tp", {}, eq.convert_orthogonal_to_identity),
+    ("idempotent_cmr", {"B": 2}, eq.convert_idempotent_to_diagonal),
+])
+def test_converted_checkpoint_roundtrip(kind, params, converter):
+    source = converter(make_net(kind, params, k=2, seed=21))
+    target = converter(make_net(kind, params, k=2, seed=22))
+    state = source.state_dict()
+    assert not [key for key in state if "unmix" in key]
+    target.load_state(state)
+    x = np.random.default_rng(5).standard_normal((2, 3, 8, 8))
+    npt.assert_allclose(target.forward(x).data, source.forward(x).data,
+                        atol=0)
+
+
+def test_diagonalized_net_mixes_only_inside_blocks():
+    # pre_mix, post_mix and the diagonal skip: three mixes per block, and
+    # the exit basis is folded into the next layer rather than mixed
+    net = make_net("idempotent_mr", {"B": 2}, k=3, seed=23)
+    conv = eq.convert_idempotent_to_diagonal(net)
+    x = np.random.default_rng(6).standard_normal((2, 3, 8, 8))
+    with Graph() as g:
+        conv.forward(x)
+    mixes = sum(node.op == "channel_mix" for node in g.nodes)
+    assert mixes == 3 * sum(len(stage) for stage in conv.stages)
 
 
 def test_conversion_preserves_parameter_count():

@@ -201,8 +201,6 @@ def _oracle_forward(net, x):
             if blk.skip is not None:
                 b = b + oracles.mix_channels(blk.skip, h)
             h = b
-        if net.stage_unmix[s] is not None:
-            h = oracles.mix_channels(net.stage_unmix[s], h)
         if s < 2:
             h = oracles.conv2d_loop(h, net.transitions[s].data, 2, 1)
     pooled = h.mean(axis=(2, 3))
