@@ -481,25 +481,25 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # reverse pass
 
-def vjp(graph: Graph, output: Tensor, seed: Optional[np.ndarray] = None,
+def vjp(graph: Graph, seeds: dict,
         wrt: Optional[Iterable[Tensor]] = None) -> dict:
     """Vector-Jacobian product through a recorded graph.
 
-    Seeds the cotangent at ``output`` (ones by default) and accumulates
-    into every tensor reached walking the tape backwards. Returns a map
-    from tensor to gradient array; restricted to ``wrt`` when given.
+    ``seeds`` maps each tensor to the cotangent the walk starts from
+    there, and gradients accumulate into every tensor reached walking the
+    tape backwards; a VJP is linear in its cotangent, so several seeds
+    give the sum of their single-seed products. Returns a map from tensor
+    to gradient array; restricted to ``wrt`` when given.
 
     With ``wrt``, only nodes with an input that depends on a ``wrt``
     tensor are walked: no other node can add to a ``wrt`` gradient, so
     the result is the same bit for bit.
     """
-    if seed is None:
-        seed = np.ones(output.data.shape, dtype=output.dtype)
-    else:
-        seed = np.asarray(seed, dtype=output.dtype)
-        if seed.shape != output.data.shape:
+    grads = {t: np.asarray(seed, dtype=t.dtype) for t, seed in seeds.items()}
+    for t, seed in grads.items():
+        if seed.shape != t.data.shape:
             raise ValueError(
-                f"seed shape {seed.shape} does not match output {output.data.shape}")
+                f"seed shape {seed.shape} does not match tensor {t.data.shape}")
     nodes = graph.nodes
     if wrt is not None:
         wrt = list(wrt)
@@ -509,7 +509,6 @@ def vjp(graph: Graph, output: Tensor, seed: Optional[np.ndarray] = None,
             if any(t in reach for t in node.inputs):
                 nodes.append(node)
                 reach.add(node.output)
-    grads: dict[Tensor, np.ndarray] = {output: seed}
     for node in reversed(nodes):
         g = grads.get(node.output)
         if g is None:
@@ -532,5 +531,5 @@ def backward(graph: Graph, loss: Tensor) -> dict:
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-    grads = vjp(graph, loss, seed=np.ones_like(loss.data))
+    grads = vjp(graph, {loss: np.ones_like(loss.data)})
     return {t: Tensor(g) for t, g in grads.items() if t.requires_grad}

@@ -304,50 +304,50 @@ class Network:
         return sum(t.size for _, t, _ in self.parameters())
 
     def _buffers(self) -> list:
-        """(checkpoint key, array or None, setter, required) for every
-        non-trainable array, in checkpoint order."""
+        """(checkpoint key, array or None, setter, shape, required) for
+        every non-trainable array, in checkpoint order."""
         out = []
         for s, stage in enumerate(self.stages):
             for i, blk in enumerate(stage):
                 pre = f"stage{s + 1}.block{i + 1}"
+                square = (blk.width, blk.width)
                 for bn in ("bn1", "bn2"):
                     st = getattr(blk, bn).state
                     out += [(f"{pre}.{bn}.{attr}", getattr(st, attr),
-                             partial(setattr, st, attr), True)
+                             partial(setattr, st, attr), (blk.width,), True)
                             for attr in ("running_mean", "running_var")]
-                out.append((f"{pre}.skip", blk.skip, blk.set_skip, False))
+                out.append((f"{pre}.skip", blk.skip, blk.set_skip, square,
+                            False))
                 out += [(f"{pre}.{attr}", getattr(blk, attr),
-                         partial(setattr, blk, attr), False)
+                         partial(setattr, blk, attr), square, False)
                         for attr in ("pre_mix", "post_mix")]
         return out
 
     def state_dict(self) -> dict:
         """All arrays needed to reconstruct the network exactly."""
         out = {name: t.data for name, t, _ in self.parameters()}
-        out.update((key, arr) for key, arr, _, _ in self._buffers()
+        out.update((key, arr) for key, arr, *_ in self._buffers()
                    if arr is not None)
         return out
 
     def load_state(self, state: dict) -> None:
+        """Copy a checkpoint in; every array must have its slot's shape and
+        only finite entries."""
         consumed = set()
         for name, tensor, _ in self.parameters():
             if name not in state:
                 raise KeyError(f"checkpoint is missing parameter {name!r}")
-            arr = np.asarray(state[name], dtype=tensor.dtype)
-            if arr.shape != tensor.data.shape:
-                raise ValueError(
-                    f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                    f"expected {tensor.data.shape}")
-            tensor.data = arr.copy()
+            tensor.data = _checked(name, state[name], tensor.dtype,
+                                   tensor.data.shape)
             consumed.add(name)
         stage_skip = {}
-        for key, _, store, required in self._buffers():
+        for key, _, store, shape, required in self._buffers():
             if key not in state:
                 if required:
                     raise KeyError(f"checkpoint is missing buffer {key!r}")
                 store(None)
                 continue
-            arr = np.array(state[key], dtype=np.float64)
+            arr = _checked(key, state[key], np.float64, shape)
             if key.endswith(".skip"):
                 # blocks of one stage that load equal skips share one array
                 stage = key.partition(".")[0]
@@ -379,6 +379,18 @@ class Network:
                 raise ValueError(
                     f"stage {stage} blocks do not share one skip matrix")
         return first
+
+
+def _checked(key: str, value, dtype, shape: tuple) -> np.ndarray:
+    """A copy of one checkpoint array in ``dtype``, or ValueError naming
+    ``key`` if its shape is not ``shape`` or an entry is not finite."""
+    arr = np.array(value, dtype=dtype)
+    if arr.shape != shape:
+        raise ValueError(f"checkpoint tensor {key!r} has shape {arr.shape}, "
+                         f"expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"checkpoint tensor {key!r} has non-finite entries")
+    return arr
 
 
 def _make_transform(spec: NetworkSpec, width: int,

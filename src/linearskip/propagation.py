@@ -114,7 +114,7 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
         input_tensors.append(h)  # x_n
         loss = reduce_sum(h)
 
-    grads = vjp(graph, loss, wrt=input_tensors)
+    grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=input_tensors)
     gradients = [np.asarray(grads[t]) for t in input_tensors]
     trace = PropagationTrace(
         stage=stage, m=m, n=n, transform=np.asarray(p, dtype=np.float64),
@@ -183,20 +183,19 @@ def verify_forward_expansion(trace: PropagationTrace, m: Optional[int] = None,
 
 def verify_backward_expansion(trace: PropagationTrace, m: Optional[int] = None,
                               n: Optional[int] = None) -> float:
-    """Rebuild dL/dx_m from dL/dx_n plus branch vector-Jacobian terms."""
+    """Rebuild dL/dx_m from dL/dx_n plus branch vector-Jacobian terms.
+
+    One walk seeded at every branch output sums the terms, by linearity.
+    """
     m, n = _span(trace, m, n)
     p = trace.transform
     g_n = trace.grad(n)
-    x_m_tensor = trace._input_tensors[m - trace.m]
-
-    recon = apply_transform(matrix_power(p, n - m).T, g_n)
-    for i in range(m, n):
-        cotangent = apply_transform(matrix_power(p, n - i - 1).T, g_n)
-        branch_tensor = trace._branch_tensors[i - trace.m]
-        pulled = vjp(trace._graph, branch_tensor, seed=cotangent,
-                     wrt=[x_m_tensor])
-        if x_m_tensor in pulled:
-            recon = recon + pulled[x_m_tensor]
+    x_m = trace._input_tensors[m - trace.m]
+    seeds = {trace._branch_tensors[i - trace.m]:
+             apply_transform(matrix_power(p, n - i - 1).T, g_n)
+             for i in range(m, n)}
+    pulled = vjp(trace._graph, seeds, wrt=[x_m])[x_m]
+    recon = apply_transform(matrix_power(p, n - m).T, g_n) + pulled
     return float(np.abs(recon - trace.grad(m)).max())
 
 

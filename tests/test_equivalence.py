@@ -203,6 +203,24 @@ def test_float32_conversion_keeps_dtype_and_function(kind, params, converter):
 
 @pytest.mark.parametrize("kind,params,converter", [
     ("orthogonal_tp", {}, eq.convert_orthogonal_to_identity),
+    ("idempotent_mr", {"B": 2}, eq.convert_idempotent_to_diagonal),
+])
+def test_float32_rewrite_passes_verification(kind, params, converter):
+    spec = NetworkSpec(blocks_per_stage=3, stage_widths=(8,) * 3,
+                       transform_kind=kind, transform_params=params,
+                       input_shape=(3, 8, 8))
+    net = build_network(spec, seed=19, dtype=np.float32)
+    report = eq.verify_equivalence(net, converter(net), num_inputs=8, seed=4)
+    logits = net.forward(np.random.default_rng(4).standard_normal(
+        (8, 3, 8, 8)), mode="eval").data
+    assert report.tol == 2 ** 12 * float(np.finfo(np.float32).eps) * max(
+        1.0, float(np.abs(logits).max()))
+    assert report.max_deviation > 0
+    assert report.passed
+
+
+@pytest.mark.parametrize("kind,params,converter", [
+    ("orthogonal_tp", {}, eq.convert_orthogonal_to_identity),
     ("idempotent_cmr", {"B": 2}, eq.convert_idempotent_to_diagonal),
 ])
 def test_converted_checkpoint_roundtrip(kind, params, converter):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -380,3 +382,20 @@ def test_load_state_copies_running_stats():
     moved = loaded.state_dict()
     assert not np.array_equal(moved["stage1.block1.bn1.running_mean"],
                               before["stage1.block1.bn1.running_mean"])
+
+
+@pytest.mark.parametrize("key,value,reason", [
+    ("stage1.block1.pre_mix", np.eye(3), "has shape"),
+    ("stage1.block1.post_mix", np.full((4, 4), np.nan), "has non-finite"),
+    ("stage1.block1.bn1.running_mean", np.zeros(5), "has shape"),
+    ("stage2.block1.conv1", np.full((8, 8, 3, 3), np.inf), "has non-finite"),
+], ids=["pre_mix_shape", "post_mix_nan", "running_mean_shape", "conv_inf"])
+def test_load_state_rejects_bad_array(key, value, reason):
+    source = build_network(small_spec(), seed=6)
+    for blk in source.stages[0]:
+        blk.pre_mix = blk.post_mix = np.eye(4)
+    state = source.state_dict()
+    state[key] = value
+    target = build_network(small_spec(), seed=7)
+    with pytest.raises(ValueError, match=f"{re.escape(repr(key))} {reason}"):
+        target.load_state(state)

@@ -132,6 +132,16 @@ def test_backward_expansion_identity():
     assert prop.verify_backward_expansion(trace) <= 1e-8
 
 
+def test_backward_expansion_identity_float32():
+    spec = NetworkSpec(blocks_per_stage=4, stage_widths=(8,) * 3,
+                       transform_kind="identity", input_shape=(3, 8, 8))
+    net = build_network(spec, seed=2, dtype=np.float32)
+    trace = prop.capture_trace(net, input_batch(8), stage=1, m=1, n=4)
+    assert trace.grad(1).dtype == np.float32
+    tol = 2 ** 8 * np.finfo(np.float32).eps * np.abs(trace.grad(1)).max()
+    assert prop.verify_backward_expansion(trace) <= tol
+
+
 def test_backward_expansion_idempotent():
     net = stage_net("idempotent_mr", {"B": 2}, k=4, seed=5)
     trace = prop.capture_trace(net, input_batch(9), stage=1, m=1, n=4)
@@ -161,18 +171,54 @@ def test_vjp_wrt_walks_only_dependent_nodes():
     x_m = trace._input_tensors[0]
     branch = trace._branch_tensors[0]
     seed = np.random.default_rng(6).standard_normal(branch.shape)
-    full = vjp(graph, branch, seed=seed)
+    full = vjp(graph, {branch: seed})
     full_calls = len(calls)
     calls.clear()
-    restricted = vjp(graph, branch, seed=seed, wrt=[x_m])
+    restricted = vjp(graph, {branch: seed}, wrt=[x_m])
     assert list(restricted) == [x_m]
     assert np.array_equal(restricted[x_m], full[x_m])
     assert 0 < len(calls) < full_calls
     # the trace's own restricted walk matches an unrestricted one
     loss = graph.nodes[-1].output
-    unrestricted = vjp(graph, loss)
+    unrestricted = vjp(graph, {loss: np.ones_like(loss.data)})
     for t, grad in zip(trace._input_tensors, trace.gradients):
         assert np.array_equal(grad, unrestricted[t])
+
+
+def test_vjp_two_seeds_sum_single_seed_walks():
+    net = stage_net("orthogonal_tp", k=3, seed=4)
+    trace = prop.capture_trace(net, input_batch(6), stage=1, m=1, n=3)
+    x_m = trace._input_tensors[0]
+    rng = np.random.default_rng(7)
+    seeds = {t: rng.standard_normal(t.shape) for t in trace._branch_tensors}
+    both = vjp(trace._graph, seeds, wrt=[x_m])[x_m]
+    parts = sum(vjp(trace._graph, {t: seed}, wrt=[x_m])[x_m]
+                for t, seed in seeds.items())
+    assert len(seeds) == 2
+    assert np.abs(both - parts).max() <= \
+        2 ** 4 * np.finfo(np.float64).eps * np.abs(parts).max()
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 4])
+def test_backward_expansion_is_one_walk(span, monkeypatch):
+    net = stage_net("idempotent_mr", {"B": 2}, k=5, seed=3)
+    trace = prop.capture_trace(net, input_batch(4), stage=1, m=1, n=5)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return vjp(*args, **kwargs)
+    monkeypatch.setattr(prop, "vjp", counted)
+    assert prop.verify_backward_expansion(trace, m=5 - span, n=5) <= 1e-8
+    assert len(calls) == 1
+
+
+def test_vjp_rejects_seed_of_wrong_shape():
+    net = stage_net("identity", k=2)
+    trace = prop.capture_trace(net, input_batch(), stage=1, m=1, n=2)
+    branch = trace._branch_tensors[0]
+    with pytest.raises(ValueError, match="seed shape"):
+        vjp(trace._graph, {branch: np.ones(branch.shape[1:])})
 
 
 # ---------------------------------------------------------------------------
