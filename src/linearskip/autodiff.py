@@ -5,6 +5,13 @@ convolution, batch normalization, ReLU, pooling, affine layers, channel
 mixing, and softmax cross-entropy. Every operation executed while a
 :class:`Graph` is active is appended to the tape; :func:`backward` and
 :func:`vjp` walk the tape in reverse to produce gradients.
+
+One dtype rule holds for every operation: the tensors it takes and the
+array it records share one dtype, float32 or float64. Nothing is cast
+silently; ``_record`` raises ``ValueError`` when operands differ, and a
+caller converts its arrays first (a network builds everything in its own
+dtype). Only fixed non-Tensor operands, such as ``channel_mix``'s matrix,
+are cast to the input's dtype.
 """
 
 from __future__ import annotations
@@ -113,6 +120,9 @@ class Graph:
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
             vjp_fn: Callable) -> Tensor:
+    dtypes = {t.dtype for t in inputs} | {out_data.dtype}
+    if len(dtypes) > 1:
+        raise ValueError(f"{op} mixes dtypes {sorted(map(str, dtypes))}")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     if _ACTIVE_GRAPHS:
         _ACTIVE_GRAPHS[-1].nodes.append(Node(op, inputs, out, vjp_fn))
@@ -268,10 +278,10 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
                eps: float = 1e-5, momentum: float = 0.9) -> Tensor:
     """Per-channel batch normalization over NCHW input.
 
-    ``train`` normalizes with batch statistics and updates the running
-    buffers by exponential moving average; ``eval`` uses the stored
-    running statistics. Variance is the biased (ddof=0) estimator in both
-    the batch computation and the running buffers.
+    Both modes compute (x - mu) * gamma / sqrt(var + eps) + beta. ``train``
+    takes mu and the biased (ddof=0) var from the batch, var from the
+    centred values, and updates the running buffers by exponential moving
+    average; ``eval`` uses the running buffers, which must have x's dtype.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     xd = x.data
@@ -286,41 +296,32 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
         raise ValueError("batch_norm requires a non-empty batch")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if {state.running_mean.dtype, state.running_var.dtype} != {xd.dtype}:
+        raise ValueError(f"batch_norm state dtype is not {xd.dtype}")
     m = n * h * w
 
     if mode == "train":
         mu = xd.mean(axis=(0, 2, 3))
-        ex2 = np.einsum("nchw,nchw->c", xd, xd) / m
-        var = np.maximum(ex2 - mu * mu, 0.0)
-        state.running_mean *= momentum
-        state.running_mean += (1.0 - momentum) * mu
-        state.running_var *= momentum
-        state.running_var += (1.0 - momentum) * var
     else:
-        mu = state.running_mean.astype(xd.dtype)
-        var = state.running_var.astype(xd.dtype)
-
+        mu, var = state.running_mean, state.running_var
+    out_data = xd - mu[None, :, None, None]
+    if mode == "train":
+        var = np.einsum("nchw,nchw->c", out_data, out_data) / m
     invstd = 1.0 / np.sqrt(var + eps)
-    scale = (gamma.data * invstd).astype(xd.dtype)
-    shift = (beta.data - mu * scale).astype(xd.dtype)
-    out_data = xd * scale[None, :, None, None] + shift[None, :, None, None]
-
-    mu_c = mu.astype(xd.dtype)
-    invstd_c = invstd.astype(xd.dtype)
+    scale = gamma.data * invstd
+    out_data *= scale[None, :, None, None]
+    out_data += beta.data[None, :, None, None]
 
     def vjp_fn(g: np.ndarray):
-        gx = ggamma = gbeta = None
-        xhat = (xd - mu_c[None, :, None, None]) * invstd_c[None, :, None, None]
+        gx = None
+        xhat = (xd - mu[None, :, None, None]) * invstd[None, :, None, None]
         gsum = g.sum(axis=(0, 2, 3))
         gx_hat_sum = np.einsum("nchw,nchw->c", g, xhat)
-        if beta.requires_grad:
-            gbeta = gsum.astype(beta.dtype)
-        if gamma.requires_grad:
-            ggamma = gx_hat_sum.astype(gamma.dtype)
+        gbeta = gsum if beta.requires_grad else None
+        ggamma = gx_hat_sum if gamma.requires_grad else None
         if x.requires_grad:
             if mode == "train":
-                coeff = (gamma.data.astype(xd.dtype) * invstd_c) / m
-                gx = coeff[None, :, None, None] * (
+                gx = (scale / m)[None, :, None, None] * (
                     m * g
                     - gsum[None, :, None, None]
                     - xhat * gx_hat_sum[None, :, None, None])
@@ -328,7 +329,12 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
                 gx = g * scale[None, :, None, None]
         return gx, ggamma, gbeta
 
-    return _record("batch_norm", (x, gamma, beta), out_data, vjp_fn)
+    out = _record("batch_norm", (x, gamma, beta), out_data, vjp_fn)
+    if mode == "train":
+        # rebound, not updated in place: an eval node's VJP reads the old mu
+        state.running_mean = momentum * state.running_mean + (1.0 - momentum) * mu
+        state.running_var = momentum * state.running_var + (1.0 - momentum) * var
+    return out
 
 
 # ---------------------------------------------------------------------------

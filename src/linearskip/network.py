@@ -152,7 +152,7 @@ class BNLayer:
     def __init__(self, channels: int, dtype=np.float64):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.state = BatchNormState(channels)
+        self.state = BatchNormState(channels, dtype)
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.state, mode)
@@ -173,6 +173,13 @@ class BuildingBlock:
     channel slices, and ``groups = width`` for the depthwise extreme. The
     optional ``pre_mix``/``post_mix`` matrices wrap the whole branch
     composite (used by the equivalence conversions).
+
+    Parameters and batch-norm statistics are in the block's dtype. The
+    skip and mix matrices stay float64 whatever that dtype is: they are
+    exact definitions, not per-network state, and are cast only where
+    applied (``channel_mix``). Rounded to float32 they would stop meeting
+    their invariants; a width-32 ``orthogonal_tp`` misses
+    ``is_orthogonal(q, 1e-9)`` by 3.4e-8, so the rewrites would reject it.
     """
 
     def __init__(self, width: int, groups: int, skip: Optional[np.ndarray],
@@ -304,8 +311,10 @@ class Network:
         return sum(t.size for _, t, _ in self.parameters())
 
     def _buffers(self) -> list:
-        """(checkpoint key, array or None, setter, shape, required) for
-        every non-trainable array, in checkpoint order."""
+        """(checkpoint key, array or None, setter, shape, dtype, required)
+        for every non-trainable array, in checkpoint order. Running
+        statistics are in the network's dtype; skip and mix matrices are
+        float64 definitions (see :class:`BuildingBlock`)."""
         out = []
         for s, stage in enumerate(self.stages):
             for i, blk in enumerate(stage):
@@ -314,12 +323,14 @@ class Network:
                 for bn in ("bn1", "bn2"):
                     st = getattr(blk, bn).state
                     out += [(f"{pre}.{bn}.{attr}", getattr(st, attr),
-                             partial(setattr, st, attr), (blk.width,), True)
+                             partial(setattr, st, attr), (blk.width,),
+                             self.dtype, True)
                             for attr in ("running_mean", "running_var")]
                 out.append((f"{pre}.skip", blk.skip, blk.set_skip, square,
-                            False))
+                            np.float64, False))
                 out += [(f"{pre}.{attr}", getattr(blk, attr),
-                         partial(setattr, blk, attr), square, False)
+                         partial(setattr, blk, attr), square, np.float64,
+                         False)
                         for attr in ("pre_mix", "post_mix")]
         return out
 
@@ -332,7 +343,8 @@ class Network:
 
     def load_state(self, state: dict) -> None:
         """Copy a checkpoint in; every array must have its slot's shape and
-        only finite entries."""
+        only finite entries that fit its slot's dtype, and every skip must
+        meet the invariant of the spec's transform kind."""
         consumed = set()
         for name, tensor, _ in self.parameters():
             if name not in state:
@@ -341,14 +353,15 @@ class Network:
                                    tensor.data.shape)
             consumed.add(name)
         stage_skip = {}
-        for key, _, store, shape, required in self._buffers():
+        for key, _, store, shape, dtype, required in self._buffers():
             if key not in state:
                 if required:
                     raise KeyError(f"checkpoint is missing buffer {key!r}")
                 store(None)
                 continue
-            arr = _checked(key, state[key], np.float64, shape)
+            arr = _checked(key, state[key], dtype, shape)
             if key.endswith(".skip"):
+                _check_skip_kind(self.spec, key, arr)
                 # blocks of one stage that load equal skips share one array
                 stage = key.partition(".")[0]
                 if stage in stage_skip and np.array_equal(stage_skip[stage], arr):
@@ -383,14 +396,33 @@ class Network:
 
 def _checked(key: str, value, dtype, shape: tuple) -> np.ndarray:
     """A copy of one checkpoint array in ``dtype``, or ValueError naming
-    ``key`` if its shape is not ``shape`` or an entry is not finite."""
-    arr = np.array(value, dtype=dtype)
-    if arr.shape != shape:
-        raise ValueError(f"checkpoint tensor {key!r} has shape {arr.shape}, "
+    ``key`` if its shape is not ``shape``, an entry is not finite, or an
+    entry is beyond ``dtype``'s range. Both value checks run in the source
+    dtype, before the cast."""
+    src = np.asarray(value)
+    if src.shape != shape:
+        raise ValueError(f"checkpoint tensor {key!r} has shape {src.shape}, "
                          f"expected {shape}")
-    if not np.isfinite(arr).all():
+    if not np.isfinite(src).all():
         raise ValueError(f"checkpoint tensor {key!r} has non-finite entries")
-    return arr
+    if (np.abs(src) > np.finfo(dtype).max).any():
+        raise ValueError(f"checkpoint tensor {key!r} has entries beyond the "
+                         f"{np.dtype(dtype)} range")
+    return np.array(src, dtype=dtype)
+
+
+def _check_skip_kind(spec: NetworkSpec, key: str, skip: np.ndarray) -> None:
+    """ValueError naming ``key`` unless ``skip`` meets the invariant of the
+    spec's transform kind; a ``"none"`` network takes no skip at all."""
+    if spec.transform_kind == "none":
+        raise ValueError(f"checkpoint tensor {key!r} is a skip, but the "
+                         f"network's transform kind is 'none'")
+    params = {"N": spec.resolve_period()} \
+        if spec.transform_kind == "periodic" else {}
+    try:
+        StructuredTransform(skip, spec.transform_kind, params)
+    except ValueError as err:
+        raise ValueError(f"checkpoint tensor {key!r}: {err}") from err
 
 
 def _make_transform(spec: NetworkSpec, width: int,

@@ -193,6 +193,65 @@ def test_batch_norm_zero_batch_errors():
                    Tensor(np.zeros(2)), BatchNormState(2), mode="train")
 
 
+def test_batch_norm_float32_large_mean_keeps_unit_std():
+    # a mean of 1000 cancels E[x^2] - mu^2 in float32; centred values do not
+    rng = np.random.default_rng(3)
+    x = (1000.0 + rng.standard_normal((32, 4, 8, 8))).astype(np.float32)
+    ones, zeros = np.ones(4, np.float32), np.zeros(4, np.float32)
+    out = batch_norm(Tensor(x), Tensor(ones), Tensor(zeros),
+                     BatchNormState(4, np.float32), mode="train")
+    assert out.dtype == np.float32
+    std = out.data.astype(np.float64).std(axis=(0, 2, 3))
+    tol = 2 ** 6 * np.finfo(np.float32).eps
+    assert np.abs(std - 1.0 / np.sqrt(1.0 + 1e-5)).max() <= tol
+
+
+def test_batch_norm_eval_vjp_keeps_its_statistics():
+    # a later train step must not move the statistics a recorded eval
+    # node differentiates with
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 3, 4, 4))
+    gamma = Tensor(np.ones(3), requires_grad=True)
+    beta = Tensor(np.zeros(3))
+    state = BatchNormState(3)
+    with Graph() as g:
+        loss = reduce_sum(batch_norm(Tensor(x), gamma, beta, state, "eval"))
+    before = backward(g, loss)[gamma].data
+    batch_norm(Tensor(5.0 * x + 3.0), gamma, beta, state, "train")
+    npt.assert_array_equal(backward(g, loss)[gamma].data, before)
+
+
+# ---------------------------------------------------------------------------
+# one dtype per operation
+
+def _f32(*shape):
+    return Tensor(np.ones(shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("op", [
+    lambda: conv2d(_f32(1, 2, 4, 4), Tensor(np.ones((2, 2, 3, 3)))),
+    lambda: add(_f32(2, 3), Tensor(np.ones((2, 3)))),
+    lambda: dense(_f32(2, 3), Tensor(np.ones((4, 3)))),
+    lambda: dense(_f32(2, 3), _f32(4, 3), Tensor(np.zeros(4))),
+    lambda: batch_norm(_f32(2, 3, 4, 4), _f32(3), _f32(3),
+                       BatchNormState(3, np.float64)),
+    lambda: batch_norm(_f32(2, 3, 4, 4), Tensor(np.ones(3)), _f32(3),
+                       BatchNormState(3, np.float32)),
+], ids=["conv2d_kernel", "add", "dense_weight", "dense_bias",
+        "batch_norm_state", "batch_norm_gamma"])
+def test_mixed_dtypes_raise(op):
+    with pytest.raises(ValueError, match="dtype"):
+        op()
+
+
+def test_mixed_dtype_batch_norm_leaves_state_alone():
+    state = BatchNormState(3, np.float32)
+    with pytest.raises(ValueError, match="dtype"):
+        batch_norm(_f32(2, 3, 4, 4), Tensor(np.ones(3)), _f32(3), state)
+    npt.assert_array_equal(state.running_mean, 0.0)
+    npt.assert_array_equal(state.running_var, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # simple ops
 

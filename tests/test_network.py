@@ -399,3 +399,73 @@ def test_load_state_rejects_bad_array(key, value, reason):
     target = build_network(small_spec(), seed=7)
     with pytest.raises(ValueError, match=f"{re.escape(repr(key))} {reason}"):
         target.load_state(state)
+
+
+def test_float32_network_keeps_float32_running_stats():
+    net = build_network(small_spec(), seed=6, dtype=np.float32)
+    x = np.random.default_rng(4).standard_normal((2, 3, 8, 8))
+    net.forward(x, mode="train")
+    for blk in (b for stage in net.stages for b in stage):
+        for bn in (blk.bn1, blk.bn2):
+            assert bn.state.running_mean.dtype == np.float32
+            assert bn.state.running_var.dtype == np.float32
+    state = net.state_dict()
+    for key, arr in state.items():
+        if "running" in key:
+            assert arr.dtype == np.float32, key
+        if key.endswith((".skip", "_mix")):
+            assert arr.dtype == np.float64, key
+
+
+def test_float64_checkpoint_loads_into_float32_network():
+    spec = small_spec(transform_kind="idempotent_mr", transform_params={"B": 2})
+    source = build_network(spec, seed=6)
+    x = np.random.default_rng(4).standard_normal((2, 3, 8, 8))
+    source.forward(x, mode="train")
+    target = build_network(spec, seed=7, dtype=np.float32)
+    target.load_state(source.state_dict())
+    for key, arr in target.state_dict().items():
+        want = np.float64 if key.endswith(".skip") else np.float32
+        assert arr.dtype == want, key
+    ref = source.forward(x).data
+    out = target.forward(x).data
+    assert out.dtype == np.float32
+    tol = 2 ** 8 * np.finfo(np.float32).eps * np.abs(ref).max()
+    assert np.abs(out - ref).max() <= tol
+
+
+@pytest.mark.parametrize("key", ["stage1.block1.conv1",
+                                 "stage1.block1.bn2.running_var"])
+def test_load_state_rejects_value_beyond_float32(key):
+    # checked in the source dtype: no overflow warning from the cast
+    state = build_network(small_spec(), seed=6).state_dict()
+    state[key] = np.full_like(state[key], 1e40)
+    target = build_network(small_spec(), seed=7, dtype=np.float32)
+    with pytest.raises(ValueError,
+                       match=f"{re.escape(repr(key))} has entries beyond"):
+        target.load_state(state)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("idempotent_mr", {"B": 2}),
+    ("idempotent_cmr", {"B": 4}),
+    ("orthogonal_random", {}),
+    ("periodic", {"N": 3}),
+    ("identity", {}),
+])
+def test_load_state_rejects_skip_breaking_its_kind(kind, params):
+    spec = small_spec(stage_widths=(4, 8, 8), transform_kind=kind,
+                      transform_params=params)
+    state = build_network(spec, seed=6).state_dict()
+    target = build_network(spec, seed=7)
+    target.load_state(state)  # the kind's own skips load
+    state["stage2.block2.skip"] = 2.0 * np.eye(8)
+    with pytest.raises(ValueError, match=re.escape("'stage2.block2.skip'")):
+        target.load_state(state)
+
+
+def test_load_state_no_skip_network_rejects_skip():
+    state = build_network(small_spec(), seed=6).state_dict()
+    target = build_network(small_spec(transform_kind="none"), seed=7)
+    with pytest.raises(ValueError, match=re.escape("'stage1.block1.skip'")):
+        target.load_state(state)

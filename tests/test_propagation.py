@@ -22,6 +22,20 @@ def input_batch(seed=0, n=2):
     return np.random.default_rng(seed).standard_normal((n, 3, 8, 8))
 
 
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+def float32_trace(kind, params=None, k=4, seed=0, batch_seed=0):
+    """Trace of all of stage 1 of a float32 net, batch norm in eval mode."""
+    spec = NetworkSpec(blocks_per_stage=k, stage_widths=(8,) * 3,
+                       transform_kind=kind, transform_params=params or {},
+                       input_shape=(3, 8, 8))
+    net = build_network(spec, seed=seed, dtype=np.float32)
+    trace = prop.capture_trace(net, input_batch(batch_seed), stage=1, m=1, n=k)
+    assert trace.x(k).dtype == np.float32
+    return trace
+
+
 # ---------------------------------------------------------------------------
 # capture_trace
 
@@ -111,6 +125,23 @@ def test_forward_expansion_all_m_from_one_trace():
         for n in range(m + 1, 6):
             check = prop.verify_forward_expansion(trace, m=m, n=n)
             assert check.deviation <= 1e-9, (m, n)
+
+
+def test_forward_expansion_identity_form_float32():
+    trace = float32_trace("identity", k=4, seed=0, batch_seed=3)
+    tol = 2 ** 4 * EPS32 * np.abs(trace.x(4)).max()
+    assert prop.verify_forward_expansion(trace).deviation <= tol
+    rhs = trace.x(1) + sum(trace.branch(i) for i in range(1, 4))
+    assert np.abs(rhs - trace.x(4)).max() <= tol
+
+
+def test_forward_expansion_idempotent_collapse_float32():
+    trace = float32_trace("idempotent_cmr", {"B": 2}, k=6, batch_seed=4)
+    check = prop.verify_forward_expansion(trace)
+    tol = 2 ** 4 * EPS32 * np.abs(trace.x(6)).max()
+    assert check.deviation <= tol
+    assert check.collapsed_deviation is not None
+    assert check.collapsed_deviation <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +288,24 @@ def test_gain_rejects_zero_vector():
         prop.skip_path_gain(p, 1, np.zeros(4))
 
 
+def test_gains_float32():
+    rng = np.random.default_rng(11)
+    q = tr.make_orthogonal_random(16, seed=4)
+    x = rng.standard_normal(16).astype(np.float32)
+    g = rng.standard_normal(16).astype(np.float32)
+    for k in (1, 3, 16):
+        assert abs(prop.skip_path_gain(q, k, x) - 1.0) <= 2 ** 4 * EPS32
+        assert abs(prop.gradient_skip_gain(q, k, g) - 1.0) <= 2 ** 4 * EPS32
+    trace = float32_trace("orthogonal_tp", k=3, seed=4, batch_seed=16)
+    report = prop.flow_report(trace)
+    assert abs(report.skip_gain - 1.0) <= 2 ** 4 * EPS32
+    assert abs(report.gradient_gain - 1.0) <= 2 ** 4 * EPS32
+    assert report.forward_deviation <= 2 ** 4 * EPS32 * np.abs(
+        trace.x(3)).max()
+    assert report.backward_deviation <= 2 ** 8 * EPS32 * np.abs(
+        trace.grad(1)).max()
+
+
 # ---------------------------------------------------------------------------
 # null-space split
 
@@ -295,6 +344,21 @@ def test_null_split_oblique_has_no_fractions():
     assert split.fractions is None
     npt.assert_allclose(split.column_part + split.null_part, [1.0, 2.0],
                         atol=1e-15)
+
+
+def test_null_split_float32():
+    trace = float32_trace("idempotent_cmr", {"B": 2}, k=3, seed=6,
+                          batch_seed=17)
+    x = trace.x(3)
+    split = prop.null_space_components(trace.transform, x)
+    tol = 2 ** 4 * EPS32 * np.abs(x).max()
+    assert np.abs(split.column_part + split.null_part - x).max() <= tol
+    assert np.abs(apply_transform(trace.transform, split.column_part)
+                  - split.column_part).max() <= tol
+    assert abs(sum(split.fractions) - 1.0) <= 2 ** 4 * EPS32
+    report = prop.flow_report(trace)
+    assert report.null_fraction_x_n == pytest.approx(split.fractions[1],
+                                                     abs=2 ** 4 * EPS32)
 
 
 # ---------------------------------------------------------------------------
