@@ -494,18 +494,22 @@ def vjp(graph: Graph, seeds: dict,
     ``seeds`` maps each tensor to the cotangent the walk starts from
     there, and gradients accumulate into every tensor reached walking the
     tape backwards; a VJP is linear in its cotangent, so several seeds
-    give the sum of their single-seed products. Returns a map from tensor
-    to gradient array; restricted to ``wrt`` when given.
+    give the sum of their single-seed products. Each seed must have its
+    tensor's shape and dtype. Returns a map from tensor to gradient
+    array; restricted to ``wrt`` when given.
 
     With ``wrt``, only nodes with an input that depends on a ``wrt``
     tensor are walked: no other node can add to a ``wrt`` gradient, so
     the result is the same bit for bit.
     """
-    grads = {t: np.asarray(seed, dtype=t.dtype) for t, seed in seeds.items()}
+    grads = {t: np.asarray(seed) for t, seed in seeds.items()}
     for t, seed in grads.items():
         if seed.shape != t.data.shape:
             raise ValueError(
                 f"seed shape {seed.shape} does not match tensor {t.data.shape}")
+        if seed.dtype != t.dtype:
+            raise ValueError(
+                f"seed dtype {seed.dtype} does not match tensor {t.dtype}")
     nodes = graph.nodes
     if wrt is not None:
         wrt = list(wrt)

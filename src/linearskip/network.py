@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,14 +26,12 @@ __all__ = [
     "BNLayer",
     "BuildingBlock",
     "Network",
-    "build_block",
     "build_network",
     "describe",
     "NetworkSummary",
 ]
 
 BRANCH_MODES = ("single", "multi", "depthwise")
-TRANSFORM_KINDS = transforms.KINDS + ("none",)
 
 
 @dataclass
@@ -44,7 +42,9 @@ class NetworkSpec:
     ``"none"`` for the no-skip control (P = 0). ``transform_params`` may
     carry only ``B`` (idempotent branch count: an integer or ``"width"``,
     resolved per stage) and ``N`` (period of a periodic transform);
-    :meth:`validate` rejects any other key. Random transforms are seeded
+    :meth:`validate` rejects any other key. What a kind needs of a stage
+    (a power-of-2 width, a B that divides it, ...) is stated once, by its
+    ``transforms.make_*`` constructor. Random transforms are seeded
     from the ``seed`` passed to :func:`build_network`.
     ``share_random_per_stage`` forces one shared random orthogonal matrix
     per stage instead of one per block.
@@ -78,13 +78,29 @@ class NetworkSpec:
         branch count in multi mode, else the width)."""
         b = self.transform_params.get("B", self.num_branches
                                       if self.branch_mode == "multi" else width)
-        return width if b == "width" else int(b)
+        return width if b == "width" else b
 
     def resolve_period(self) -> int:
         """Period N of a periodic transform (default 2)."""
-        return int(self.transform_params.get("N", 2))
+        return self.transform_params.get("N", 2)
 
     def validate(self) -> None:
+        """ValueError unless the fields are well formed and every stage's
+        skip transform can be built. The kind rules are not restated here:
+        each stage's transform is built once, so the constructor that
+        :func:`build_network` calls is the one that accepts or rejects it."""
+        fields = [(name, getattr(self, name)) for name in
+                  ("blocks_per_stage", "num_branches", "num_classes")]
+        fields += [(f"{name}[{i}]", v) for name in ("stage_widths", "input_shape")
+                   for i, v in enumerate(getattr(self, name))]
+        fields.append(("transform_params['N']", self.resolve_period()))
+        for name, value in fields:
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        b = self.transform_params.get("B", "width")
+        if b != "width" and not _is_int(b):
+            raise ValueError(f"transform_params['B'] must be an integer or "
+                             f"'width', got {b!r}")
         if self.blocks_per_stage < 1:
             raise ValueError("blocks_per_stage must be a positive integer")
         if len(self.stage_widths) != 3 or any(w < 1 for w in self.stage_widths):
@@ -100,33 +116,17 @@ class NetworkSpec:
                     raise ValueError(
                         f"stage width {w} is not divisible by "
                         f"{self.num_branches} branches")
-        if self.transform_kind not in TRANSFORM_KINDS:
-            raise ValueError(f"transform_kind must be one of {TRANSFORM_KINDS}, "
-                             f"got {self.transform_kind!r}")
         unknown = set(self.transform_params) - {"B", "N"}
         if unknown:
             raise ValueError(f"transform_params keys {sorted(unknown)} are not "
                              f"read; only 'B' and 'N' are")
-        if self.transform_kind.startswith("orthogonal"):
-            for w in self.stage_widths:
-                if not transforms._is_power_of_two(w):
-                    raise ValueError(
-                        f"orthogonal transforms require power-of-2 widths, "
-                        f"stage width {w} is not")
-        if self.transform_kind.startswith("idempotent"):
-            for w in self.stage_widths:
-                b = self.resolve_transform_b(w)
-                if b < 1 or w % b:
-                    raise ValueError(
-                        f"idempotent transform branch count {b} does not "
-                        f"divide stage width {w}")
-        if self.transform_kind == "periodic":
-            if self.resolve_period() < 1:
-                raise ValueError("periodic transform requires N >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        if len(self.input_shape) != 3:
-            raise ValueError("input_shape must be (channels, height, width)")
+        if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
+            raise ValueError("input_shape must be 3 positive integers "
+                             "(channels, height, width)")
+        for w in self.stage_widths:
+            _make_transform(self, w, 0)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -144,6 +144,10 @@ class NetworkSpec:
         spec = cls(**kw)
         spec.validate()
         return spec
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class BNLayer:
@@ -456,33 +460,6 @@ def _stage_transform_matrices(spec: NetworkSpec, width: int,
             for _ in range(k if per_block else 1)]
     mats = [None if t is None else t.matrix for t in made]
     return mats if per_block else mats * k
-
-
-def build_block(width: int, branch_mode: str = "single",
-                transform: Union[str, StructuredTransform, None] = "identity",
-                seed: int = 0, num_branches: int = 1,
-                transform_params: Optional[dict] = None,
-                dtype=np.float64) -> BuildingBlock:
-    """Construct a single block with He-initialized branch convolutions.
-
-    ``transform`` may be a kind name (constructed here for this width), an
-    existing StructuredTransform, or None for no skip. ``transform_params``
-    takes the :class:`NetworkSpec` keys plus ``seed`` for random kinds
-    (default: ``seed``).
-    """
-    params = dict(transform_params or {})
-    transform_seed = int(params.pop("seed", seed))
-    kind = transform if isinstance(transform, str) else "none"
-    spec = NetworkSpec(1, (width,) * 3, branch_mode, num_branches, kind, params)
-    spec.validate()
-    if isinstance(transform, str):
-        transform = _make_transform(spec, width, transform_seed)
-    elif not isinstance(transform, (StructuredTransform, type(None))):
-        raise TypeError("transform must be a kind name, StructuredTransform, "
-                        "or None")
-    skip = None if transform is None else transform.matrix
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    return BuildingBlock(width, spec.resolve_branches(width), skip, rng, dtype)
 
 
 def build_network(spec: NetworkSpec, seed: int = 0,

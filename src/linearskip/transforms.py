@@ -137,7 +137,8 @@ def _is_power_of_two(r: int) -> bool:
 
 def _check_power_of_two(r: int) -> int:
     if not _is_power_of_two(r):
-        raise ValueError(f"channel count must be a power of 2, got {r}")
+        raise ValueError(f"channel count must be a power of 2, got {r}; "
+                         f"Kronecker orthogonals need power-of-2 widths")
     return r.bit_length() - 1
 
 

@@ -5,11 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from linearskip import autodiff as ad
+from linearskip import transforms as tr
 from linearskip.autodiff import (BatchNormState, Graph, Tensor, add, backward,
                                  batch_norm, channel_mix, conv2d, dense,
                                  global_avg_pool, reduce_sum, relu,
                                  softmax_cross_entropy)
-from linearskip.network import build_block
+from linearskip.network import BuildingBlock
 from linearskip.optim import OptimState, sgd_nesterov_step
 
 import oracles
@@ -252,6 +253,17 @@ def test_mixed_dtype_batch_norm_leaves_state_alone():
     npt.assert_array_equal(state.running_var, 1.0)
 
 
+def test_vjp_rejects_seed_of_another_dtype():
+    # a float64 cotangent is not rounded into a float32 tape
+    x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    with Graph() as g:
+        y = relu(x)
+    with pytest.raises(ValueError, match="seed dtype float64"):
+        ad.vjp(g, {y: np.ones((2, 3))})
+    grads = ad.vjp(g, {y: np.ones((2, 3), dtype=np.float32)})
+    assert grads[x].dtype == np.float32
+
+
 # ---------------------------------------------------------------------------
 # simple ops
 
@@ -402,8 +414,8 @@ def test_gradcheck_pool_mix(seed):
 def test_gradcheck_full_block():
     # one y = Px + F(x) unit with a random mixing matrix, checked end to end
     rng = np.random.default_rng(42)
-    blk = build_block(8, transform="orthogonal_random", seed=5,
-                      transform_params={"seed": 17})
+    blk = BuildingBlock(8, 1, tr.make_orthogonal_random(8, 17).matrix,
+                        np.random.default_rng(5))
     x = Tensor(rng.standard_normal((2, 8, 5, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 8)))
     labels = np.array([1, 3])
@@ -420,7 +432,8 @@ def test_gradcheck_full_block():
 def test_deterministic_forward_and_gradients():
     def run():
         rng = np.random.default_rng(77)
-        blk = build_block(4, transform="identity", seed=3)
+        blk = BuildingBlock(4, 1, tr.make_identity(4).matrix,
+                            np.random.default_rng(3))
         x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
         with Graph() as g:
             loss = reduce_sum(relu(blk.forward(x, mode="train")))

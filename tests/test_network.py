@@ -6,8 +6,8 @@ import pytest
 
 from linearskip import transforms as tr
 from linearskip.autodiff import Tensor, conv2d, dense, global_avg_pool
-from linearskip.network import (BuildingBlock, NetworkSpec, build_block,
-                                build_network, describe)
+from linearskip.network import (BuildingBlock, NetworkSpec, build_network,
+                                describe)
 
 import oracles
 
@@ -24,7 +24,8 @@ def small_spec(**kw):
 # block construction
 
 def test_single_branch_identity_block_adds_input():
-    blk = build_block(16, transform="identity", seed=0)
+    blk = BuildingBlock(16, 1, tr.make_identity(16).matrix,
+                        np.random.default_rng(0))
     x = Tensor(np.random.default_rng(0).standard_normal((2, 16, 6, 6)))
     out = blk.forward(x, mode="eval")
     branch = blk.branch_output(x, mode="eval")
@@ -32,9 +33,8 @@ def test_single_branch_identity_block_adds_input():
 
 
 def test_multi_branch_block_splits_width():
-    blk = build_block(32, branch_mode="multi",
-                      transform=tr.make_idempotent_mr(32, 4), num_branches=4,
-                      seed=1)
+    blk = BuildingBlock(32, 4, tr.make_idempotent_mr(32, 4).matrix,
+                        np.random.default_rng(1))
     assert blk.groups == 4
     assert blk.conv1.shape == (32, 8, 3, 3)
     w1, w2 = blk.branch_parameters(2)
@@ -44,8 +44,7 @@ def test_multi_branch_block_splits_width():
 def test_multi_branch_is_block_diagonal_over_branches():
     # a branch only sees its own channel slice: zeroing other slices of the
     # input must not change this branch's output channels
-    blk = build_block(8, branch_mode="multi", transform=None, num_branches=2,
-                      seed=3)
+    blk = BuildingBlock(8, 2, None, np.random.default_rng(3))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 8, 5, 5))
     x_masked = x.copy()
@@ -56,30 +55,15 @@ def test_multi_branch_is_block_diagonal_over_branches():
 
 
 def test_depthwise_block_uses_one_channel_per_branch():
-    blk = build_block(64, branch_mode="depthwise", transform="identity", seed=2)
+    blk = BuildingBlock(64, 64, tr.make_identity(64).matrix,
+                        np.random.default_rng(2))
     assert blk.groups == 64
     assert blk.conv1.shape == (64, 1, 3, 3)
 
 
 def test_block_width_group_mismatch():
     with pytest.raises(ValueError, match="not divisible"):
-        build_block(6, branch_mode="multi", transform=None, num_branches=4)
-
-
-@pytest.mark.parametrize("b", [None, 2, "width"])
-@pytest.mark.parametrize("mode", ["single", "multi", "depthwise"])
-def test_build_block_matches_network_block(mode, b):
-    params = {} if b is None else {"B": b}
-    spec = small_spec(stage_widths=(4, 8, 16), branch_mode=mode,
-                      num_branches=2, transform_kind="idempotent_mr",
-                      transform_params=params)
-    net = build_network(spec, seed=0)
-    for stage in net.stages:
-        blk = build_block(stage[0].width, branch_mode=mode,
-                          transform="idempotent_mr", num_branches=2,
-                          transform_params=params)
-        assert blk.groups == stage[0].groups
-        npt.assert_array_equal(blk.skip, stage[0].skip)
+        BuildingBlock(6, 4, None, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +109,56 @@ def test_spec_rejects_unread_transform_params():
     with pytest.raises(ValueError, match="transform_params"):
         spec.validate()
     with pytest.raises(ValueError, match="transform_params"):
+        build_network(spec, seed=0)
+
+
+@pytest.mark.parametrize("field,kw", [
+    ("blocks_per_stage", dict(blocks_per_stage=2.5)),
+    ("num_classes", dict(num_classes=10.0)),
+    ("stage_widths[1]", dict(stage_widths=(4, 8.0, 8))),
+    ("input_shape[2]", dict(input_shape=(3, 8, 8.5))),
+    ("transform_params['B']", dict(transform_kind="idempotent_mr",
+                                   transform_params={"B": 2.5})),
+    ("transform_params['N']", dict(transform_kind="periodic",
+                                   transform_params={"N": 1.5})),
+])
+def test_spec_requires_integers(field, kw):
+    spec = small_spec(**kw)
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer")):
+        spec.validate()
+    with pytest.raises(ValueError, match=re.escape(field)):
+        build_network(spec, seed=0)
+
+
+@pytest.mark.parametrize("shape", [(0, 8, 8), (3, 0, 8), (3, 8)])
+def test_spec_rejects_bad_input_shape(shape):
+    spec = small_spec(input_shape=shape)
+    with pytest.raises(ValueError, match="input_shape must be"):
+        spec.validate()
+    with pytest.raises(ValueError, match="input_shape must be"):
+        build_network(spec, seed=0)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("none", {}), ("identity", {}), ("idempotent_mr", {}),
+    ("idempotent_mr", {"B": 4}), ("idempotent_mr", {"B": 2.5}),
+    ("orthogonal_tp", {}), ("periodic", {"N": 3}), ("periodic", {"N": 1.5}),
+], ids=["none", "identity", "mr", "mr_B4", "mr_B2.5", "orthogonal_tp",
+        "periodic_N3", "periodic_N1.5"])
+@pytest.mark.parametrize("mode", ["single", "multi", "depthwise"])
+@pytest.mark.parametrize("widths", [(1, 2, 2), (4, 8, 8), (6, 12, 12)],
+                         ids=["w1", "w4", "w6"])
+@pytest.mark.parametrize("blocks", [1, 2.5], ids=["K1", "K2.5"])
+def test_validate_agrees_with_build(blocks, widths, mode, kind, params):
+    spec = NetworkSpec(blocks_per_stage=blocks, stage_widths=widths,
+                       branch_mode=mode, num_branches=2, transform_kind=kind,
+                       transform_params=params, input_shape=(3, 4, 4))
+    try:
+        spec.validate()
+    except ValueError:
+        with pytest.raises(ValueError):
+            build_network(spec, seed=0)
+    else:
         build_network(spec, seed=0)
 
 
@@ -260,6 +294,16 @@ def test_describe_transform_ranks():
     assert describe(none).stage_transform_ranks == [0, 0, 0]
 
 
+def test_summary_str_lists_every_layer():
+    net = build_network(small_spec(), seed=0)
+    lines = str(describe(net)).splitlines()
+    assert lines[:3] == ["depth label: 14",
+                         f"parameters: {net.parameter_count()}",
+                         "stage transform ranks: 4, 8, 8"]
+    assert len(lines) == 3 + len(net.parameters())
+    assert lines[3].split() == ["stem", "(4,", "3,", "3,", "3)", "108"]
+
+
 def test_mr_width32_b4_rank_8():
     spec = NetworkSpec(blocks_per_stage=1, stage_widths=(32, 32, 32),
                        transform_kind="idempotent_mr", transform_params={"B": 4})
@@ -318,14 +362,14 @@ def test_random_orthogonal_per_block_differs_but_shareable():
 
 def test_depthwise_channel_equivariance():
     width = 8
-    blk = build_block(width, branch_mode="depthwise", transform="identity",
-                      seed=9)
+    blk = BuildingBlock(width, width, tr.make_identity(width).matrix,
+                        np.random.default_rng(9))
     rng = np.random.default_rng(10)
     x = rng.standard_normal((2, width, 5, 5))
     perm = rng.permutation(width)
 
-    permuted = build_block(width, branch_mode="depthwise",
-                           transform="identity", seed=9)
+    permuted = BuildingBlock(width, width, tr.make_identity(width).matrix,
+                             np.random.default_rng(9))
     permuted.conv1.data = blk.conv1.data[perm].copy()
     permuted.conv2.data = blk.conv2.data[perm].copy()
     for bn_a, bn_b in ((blk.bn1, permuted.bn1), (blk.bn2, permuted.bn2)):
@@ -398,6 +442,27 @@ def test_load_state_rejects_bad_array(key, value, reason):
     state[key] = value
     target = build_network(small_spec(), seed=7)
     with pytest.raises(ValueError, match=f"{re.escape(repr(key))} {reason}"):
+        target.load_state(state)
+
+
+@pytest.mark.parametrize("key,message", [
+    ("stage2.block1.conv1", "missing parameter"),
+    ("stage1.block2.bn1.running_var", "missing buffer"),
+], ids=["parameter", "buffer"])
+def test_load_state_rejects_missing_tensor(key, message):
+    state = build_network(small_spec(), seed=6).state_dict()
+    del state[key]
+    target = build_network(small_spec(), seed=7)
+    with pytest.raises(KeyError, match=f"{message} {re.escape(repr(key))}"):
+        target.load_state(state)
+
+
+def test_load_state_rejects_unexpected_tensor():
+    state = build_network(small_spec(), seed=6).state_dict()
+    state["stage4.block1.conv1"] = np.zeros((4, 4, 3, 3))
+    target = build_network(small_spec(), seed=7)
+    with pytest.raises(ValueError,
+                       match=re.escape("unexpected tensors: ['stage4.block1.conv1']")):
         target.load_state(state)
 
 
