@@ -78,7 +78,7 @@ def convert_orthogonal_to_identity(net: Network) -> Network:
     out = net.copy()
     for stage in (1, 2, 3):
         q = _stage_matrix(out, stage)
-        if not is_orthogonal(q, 1e-9):
+        if not is_orthogonal(q):
             raise ValueError(
                 f"stage {stage} skip matrix is not orthogonal; "
                 "use convert_idempotent_to_diagonal for idempotent skips")
@@ -94,7 +94,7 @@ def convert_idempotent_to_diagonal(net: Network) -> Network:
     out = net.copy()
     for stage in (1, 2, 3):
         p = _stage_matrix(out, stage)
-        if not is_idempotent(p, 1e-8):
+        if not is_idempotent(p):
             raise ValueError(
                 f"stage {stage} skip matrix is not idempotent; "
                 "use convert_orthogonal_to_identity for orthogonal skips")

@@ -95,10 +95,10 @@ class NetworkSpec:
                    for i, v in enumerate(getattr(self, name))]
         fields.append(("transform_params['N']", self.resolve_period()))
         for name, value in fields:
-            if not _is_int(value):
+            if not transforms._is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         b = self.transform_params.get("B", "width")
-        if b != "width" and not _is_int(b):
+        if b != "width" and not transforms._is_int(b):
             raise ValueError(f"transform_params['B'] must be an integer or "
                              f"'width', got {b!r}")
         if self.blocks_per_stage < 1:
@@ -146,10 +146,6 @@ class NetworkSpec:
         return spec
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 class BNLayer:
     """Trainable scale/shift plus running statistics for one batch norm."""
 
@@ -182,8 +178,9 @@ class BuildingBlock:
     skip and mix matrices stay float64 whatever that dtype is: they are
     exact definitions, not per-network state, and are cast only where
     applied (``channel_mix``). Rounded to float32 they would stop meeting
-    their invariants; a width-32 ``orthogonal_tp`` misses
-    ``is_orthogonal(q, 1e-9)`` by 3.4e-8, so the rewrites would reject it.
+    their invariants; a width-32 ``orthogonal_tp`` misses Q^T Q = I by
+    3.4e-8, far beyond the 1e-10 of ``is_orthogonal``, so the rewrites
+    would reject it.
     """
 
     def __init__(self, width: int, groups: int, skip: Optional[np.ndarray],
@@ -210,12 +207,6 @@ class BuildingBlock:
         self.skip = skip
         self._skip_is_identity = skip is not None and \
             np.array_equal(skip, np.eye(self.width))
-
-    def branch_parameters(self, branch: int):
-        """Views of the two convolution kernels belonging to one branch."""
-        og = self.width // self.groups
-        sl = slice(branch * og, (branch + 1) * og)
-        return self.conv1.data[sl], self.conv2.data[sl]
 
     def branch_output(self, x: Tensor, mode: str) -> Tensor:
         """The regular-connection term F(x) (with any conversion wraps)."""

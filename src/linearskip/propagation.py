@@ -26,7 +26,8 @@ from . import transforms
 # (the benchmark's among them) still look it up on this module
 from .autodiff import Graph, add, reduce_sum, vjp  # noqa: F401
 from .network import Network
-from .transforms import apply_transform, is_idempotent, matrix_power
+from .transforms import (apply_transform, is_idempotent, is_symmetric,
+                         matrix_power)
 
 __all__ = [
     "PropagationTrace",
@@ -174,7 +175,7 @@ def verify_forward_expansion(trace: PropagationTrace, m: Optional[int] = None,
     deviation = float(np.abs(rhs - trace.x(n)).max())
 
     collapsed = None
-    if is_idempotent(p, 1e-8):
+    if is_idempotent(p):
         eye = np.eye(p.shape[0])
         rhs_c = reconstruct(lambda k: eye if k == 0 else p)
         collapsed = float(np.abs(rhs_c - trace.x(n)).max())
@@ -237,13 +238,13 @@ def null_space_components(p, v) -> NullSpaceSplit:
     is meaningful and ``fractions`` is None.
     """
     mat = transforms._as_matrix(p)
-    if not is_idempotent(mat, 1e-8):
+    if not is_idempotent(mat):
         raise ValueError("null-space split requires an idempotent matrix")
     vd = np.asarray(v, dtype=np.float64)
     col = apply_transform(mat, vd) if vd.ndim == 4 else mat @ vd
     null = vd - col
     fractions = None
-    if np.abs(mat - mat.T).max() <= 1e-10:
+    if is_symmetric(mat):
         total = _norm(vd) ** 2
         if total > 0:
             fractions = (_norm(col) ** 2 / total, _norm(null) ** 2 / total)
@@ -282,16 +283,6 @@ class FlowReport:
                       f"{self.null_fraction_x_n:.6f}\n")
         return out.getvalue()
 
-    def csv_rows(self) -> list:
-        head = ["stage", "m", "n", "skip_gain", "gradient_gain",
-                "forward_deviation", "backward_deviation",
-                "null_fraction_x_m", "null_fraction_x_n"]
-        row = [self.stage, self.m, self.n, self.skip_gain, self.gradient_gain,
-               self.forward_deviation, self.backward_deviation,
-               "" if self.null_fraction_x_m is None else self.null_fraction_x_m,
-               "" if self.null_fraction_x_n is None else self.null_fraction_x_n]
-        return [head, row]
-
 
 def flow_report(trace: PropagationTrace) -> FlowReport:
     """Gains, expansion deviations, and null-space shares for one trace."""
@@ -305,7 +296,7 @@ def flow_report(trace: PropagationTrace) -> FlowReport:
                                    trace.branch(i)))
              for i in range(trace.m, trace.n)]
     nf_m = nf_n = None
-    if is_idempotent(p, 1e-8):
+    if is_idempotent(p):
         frac_m = null_space_components(p, x_m).fractions
         frac_n = null_space_components(p, trace.x(trace.n)).fractions
         nf_m = None if frac_m is None else frac_m[1]

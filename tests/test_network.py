@@ -37,8 +37,6 @@ def test_multi_branch_block_splits_width():
                         np.random.default_rng(1))
     assert blk.groups == 4
     assert blk.conv1.shape == (32, 8, 3, 3)
-    w1, w2 = blk.branch_parameters(2)
-    assert w1.shape == (8, 8, 3, 3) and w2.shape == (8, 8, 3, 3)
 
 
 def test_multi_branch_is_block_diagonal_over_branches():

@@ -391,8 +391,6 @@ def test_flow_report_orthogonal_gain_and_serialization():
     assert report.backward_deviation <= 1e-8
     text = report.to_text()
     assert "skip-path gain" in text
-    rows = report.csv_rows()
-    assert rows[0][0] == "stage" and len(rows) == 2
 
 
 def test_flow_report_idempotent_null_fractions():

@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from linearskip.autodiff import Tensor
+from linearskip import equivalence as eq
+from linearskip import propagation as prop
 from linearskip import transforms as tr
+from linearskip.network import NetworkSpec, build_network
 
 import oracles
 
@@ -51,6 +56,28 @@ def test_mr_requires_divisibility():
         tr.make_idempotent_cmr(10, 3)
 
 
+@pytest.mark.parametrize("make,args,name", [
+    (tr.make_idempotent_mr, (8, 2.0), "branch count"),
+    (tr.make_idempotent_cmr, (8, 2.0), "branch count"),
+    (tr.make_idempotent_mr, (8, 0), "branch count"),
+    (tr.make_periodic, (4, 1.5, 0), "period"),
+    (tr.make_periodic, (4, 0, 0), "period"),
+])
+def test_constructors_require_positive_integer_counts(make, args, name):
+    count = args[1]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a positive integer, got {count!r}")):
+        make(*args)
+
+
+@pytest.mark.parametrize("n", [1.5, 1.0, 0, True])
+def test_periodic_tag_requires_positive_integer_n(n):
+    p = tr.make_periodic(4, 1, seed=0).matrix  # meets P^2 = P
+    with pytest.raises(ValueError, match=re.escape(
+            f"periodic N must be a positive integer, got {n!r}")):
+        tr.StructuredTransform(p, "periodic", {"N": n})
+
+
 def test_orthogonal_tp_base_case():
     t = tr.make_orthogonal_tp(2)
     npt.assert_allclose(t.matrix,
@@ -91,7 +118,7 @@ def test_orthogonal_random_distinct_seeds_differ():
 
 def test_periodic_n1_is_idempotent():
     t = tr.make_periodic(4, 1, seed=3)
-    assert tr.is_idempotent(t.matrix, 1e-10)
+    assert tr.is_idempotent(t.matrix)
 
 
 def test_periodic_sign_matrix():
@@ -127,6 +154,12 @@ def test_matrix_power_zero_is_identity():
     npt.assert_array_equal(tr.matrix_power(p, 0), np.eye(4))
     with pytest.raises(ValueError, match="non-negative"):
         tr.matrix_power(p, -1)
+
+
+def test_symmetry_predicate():
+    assert tr.is_symmetric(tr.make_idempotent_mr(6, 3))
+    assert not tr.is_symmetric(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    assert not tr.is_symmetric(np.array([[1.0, 2e-10], [0.0, 1.0]]))
 
 
 def test_predicates_require_square():
@@ -242,7 +275,7 @@ def test_product_closure_of_orthogonals():
     prod = np.eye(8)
     for q in qs:
         prod = prod @ q
-        assert tr.is_orthogonal(prod, 1e-9)
+        assert tr.is_orthogonal(prod)
 
 
 @pytest.mark.parametrize("make,args", [
@@ -287,3 +320,92 @@ def test_periodic_unit_eigenvalue_norm_maintenance():
         for k in range(1, 6):
             pv = t.matrix @ pv
             assert abs(np.linalg.norm(pv) - np.linalg.norm(v)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# one tolerance for every invariant check
+
+TOL = tr._INVARIANT_TOL
+
+
+def _invariant_miss(t):
+    """Largest entry of the residual of a transform's defining law."""
+    m = t.matrix
+    eye = np.eye(m.shape[0])
+    if t.kind == "identity":
+        return np.abs(m - eye).max()
+    if t.kind.startswith("idempotent"):
+        return np.abs(m @ m - m).max()
+    if t.kind.startswith("orthogonal"):
+        return np.abs(m.T @ m - eye).max()
+    return np.abs(oracles.matrix_power_loop(m, t.params["N"] + 1) - m).max()
+
+
+def _every_constructor(widths, seeds, periods):
+    for r in widths:
+        yield tr.make_identity(r)
+        for b in (d for d in range(1, r + 1) if r % d == 0):
+            yield tr.make_idempotent_mr(r, b)
+            yield tr.make_idempotent_cmr(r, b)
+        if r & (r - 1) == 0:
+            yield tr.make_orthogonal_tp(r)
+            yield from (tr.make_orthogonal_random(r, s) for s in seeds)
+        yield from (tr.make_periodic(r, n, s) for n in periods for s in seeds)
+
+
+def test_constructors_meet_invariants_with_margin():
+    misses = {(t.kind, t.matrix.shape[0], repr(t.params)): _invariant_miss(t)
+              for t in _every_constructor(range(2, 65), range(3),
+                                          (1, 2, 3, 4, 8))}
+    worst = max(misses, key=misses.get)
+    assert misses[worst] <= TOL / 1000, (worst, misses[worst])
+
+
+# Each probe misses its invariant by more than the one tolerance but by
+# less than 1e-8, so any looser bound left in one module would accept a
+# matrix that the others reject.
+
+def test_nudged_idempotent_is_rejected_everywhere():
+    p = (1.0 + 5e-10) * tr.make_idempotent_mr(8, 2).matrix
+    assert TOL < np.abs(p @ p - p).max() < 1e-8
+    with pytest.raises(ValueError, match="violates"):
+        tr.StructuredTransform(p, "idempotent_mr", {"B": 2})
+    assert not tr.is_idempotent(p)
+    with pytest.raises(ValueError, match="not idempotent"):
+        tr.diagonalize_idempotent(p)
+    with pytest.raises(ValueError, match="idempotent"):
+        prop.null_space_components(p, np.ones(8))
+
+
+def _nudge_skips(net, scale):
+    for stage in net.stages:
+        skip = (1.0 + scale) * stage[0].skip
+        for blk in stage:
+            blk.set_skip(skip)
+
+
+def test_nudged_orthogonal_is_rejected_everywhere():
+    q = (1.0 + 1.5e-10) * tr.make_orthogonal_tp(8).matrix
+    assert TOL < np.abs(q.T @ q - np.eye(8)).max() < 1e-9
+    with pytest.raises(ValueError, match="violates"):
+        tr.StructuredTransform(q, "orthogonal_tp")
+    assert not tr.is_orthogonal(q)
+    net = build_network(NetworkSpec(2, (4, 8, 8), transform_kind="orthogonal_tp",
+                                    input_shape=(3, 8, 8)), seed=3)
+    _nudge_skips(net, 1.5e-10)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        eq.convert_orthogonal_to_identity(net)
+
+
+def test_nudged_periodic_is_rejected_everywhere():
+    spec = NetworkSpec(2, (4, 8, 8), transform_kind="periodic",
+                       transform_params={"N": 1}, input_shape=(3, 8, 8))
+    net = build_network(spec, seed=3)
+    _nudge_skips(net, 5e-9)
+    for stage in net.stages:
+        p = stage[0].skip
+        assert TOL < np.abs(p @ p - p).max() < 1e-8
+    with pytest.raises(ValueError, match="violates P\\^2 = P"):
+        build_network(spec, seed=4).load_state(net.state_dict())
+    with pytest.raises(ValueError, match="not idempotent"):
+        eq.convert_idempotent_to_diagonal(net)
