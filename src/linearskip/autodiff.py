@@ -211,6 +211,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     o, cg, kh, kw = kd.shape
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
+    if groups < 1:
+        raise ValueError(f"groups must be positive, got {groups}")
     if padding < 0:
         raise ValueError(f"padding must be non-negative, got {padding}")
     if c % groups != 0 or o % groups != 0:
@@ -429,14 +431,13 @@ def channel_mix(x, matrix: np.ndarray) -> Tensor:
         raise ValueError(
             f"mixing matrix has shape {mat.shape}, input has {c} channels")
     mat = mat.astype(x.dtype, copy=False)
-    mat_t = np.ascontiguousarray(mat.T)
     out_data = np.matmul(mat, x.data.reshape(n, c, h * w)).reshape(n, c, h, w)
 
     def vjp_fn(g: np.ndarray):
         if not x.requires_grad:
             return (None,)
-        gx = np.matmul(mat_t, g.reshape(n, c, h * w)).reshape(n, c, h, w)
-        return (gx,)
+        gx = np.matmul(np.ascontiguousarray(mat.T), g.reshape(n, c, h * w))
+        return (gx.reshape(n, c, h, w),)
 
     return _record("channel_mix", (x,), out_data, vjp_fn)
 
@@ -463,6 +464,8 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     n, k = logits.data.shape
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(
             f"labels must lie in [0, {k}), got range "

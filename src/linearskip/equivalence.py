@@ -178,13 +178,8 @@ def _branch_pattern(mat: Optional[np.ndarray], branches: int,
     """(is_block_diagonal, BxB nonzero-block pattern) for one wrap matrix."""
     if mat is None:
         return True, None
-    r = mat.shape[0]
-    w = r // branches
-    pattern = np.zeros((branches, branches), dtype=bool)
-    for i in range(branches):
-        for j in range(branches):
-            block = mat[i * w:(i + 1) * w, j * w:(j + 1) * w]
-            pattern[i, j] = bool(np.abs(block).max() > tol)
+    w = mat.shape[0] // branches
+    pattern = np.abs(mat).reshape(branches, w, branches, w).max(axis=(1, 3)) > tol
     off_diag = pattern & ~np.eye(branches, dtype=bool)
     return not off_diag.any(), pattern
 

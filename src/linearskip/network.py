@@ -380,10 +380,7 @@ class Network:
         blocks = self.stages[stage - 1]
         first = blocks[0].skip
         for blk in blocks[1:]:
-            same = (blk.skip is None and first is None) or (
-                blk.skip is not None and first is not None
-                and np.array_equal(blk.skip, first))
-            if not same:
+            if not np.array_equal(blk.skip, first):
                 raise ValueError(
                     f"stage {stage} blocks do not share one skip matrix")
         return first

@@ -83,7 +83,7 @@ class StructuredTransform:
         elif self.kind.startswith("orthogonal"):
             law, holds = "Q^T Q = I", is_orthogonal(m)
         else:
-            n = self.params.get("N", 1)
+            n = self.params.get("N")
             _check_count("periodic N", n)
             law, holds = f"P^{n + 1} = P", _within_tol(matrix_power(m, n + 1) - m)
         if not holds:
@@ -106,6 +106,7 @@ class Diagonalization:
 
 
 def make_identity(r: int) -> StructuredTransform:
+    _check_count("channel count", r)
     return StructuredTransform(np.eye(r), "identity")
 
 
@@ -114,6 +115,7 @@ def make_idempotent_mr(r: int, b: int) -> StructuredTransform:
 
     Rank is exactly r / b; b = 1 degenerates to the identity matrix.
     """
+    _check_count("channel count", r)
     _check_count("branch count", b)
     if r % b != 0:
         raise ValueError(f"branch count {b} must divide channel count {r}")
@@ -124,19 +126,15 @@ def make_idempotent_mr(r: int, b: int) -> StructuredTransform:
 
 def make_idempotent_cmr(r: int, b: int) -> StructuredTransform:
     """Complement of the merge-and-run projector: I - P_MR, rank r - r/b."""
-    m = np.eye(r) - make_idempotent_mr(r, b).matrix
-    return StructuredTransform(m, "idempotent_cmr", {"B": b})
+    mr = make_idempotent_mr(r, b).matrix
+    return StructuredTransform(np.eye(r) - mr, "idempotent_cmr", {"B": b})
 
 
 _TP_FACTOR = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 
 
-def _is_power_of_two(r: int) -> bool:
-    return r >= 2 and r & (r - 1) == 0
-
-
 def _check_power_of_two(r: int) -> int:
-    if not _is_power_of_two(r):
+    if not (_is_int(r) and r >= 2 and r & (r - 1) == 0):
         raise ValueError(f"channel count must be a power of 2, got {r}; "
                          f"Kronecker orthogonals need power-of-2 widths")
     return r.bit_length() - 1
@@ -177,6 +175,7 @@ def make_periodic(r: int, n: int, seed: int) -> StructuredTransform:
     Eigenvalues are 0 or N-th roots of unity; complex pairs are realized
     as 2x2 rotation blocks, conjugated by a random orthogonal basis.
     """
+    _check_count("channel count", r)
     if r < 2:
         raise ValueError(f"channel count must be at least 2, got {r}")
     _check_count("period", n)
@@ -273,23 +272,14 @@ def diagonalize_idempotent(p) -> Diagonalization:
 
 
 def apply_transform(p, x) -> Union[Tensor, np.ndarray]:
-    """Mix channels of an NCHW tensor by P at every spatial position.
+    """Mix channels of an NCHW input by P (a StructuredTransform or a raw
+    matrix) at every spatial position, with the one op ``channel_mix``.
 
-    Participates in gradient recording (the pullback is P^T @ g). Accepts
-    a StructuredTransform or a raw matrix; plain arrays pass through as
-    plain arrays.
+    A Tensor goes straight in (pullback P^T @ g). A plain array goes in as
+    ``Tensor(x)``, so a non-float one is mixed in float64, and comes back
+    as ``.data``; under an active Graph it leaves a node no gradient reaches.
     """
     m = _as_matrix(p)
     if isinstance(x, Tensor):
-        if x.data.shape[1] != m.shape[0]:
-            raise ValueError(
-                f"transform is {m.shape[0]}x{m.shape[0]}, input has "
-                f"{x.data.shape[1]} channels")
         return channel_mix(x, m)
-    xd = np.asarray(x)
-    if xd.ndim != 4 or xd.shape[1] != m.shape[0]:
-        raise ValueError(
-            f"transform is {m.shape[0]}x{m.shape[0]}, input has shape {xd.shape}")
-    n, c, h, w = xd.shape
-    mixed = np.matmul(m.astype(xd.dtype, copy=False), xd.reshape(n, c, h * w))
-    return mixed.reshape(n, c, h, w)
+    return channel_mix(Tensor(x), m).data

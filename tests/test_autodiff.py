@@ -290,6 +290,19 @@ def test_softmax_cross_entropy_label_range():
         softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
+@pytest.mark.parametrize("op,message", [
+    (lambda: conv2d(Tensor(np.zeros((1, 4, 8, 8))),
+                    Tensor(np.zeros((4, 4, 3, 3))), groups=0),
+     "groups must be positive, got 0"),
+    (lambda: softmax_cross_entropy(Tensor(np.zeros((2, 3))),
+                                   np.array([1.5, 0.7])),
+     "labels must be integers, got dtype float64"),
+], ids=["conv2d_groups", "float_labels"])
+def test_ops_reject_malformed_arguments(op, message):
+    with pytest.raises(ValueError, match=message):
+        op()
+
+
 def test_channel_mix_matches_loop_oracle():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 3, 4, 4))

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from linearskip.autodiff import Tensor
+from linearskip.autodiff import Tensor, channel_mix
 from linearskip import equivalence as eq
 from linearskip import propagation as prop
 from linearskip import transforms as tr
@@ -78,6 +78,27 @@ def test_periodic_tag_requires_positive_integer_n(n):
         tr.StructuredTransform(p, "periodic", {"N": n})
 
 
+def test_periodic_tag_has_no_default_period():
+    p = tr.make_periodic(4, 2, seed=1).matrix  # meets P^3 = P, not P^2 = P
+    with pytest.raises(ValueError, match=re.escape(
+            "periodic N must be a positive integer, got None")):
+        tr.StructuredTransform(p, "periodic")
+    assert tr.StructuredTransform(p, "periodic", {"N": 2}).params == {"N": 2}
+
+
+@pytest.mark.parametrize("make,args", [
+    (tr.make_identity, (0,)),
+    (tr.make_identity, (1.5,)),
+    (tr.make_idempotent_mr, (0, 1)),
+    (tr.make_idempotent_cmr, (4.0, 2)),
+    (tr.make_periodic, (4.0, 2, 0)),
+])
+def test_constructors_require_positive_integer_channel_count(make, args):
+    with pytest.raises(ValueError, match=re.escape(
+            f"channel count must be a positive integer, got {args[0]!r}")):
+        make(*args)
+
+
 def test_orthogonal_tp_base_case():
     t = tr.make_orthogonal_tp(2)
     npt.assert_allclose(t.matrix,
@@ -95,7 +116,7 @@ def test_orthogonal_tp_kron_expansion():
 
 
 def test_orthogonal_requires_power_of_two():
-    for bad in (3, 6, 12):
+    for bad in (3, 6, 12, 4.0):
         with pytest.raises(ValueError, match="power of 2"):
             tr.make_orthogonal_tp(bad)
         with pytest.raises(ValueError, match="power of 2"):
@@ -257,12 +278,30 @@ def test_apply_transform_channel_mismatch():
         tr.apply_transform(tr.make_identity(4), Tensor(np.zeros((1, 3, 2, 2))))
 
 
-def test_apply_transform_plain_array():
+@pytest.mark.parametrize("dtype,mixed_dtype,atol", [
+    (np.int64, np.float64, 1e-12),
+    (np.float32, np.float32, 1e-5),
+    (np.float64, np.float64, 1e-12),
+], ids=["int64", "float32", "float64"])
+def test_apply_transform_plain_array(dtype, mixed_dtype, atol):
+    # non-float arrays are promoted to float64, as by every op, not
+    # mixed by a P truncated to their dtype
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 4, 3, 3))
+    x = (4 * rng.standard_normal((2, 4, 3, 3))).astype(dtype)
     p = tr.make_idempotent_cmr(4, 2)
-    npt.assert_allclose(tr.apply_transform(p, x), oracles.mix_channels(p.matrix, x),
-                        atol=1e-12)
+    out = tr.apply_transform(p, x)
+    assert out.dtype == mixed_dtype
+    npt.assert_allclose(out, oracles.mix_channels(p.matrix, x.astype(mixed_dtype)),
+                        atol=atol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_apply_transform_array_is_channel_mix(dtype):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, 8, 4, 4)).astype(dtype)
+    p = tr.make_orthogonal_random(8, seed=1)
+    npt.assert_array_equal(tr.apply_transform(p, x),
+                           channel_mix(Tensor(x), p.matrix).data)
 
 
 # ---------------------------------------------------------------------------
