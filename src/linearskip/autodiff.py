@@ -79,19 +79,26 @@ class Tensor:
 class Node:
     """One executed operation: inputs, output, and VJP.
 
-    ``vjp_fn`` maps the output cotangent to one gradient (or None) per
-    input. It is a plain writable slot, so a caller may wrap it, for
-    example to time each node's backward step.
+    ``vjp_fn`` maps the output cotangent to one gradient per input, or
+    None for each input that ``wanted`` marks False. It is a plain
+    writable slot, so a caller may wrap it, for example to time each
+    node's backward step.
+
+    ``wanted`` holds one flag per input: recording sets each from the
+    input's ``requires_grad``, and every walk of :func:`vjp` rewrites the
+    list in place before calling ``vjp_fn``, so a wrapped ``vjp_fn`` reads
+    the walk's own flags.
     """
 
-    __slots__ = ("op", "inputs", "output", "vjp_fn")
+    __slots__ = ("op", "inputs", "output", "vjp_fn", "wanted")
 
     def __init__(self, op: str, inputs: Sequence[Tensor], output: Tensor,
-                 vjp_fn: Callable):
+                 vjp_fn: Callable, wanted: list):
         self.op = op
         self.inputs = tuple(inputs)
         self.output = output
         self.vjp_fn = vjp_fn
+        self.wanted = wanted
 
 
 _ACTIVE_GRAPHS: list["Graph"] = []
@@ -119,14 +126,23 @@ class Graph:
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-            vjp_fn: Callable) -> Tensor:
+            pullback: Callable) -> Tensor:
+    """Append one node to the active tape; ``pullback(g, *wanted)`` gets
+    the output cotangent and one flag per input, and computes a gradient
+    only for the inputs flagged True."""
     dtypes = {t.dtype for t in inputs} | {out_data.dtype}
     if len(dtypes) > 1:
         raise ValueError(f"{op} mixes dtypes {sorted(map(str, dtypes))}")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     if _ACTIVE_GRAPHS:
-        _ACTIVE_GRAPHS[-1].nodes.append(Node(op, inputs, out, vjp_fn))
+        wanted = [t.requires_grad for t in inputs]
+        _ACTIVE_GRAPHS[-1].nodes.append(
+            Node(op, inputs, out, lambda g: pullback(g, *wanted), wanted))
     return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_tensor(x) -> Tensor:
@@ -190,15 +206,17 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     """2-D convolution (cross-correlation) over NCHW input, OIHW kernel.
 
     Supports grouped convolution; ``groups == channels`` gives the
-    depthwise case. Linear in both input and kernel.
+    depthwise case. Linear in both input and kernel. ``stride``,
+    ``padding`` and ``groups`` must be integers.
 
     The VJP retains only the input and kernel arrays, which the node
     already references; no im2col columns outlive the forward call. The
-    kernel gradient rebuilds the columns. At stride 1 the input gradient is
-    a correlation of the output gradient with the flipped, in/out
-    transposed kernel; otherwise column gradients are scattered back with
-    ``_col2im``. Either way the backward builds one transient column-sized
-    buffer per gradient, freed before the VJP returns.
+    kernel gradient, computed only when the walk wants it, rebuilds the
+    columns. At stride 1 the input gradient is a correlation of the output
+    gradient with the flipped, in/out transposed kernel; otherwise column
+    gradients are scattered back with ``_col2im``. Either way the backward
+    builds one transient column-sized buffer per wanted gradient, freed
+    before the VJP returns.
     """
     x = _as_tensor(x)
     kernel = _as_tensor(kernel)
@@ -209,6 +227,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
         raise ValueError(f"conv2d expects OIHW kernel, got shape {kd.shape}")
     n, c, h, w = xd.shape
     o, cg, kh, kw = kd.shape
+    for name, value in (("stride", stride), ("padding", padding),
+                        ("groups", groups)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
     if groups < 1:
@@ -236,22 +258,22 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     # a square kernel wider than the padding
     flipped = stride == 1 and kh == kw and padding < kh
 
-    def vjp_fn(g: np.ndarray):
+    def pullback(g: np.ndarray, want_x: bool, want_k: bool):
         gx = gk = gg = None
-        if kernel.requires_grad or (x.requires_grad and not flipped):
+        if want_k or (want_x and not flipped):
             gg = g.transpose(1, 0, 2, 3).reshape(groups, og, n * ho * wo)
-        if kernel.requires_grad:
+        if want_k:
             cols = _im2col(xd, kh, kw, stride, padding, groups)
             # (columns @ g^T)^T: OpenBLAS ran this tall-output GEMM 1.3 to
             # 1.9x faster than g @ columns^T on the stage-1 shapes
             gk = np.matmul(cols, gg.transpose(0, 2, 1))
             gk = gk.transpose(0, 2, 1).reshape(kd.shape)
             del cols
-        if x.requires_grad and flipped:
+        if want_x and flipped:
             kflip = kd.reshape(groups, og, cg, kh, kw)[..., ::-1, ::-1]
             kflip = kflip.transpose(0, 2, 1, 3, 4).reshape(groups, cg, -1)
             gx = _correlate(g, kflip, kh, kw, 1, kh - 1 - padding)
-        elif x.requires_grad:
+        elif want_x:
             gcols = np.matmul(kmat.transpose(0, 2, 1), gg)
             gcols = gcols.reshape(c, kh, kw, n, ho, wo)
             gxp = _col2im(gcols, (c, n, h + 2 * padding, w + 2 * padding),
@@ -260,7 +282,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
                      padding:padding + w].transpose(1, 0, 2, 3)
         return gx, gk
 
-    return _record("conv2d", (x, kernel), out_data, vjp_fn)
+    return _record("conv2d", (x, kernel), out_data, pullback)
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +336,25 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
     out_data *= scale[None, :, None, None]
     out_data += beta.data[None, :, None, None]
 
-    def vjp_fn(g: np.ndarray):
-        gx = None
-        xhat = (xd - mu[None, :, None, None]) * invstd[None, :, None, None]
-        gsum = g.sum(axis=(0, 2, 3))
-        gx_hat_sum = np.einsum("nchw,nchw->c", g, xhat)
-        gbeta = gsum if beta.requires_grad else None
-        ggamma = gx_hat_sum if gamma.requires_grad else None
-        if x.requires_grad:
-            if mode == "train":
-                gx = (scale / m)[None, :, None, None] * (
-                    m * g
-                    - gsum[None, :, None, None]
-                    - xhat * gx_hat_sum[None, :, None, None])
-            else:
-                gx = g * scale[None, :, None, None]
+    def pullback(g: np.ndarray, want_x: bool, want_gamma: bool,
+                 want_beta: bool):
+        gx = ggamma = gbeta = None
+        if want_gamma or want_beta or (want_x and mode == "train"):
+            xhat = (xd - mu[None, :, None, None]) * invstd[None, :, None, None]
+            gsum = g.sum(axis=(0, 2, 3))
+            gx_hat_sum = np.einsum("nchw,nchw->c", g, xhat)
+            gbeta = gsum if want_beta else None
+            ggamma = gx_hat_sum if want_gamma else None
+        if want_x and mode == "train":
+            gx = (scale / m)[None, :, None, None] * (
+                m * g
+                - gsum[None, :, None, None]
+                - xhat * gx_hat_sum[None, :, None, None])
+        elif want_x:
+            gx = g * scale[None, :, None, None]
         return gx, ggamma, gbeta
 
-    out = _record("batch_norm", (x, gamma, beta), out_data, vjp_fn)
+    out = _record("batch_norm", (x, gamma, beta), out_data, pullback)
     if mode == "train":
         # rebound, not updated in place: an eval node's VJP reads the old mu
         state.running_mean = momentum * state.running_mean + (1.0 - momentum) * mu
@@ -348,10 +371,10 @@ def relu(x) -> Tensor:
     out_data = np.maximum(x.data, 0)
     mask = x.data > 0
 
-    def vjp_fn(g: np.ndarray):
-        return (g * mask if x.requires_grad else None,)
+    def pullback(g: np.ndarray, want_x: bool):
+        return (g * mask if want_x else None,)
 
-    return _record("relu", (x,), out_data, vjp_fn)
+    return _record("relu", (x,), out_data, pullback)
 
 
 def global_avg_pool(x) -> Tensor:
@@ -362,13 +385,13 @@ def global_avg_pool(x) -> Tensor:
     n, c, h, w = x.data.shape
     out_data = x.data.mean(axis=(2, 3))
 
-    def vjp_fn(g: np.ndarray):
-        if not x.requires_grad:
+    def pullback(g: np.ndarray, want_x: bool):
+        if not want_x:
             return (None,)
         gx = np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w))
         return (np.ascontiguousarray(gx),)
 
-    return _record("global_avg_pool", (x,), out_data, vjp_fn)
+    return _record("global_avg_pool", (x,), out_data, pullback)
 
 
 def dense(x, weight, bias=None) -> Tensor:
@@ -392,13 +415,14 @@ def dense(x, weight, bias=None) -> Tensor:
         inputs += (bias,)
         out_data = out_data + bias.data
 
-    def vjp_fn(g: np.ndarray):
-        gx = g @ weight.data if x.requires_grad else None
-        gw = g.T @ x.data if weight.requires_grad else None
-        gb = g.sum(axis=0) if bias is not None and bias.requires_grad else None
+    def pullback(g: np.ndarray, want_x: bool, want_w: bool,
+                 want_b: bool = False):
+        gx = g @ weight.data if want_x else None
+        gw = g.T @ x.data if want_w else None
+        gb = g.sum(axis=0) if want_b else None
         return gx, gw, gb
 
-    return _record("dense", inputs, out_data, vjp_fn)
+    return _record("dense", inputs, out_data, pullback)
 
 
 def add(a, b) -> Tensor:
@@ -409,11 +433,10 @@ def add(a, b) -> Tensor:
                          f"{b.data.shape}")
     out_data = a.data + b.data
 
-    def vjp_fn(g: np.ndarray):
-        return (g if a.requires_grad else None,
-                g if b.requires_grad else None)
+    def pullback(g: np.ndarray, want_a: bool, want_b: bool):
+        return (g if want_a else None, g if want_b else None)
 
-    return _record("add", (a, b), out_data, vjp_fn)
+    return _record("add", (a, b), out_data, pullback)
 
 
 def channel_mix(x, matrix: np.ndarray) -> Tensor:
@@ -433,13 +456,13 @@ def channel_mix(x, matrix: np.ndarray) -> Tensor:
     mat = mat.astype(x.dtype, copy=False)
     out_data = np.matmul(mat, x.data.reshape(n, c, h * w)).reshape(n, c, h, w)
 
-    def vjp_fn(g: np.ndarray):
-        if not x.requires_grad:
+    def pullback(g: np.ndarray, want_x: bool):
+        if not want_x:
             return (None,)
         gx = np.matmul(np.ascontiguousarray(mat.T), g.reshape(n, c, h * w))
         return (gx.reshape(n, c, h, w),)
 
-    return _record("channel_mix", (x,), out_data, vjp_fn)
+    return _record("channel_mix", (x,), out_data, pullback)
 
 
 def reduce_sum(x) -> Tensor:
@@ -447,12 +470,12 @@ def reduce_sum(x) -> Tensor:
     x = _as_tensor(x)
     out_data = np.asarray(x.data.sum())
 
-    def vjp_fn(g: np.ndarray):
-        if not x.requires_grad:
+    def pullback(g: np.ndarray, want_x: bool):
+        if not want_x:
             return (None,)
         return (np.full(x.data.shape, g, dtype=x.dtype),)
 
-    return _record("reduce_sum", (x,), out_data, vjp_fn)
+    return _record("reduce_sum", (x,), out_data, pullback)
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
@@ -476,15 +499,15 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=1)) + ld.max(axis=1)
     out_data = np.asarray((lse - ld[np.arange(n), labels]).mean())
 
-    def vjp_fn(g: np.ndarray):
-        if not logits.requires_grad:
+    def pullback(g: np.ndarray, want_logits: bool):
+        if not want_logits:
             return (None,)
         e = np.exp(shifted)
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(n), labels] -= 1.0
         return (g * p / n,)
 
-    return _record("softmax_cross_entropy", (logits,), out_data, vjp_fn)
+    return _record("softmax_cross_entropy", (logits,), out_data, pullback)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +524,11 @@ def vjp(graph: Graph, seeds: dict,
     tensor's shape and dtype. Returns a map from tensor to gradient
     array; restricted to ``wrt`` when given.
 
-    With ``wrt``, only nodes with an input that depends on a ``wrt``
-    tensor are walked: no other node can add to a ``wrt`` gradient, so
+    A walk differentiates a node's input only if it ``requires_grad`` and,
+    with ``wrt``, depends on a ``wrt`` tensor (activity analysis): only
+    nodes with such an input are walked, and inside them no gradient is
+    computed for any other input, so a kernel or batch-norm parameter
+    costs nothing. No skipped gradient can add to a ``wrt`` gradient, so
     the result is the same bit for bit.
     """
     grads = {t: np.asarray(seed) for t, seed in seeds.items()}
@@ -514,6 +540,7 @@ def vjp(graph: Graph, seeds: dict,
             raise ValueError(
                 f"seed dtype {seed.dtype} does not match tensor {t.dtype}")
     nodes = graph.nodes
+    reach = None
     if wrt is not None:
         wrt = list(wrt)
         reach = set(wrt)
@@ -526,6 +553,8 @@ def vjp(graph: Graph, seeds: dict,
         g = grads.get(node.output)
         if g is None:
             continue
+        node.wanted[:] = [t.requires_grad and (reach is None or t in reach)
+                          for t in node.inputs]
         for t, gi in zip(node.inputs, node.vjp_fn(g)):
             if gi is None:
                 continue
@@ -536,13 +565,17 @@ def vjp(graph: Graph, seeds: dict,
     return grads
 
 
-def backward(graph: Graph, loss: Tensor) -> dict:
-    """Gradient of a scalar loss for every requires_grad tensor in the graph.
+def backward(graph: Graph, loss: Tensor,
+             wrt: Optional[Iterable[Tensor]] = None) -> dict:
+    """Gradient of a scalar loss for every requires_grad tensor in the graph,
+    or, with ``wrt``, for the requires_grad tensors of ``wrt`` alone: the
+    walk then differentiates only inputs that depend on them (see
+    :func:`vjp`).
 
     Fan-out accumulates; the graph itself is left untouched and can be
     walked again (e.g. for extra vector-Jacobian probes).
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-    grads = vjp(graph, {loss: np.ones_like(loss.data)})
+    grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=wrt)
     return {t: Tensor(g) for t, g in grads.items() if t.requires_grad}

@@ -151,14 +151,17 @@ def verify_equivalence(net_a: Network, net_b: Network, num_inputs: int = 32,
 
 def input_gradient_deviation(net_a: Network, net_b: Network,
                              num_inputs: int = 4, seed: int = 0) -> float:
-    """Max deviation of d(sum of logits)/d(input) between two networks."""
+    """Max deviation of d(sum of logits)/d(input) between two networks.
+
+    Each walk wants only the input gradient, so it computes no kernel or
+    batch-norm parameter gradient."""
     x = _probe_inputs(net_a, net_b, num_inputs, seed)
     grads = []
     for net in (net_a, net_b):
         xt = Tensor(x, requires_grad=True, dtype=net.dtype)
         with Graph() as g:
             loss = reduce_sum(net.forward(xt, mode="eval"))
-        grads.append(backward(g, loss)[xt].data)
+        grads.append(backward(g, loss, wrt=[xt])[xt].data)
     return float(np.abs(grads[0] - grads[1]).max())
 
 

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import transforms
-from .autodiff import (BatchNormState, Tensor, add, batch_norm, channel_mix,
-                       conv2d, dense, global_avg_pool, relu)
+from .autodiff import (BatchNormState, Tensor, _is_int, add, batch_norm,
+                       channel_mix, conv2d, dense, global_avg_pool, relu)
 from .transforms import StructuredTransform
 
 __all__ = [
@@ -95,10 +95,10 @@ class NetworkSpec:
                    for i, v in enumerate(getattr(self, name))]
         fields.append(("transform_params['N']", self.resolve_period()))
         for name, value in fields:
-            if not transforms._is_int(value):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         b = self.transform_params.get("B", "width")
-        if b != "width" and not transforms._is_int(b):
+        if b != "width" and not _is_int(b):
             raise ValueError(f"transform_params['B'] must be an integer or "
                              f"'width', got {b!r}")
         if self.blocks_per_stage < 1:

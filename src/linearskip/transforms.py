@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .autodiff import Tensor, channel_mix
+from .autodiff import Tensor, _is_int, channel_mix
 
 __all__ = [
     "KINDS",
@@ -42,10 +42,6 @@ KINDS = ("identity", "idempotent_mr", "idempotent_cmr", "orthogonal_tp",
          "orthogonal_random", "periodic")
 
 _INVARIANT_TOL = 1e-10
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_count(name: str, value) -> None:

@@ -10,7 +10,7 @@ from linearskip.autodiff import (BatchNormState, Graph, Tensor, add, backward,
                                  batch_norm, channel_mix, conv2d, dense,
                                  global_avg_pool, reduce_sum, relu,
                                  softmax_cross_entropy)
-from linearskip.network import BuildingBlock
+from linearskip.network import BuildingBlock, NetworkSpec, build_network
 from linearskip.optim import OptimState, sgd_nesterov_step
 
 import oracles
@@ -77,6 +77,19 @@ def test_conv_shape_errors():
         conv2d(x, Tensor(np.zeros((4, 1, 3, 3))), groups=3)
     with pytest.raises(ValueError, match="does not fit"):
         conv2d(x, Tensor(np.zeros((4, 4, 9, 9))))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("stride", 1.5), ("padding", 0.5), ("groups", 2.0),
+    ("stride", True), ("padding", False), ("groups", True)])
+def test_conv_rejects_non_integer_arguments(name, value):
+    x = Tensor(np.zeros((1, 4, 8, 8)))
+    k = Tensor(np.zeros((4, 2, 3, 3)))
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+        conv2d(x, k, **{name: value})
+    out = conv2d(x, k, stride=np.int64(2), padding=np.int32(1),
+                 groups=np.int64(2))
+    assert out.shape == (1, 4, 4, 4)
 
 
 def _conv_vjp_cases():
@@ -350,6 +363,102 @@ def test_backward_accumulates_over_fanout():
         loss = reduce_sum(add(x, x))
     grads = backward(g, loss)
     npt.assert_array_equal(grads[x].data, [2.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# activity analysis: a walk differentiates only the inputs it wants
+
+_ACTIVITY_CASES = [("conv2d", {"stride": s, "groups": g})
+                   for s in (1, 2) for g in (1, 2, 4)]
+_ACTIVITY_CASES += [("batch_norm", {"mode": m}) for m in ("train", "eval")]
+
+
+def _one_op_tape(op, kwargs, dtype):
+    """A tape of relu(op(x, params)) summed, with x and every parameter
+    requiring a gradient; 4 channels, so groups=4 is depthwise."""
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True,
+               dtype=dtype)
+    if op == "conv2d":
+        params = (Tensor(rng.standard_normal((4, 4 // kwargs["groups"], 3, 3)),
+                         requires_grad=True, dtype=dtype),)
+    else:
+        params = tuple(Tensor(rng.standard_normal(4), requires_grad=True,
+                              dtype=dtype) for _ in range(2))
+        state = BatchNormState(4, dtype)
+        state.running_mean = rng.standard_normal(4).astype(dtype)
+        state.running_var = rng.uniform(0.5, 2.0, 4).astype(dtype)
+    with Graph() as graph:
+        if op == "conv2d":
+            out = conv2d(x, *params, padding=1, **kwargs)
+        else:
+            out = batch_norm(x, *params, state, **kwargs)
+        loss = reduce_sum(relu(out))
+    return graph, loss, x, params
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op,kwargs", _ACTIVITY_CASES,
+                         ids=[f"{op}-{'-'.join(map(str, kw.values()))}"
+                              for op, kw in _ACTIVITY_CASES])
+def test_restricted_walk_skips_parameter_work(op, kwargs, dtype, monkeypatch):
+    graph, loss, x, params = _one_op_tape(op, kwargs, dtype)
+    returned = []
+
+    def recorded(g, inner=graph.nodes[0].vjp_fn):
+        returned.append(inner(g))
+        return returned[-1]
+    graph.nodes[0].vjp_fn = recorded
+    columns = []
+    im2col = ad._im2col
+    monkeypatch.setattr(ad, "_im2col",
+                        lambda *args: columns.append(1) or im2col(*args))
+
+    restricted = ad.vjp(graph, {loss: np.ones_like(loss.data)}, wrt=[x])
+    restricted_columns = len(columns)
+    full = backward(graph, loss)
+    assert list(restricted) == [x]
+    assert np.array_equal(restricted[x], full[x].data)
+    assert returned[0][1:] == (None,) * len(params)
+    assert all(g is not None for g in returned[1])
+    if op == "conv2d":
+        # stride 1 correlates with the flipped kernel (one im2col); stride 2
+        # scatters columns back; the kernel gradient builds one more
+        expected = (1, 2) if kwargs["stride"] == 1 else (0, 1)
+        assert (restricted_columns, len(columns) - restricted_columns) == expected
+
+
+def _net_tape(net, x):
+    xt = Tensor(x, requires_grad=True, dtype=net.dtype)
+    with Graph() as graph:
+        loss = reduce_sum(net.forward(xt, mode="train"))
+    return graph, loss, xt
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrapped"])
+def test_walks_leave_no_stale_wants(wrapped):
+    # a restricted walk marks parameters unwanted; the next full walk on the
+    # same tape must mark them wanted again, also through wrapped vjp_fns
+    spec = NetworkSpec(blocks_per_stage=2, stage_widths=(4, 4, 4),
+                       transform_kind="idempotent_mr",
+                       transform_params={"B": 2}, input_shape=(3, 8, 8))
+    net = build_network(spec, seed=3)
+    x = np.random.default_rng(9).standard_normal((2, 3, 8, 8))
+    graph, loss, xt = _net_tape(net, x)
+    if wrapped:
+        for node in graph.nodes:
+            node.vjp_fn = (lambda inner: lambda g: inner(g))(node.vjp_fn)
+    seed = {loss: np.ones_like(loss.data)}
+    first = ad.vjp(graph, seed, wrt=[xt])[xt]
+    full = backward(graph, loss)
+    again = ad.vjp(graph, seed, wrt=[xt])[xt]
+    fresh_graph, fresh_loss, fresh_x = _net_tape(net, x)
+    fresh = backward(fresh_graph, fresh_loss)
+    for name, t, _ in net.parameters():
+        assert np.array_equal(full[t].data, fresh[t].data), name
+    assert np.array_equal(full[xt].data, fresh[fresh_x].data)
+    assert np.array_equal(first, full[xt].data)
+    assert np.array_equal(again, first)
 
 
 def _finite_difference_check(build_loss, tensors, h=1e-3, tol=1e-3):

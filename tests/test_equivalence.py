@@ -4,7 +4,7 @@ import pytest
 
 from linearskip import equivalence as eq
 from linearskip import transforms as tr
-from linearskip.autodiff import Graph
+from linearskip.autodiff import Graph, Tensor, backward, reduce_sum
 from linearskip.network import NetworkSpec, build_network
 
 import oracles
@@ -259,6 +259,32 @@ def test_gradient_agreement():
     net2 = make_net("idempotent_cmr", {"B": 2}, k=2, width=4, seed=16)
     conv2 = eq.convert_idempotent_to_diagonal(net2)
     assert eq.input_gradient_deviation(net2, conv2, num_inputs=2, seed=2) <= 1e-7
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind,params,converter", [
+    ("orthogonal_tp", {}, eq.convert_orthogonal_to_identity),
+    ("idempotent_mr", {"B": 2}, eq.convert_idempotent_to_diagonal),
+])
+def test_input_gradient_deviation_matches_full_walks(kind, params, converter,
+                                                     dtype):
+    # oracle: unrestricted backward walks, which also differentiate every
+    # parameter, read at the input
+    spec = NetworkSpec(blocks_per_stage=2, stage_widths=(8,) * 3,
+                       transform_kind=kind, transform_params=params,
+                       input_shape=(3, 8, 8))
+    net = build_network(spec, seed=25, dtype=dtype)
+    conv = converter(net)
+    x = np.random.default_rng(3).standard_normal((3, 3, 8, 8))
+    grads = []
+    for n in (net, conv):
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        with Graph() as g:
+            loss = reduce_sum(n.forward(xt, mode="eval"))
+        grads.append(backward(g, loss)[xt].data)
+    oracle = float(np.abs(grads[0] - grads[1]).max())
+    assert oracle > 0
+    assert eq.input_gradient_deviation(net, conv, num_inputs=3, seed=3) == oracle
 
 
 # ---------------------------------------------------------------------------
