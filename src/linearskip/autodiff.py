@@ -6,6 +6,12 @@ mixing, and softmax cross-entropy. Every operation executed while a
 :class:`Graph` is active is appended to the tape; :func:`backward` and
 :func:`vjp` walk the tape in reverse to produce gradients.
 
+A walk frees each cotangent once its node has consumed it, so it holds
+only the cotangents still live, not one per tape node. The exception is
+an unrestricted :func:`vjp` (no ``wrt``), which keeps and returns every
+cotangent, intermediate ones included. :func:`backward` returns the
+gradients of leaves only: parameters and inputs, never op outputs.
+
 One dtype rule holds for every operation: the tensors it takes and the
 array it records share one dtype, float32 or float64. Nothing is cast
 silently; ``_record`` raises ``ValueError`` when operands differ, and a
@@ -369,10 +375,10 @@ def relu(x) -> Tensor:
     """Elementwise max(x, 0); the gradient at exactly zero is zero."""
     x = _as_tensor(x)
     out_data = np.maximum(x.data, 0)
-    mask = x.data > 0
 
+    # out > 0 exactly where x > 0 (NaN included), so the VJP keeps no mask
     def pullback(g: np.ndarray, want_x: bool):
-        return (g * mask if want_x else None,)
+        return (g * (out_data > 0) if want_x else None,)
 
     return _record("relu", (x,), out_data, pullback)
 
@@ -522,7 +528,13 @@ def vjp(graph: Graph, seeds: dict,
     tape backwards; a VJP is linear in its cotangent, so several seeds
     give the sum of their single-seed products. Each seed must have its
     tensor's shape and dtype. Returns a map from tensor to gradient
-    array; restricted to ``wrt`` when given.
+    array.
+
+    Without ``wrt`` the walk keeps every cotangent it makes and returns
+    them all, intermediate ones included. With ``wrt`` it returns only the
+    ``wrt`` gradients, and frees every other cotangent once its node is
+    walked: recording order is topological, so by then it is complete.
+    The walk then holds only the cotangents still to be consumed.
 
     A walk differentiates a node's input only if it ``requires_grad`` and,
     with ``wrt``, depends on a ``wrt`` tensor (activity analysis): only
@@ -540,9 +552,10 @@ def vjp(graph: Graph, seeds: dict,
             raise ValueError(
                 f"seed dtype {seed.dtype} does not match tensor {t.dtype}")
     nodes = graph.nodes
-    reach = None
+    reach = keep = None
     if wrt is not None:
         wrt = list(wrt)
+        keep = set(wrt)
         reach = set(wrt)
         nodes = []
         for node in graph.nodes:
@@ -550,7 +563,10 @@ def vjp(graph: Graph, seeds: dict,
                 nodes.append(node)
                 reach.add(node.output)
     for node in reversed(nodes):
-        g = grads.get(node.output)
+        if keep is None or node.output in keep:
+            g = grads.get(node.output)
+        else:   # complete: every node that read this output came later
+            g = grads.pop(node.output, None)
         if g is None:
             continue
         node.wanted[:] = [t.requires_grad and (reach is None or t in reach)
@@ -567,15 +583,24 @@ def vjp(graph: Graph, seeds: dict,
 
 def backward(graph: Graph, loss: Tensor,
              wrt: Optional[Iterable[Tensor]] = None) -> dict:
-    """Gradient of a scalar loss for every requires_grad tensor in the graph,
-    or, with ``wrt``, for the requires_grad tensors of ``wrt`` alone: the
-    walk then differentiates only inputs that depend on them (see
-    :func:`vjp`).
+    """Gradient of a scalar loss for the graph's leaves, or for ``wrt``.
+
+    Without ``wrt``, the leaves are the requires_grad tensors that no node
+    of the graph produced (parameters and inputs), in tape order, and only
+    their gradients are returned: the walk frees each intermediate
+    cotangent after its node (see :func:`vjp`). With ``wrt``, the
+    gradients of its requires_grad tensors are returned, node outputs
+    among them, and the walk differentiates only inputs that depend on
+    them.
 
     Fan-out accumulates; the graph itself is left untouched and can be
     walked again (e.g. for extra vector-Jacobian probes).
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
+    if wrt is None:
+        produced = {node.output for node in graph.nodes}
+        wrt = dict.fromkeys(t for node in graph.nodes for t in node.inputs
+                            if t.requires_grad and t not in produced)
     grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=wrt)
     return {t: Tensor(g) for t, g in grads.items() if t.requires_grad}

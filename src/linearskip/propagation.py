@@ -24,7 +24,7 @@ import numpy as np
 from . import transforms
 # ``add`` is no longer called here, but tracers that wrap module attributes
 # (the benchmark's among them) still look it up on this module
-from .autodiff import Graph, add, reduce_sum, vjp  # noqa: F401
+from .autodiff import Graph, Tensor, add, reduce_sum, vjp  # noqa: F401
 from .network import Network
 from .transforms import (apply_transform, is_idempotent, is_symmetric,
                          matrix_power)
@@ -101,9 +101,9 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     if p is None:
         p = np.zeros((blocks[0].width, blocks[0].width))
 
+    # the tape starts at the stage input: no walk from x_m reaches before it
+    h = Tensor(network.stage_input(x, stage, mode).data, requires_grad=True)
     with Graph() as graph:
-        h = network.stage_input(x, stage, mode)
-        h.requires_grad = True
         for blk in blocks[:m - 1]:
             h = blk.forward(h, mode)
         input_tensors = []

@@ -285,6 +285,30 @@ def test_relu_values():
     npt.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
 
+def test_relu_tape_keeps_no_mask():
+    # a stored x > 0 mask would add 1/8 of a float64 output; the VJP reads
+    # the output itself, so the node holds little beyond it
+    x = Tensor(np.random.default_rng(4).standard_normal((2, 16, 16, 16)),
+               requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Graph() as graph:
+            out = relu(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 1
+    assert held <= 1.05 * out.data.nbytes
+
+
+def test_relu_gradient_is_zero_at_nan_and_zero():
+    x = Tensor(np.array([np.nan, -0.0, 0.0, -1.0, 3.0]), requires_grad=True)
+    with Graph() as g:
+        loss = reduce_sum(relu(x))
+    npt.assert_array_equal(backward(g, loss)[x].data, [0.0, 0.0, 0.0, 0.0, 1.0])
+
+
 def test_global_avg_pool_mean():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
     out = global_avg_pool(Tensor(x))
@@ -459,6 +483,55 @@ def test_walks_leave_no_stale_wants(wrapped):
     assert np.array_equal(full[xt].data, fresh[fresh_x].data)
     assert np.array_equal(first, full[xt].data)
     assert np.array_equal(again, first)
+
+
+# ---------------------------------------------------------------------------
+# live cotangents: a walk frees each one after its node
+
+def test_backward_walk_memory_does_not_grow_with_depth():
+    # 32 relu/add nodes on a 1 MiB array: a walk that keeps every cotangent
+    # peaks at 18 arrays (add hands one array to both inputs); one that
+    # frees them holds 3 at a time
+    x = Tensor(np.random.default_rng(2).standard_normal((256, 512)),
+               requires_grad=True)
+    with Graph() as graph:
+        h = x
+        for _ in range(16):
+            h = add(h, relu(h))
+        loss = reduce_sum(h)
+    assert len(graph) == 33
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grads = backward(graph, loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.data.nbytes
+    assert list(grads) == [x]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_matches_keep_everything_walk(dtype):
+    spec = NetworkSpec(blocks_per_stage=2, stage_widths=(4, 8, 8),
+                       transform_kind="idempotent_mr",
+                       transform_params={"B": 2}, input_shape=(3, 8, 8))
+    net = build_network(spec, seed=5, dtype=dtype)
+    x = np.random.default_rng(8).standard_normal((2, 3, 8, 8))
+    graph, loss, xt = _net_tape(net, x)
+    full = ad.vjp(graph, {loss: np.ones_like(loss.data)})
+    leaves = backward(graph, loss)
+    params = [t for _, t, _ in net.parameters()]
+    assert set(leaves) == {xt, *params}
+    for t in (xt, *params):
+        assert leaves[t].dtype == dtype
+        assert np.array_equal(leaves[t].data, full[t])
+    # a wrt tensor that a node produced is still returned
+    mid = graph.nodes[len(graph) // 2].output
+    picked = backward(graph, loss, wrt=[mid, xt])
+    assert list(picked) == [mid, xt]
+    assert np.array_equal(picked[mid].data, full[mid])
+    assert np.array_equal(picked[xt].data, full[xt])
 
 
 def _finite_difference_check(build_loss, tensors, h=1e-3, tol=1e-3):

@@ -55,6 +55,19 @@ def test_trace_zeroed_branches_is_matrix_power():
     npt.assert_allclose(trace.x(4), apply_transform(p3, trace.x(1)), atol=1e-12)
 
 
+def test_trace_tapes_only_its_span():
+    # every stage has K blocks of one shape, so a tape that starts at the
+    # stage input has one length in all three stages
+    net = stage_net("idempotent_mr", {"B": 2}, k=3)
+    traces = [prop.capture_trace(net, input_batch(), stage=s, m=1, n=3)
+              for s in (1, 2, 3)]
+    assert len({len(trace._graph) for trace in traces}) == 1
+    for trace in traces:
+        x_1 = trace._input_tensors[0]
+        assert x_1.requires_grad
+        assert all(node.output is not x_1 for node in trace._graph.nodes)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("kind", ["none", "identity", "idempotent_mr",
                                   "orthogonal_tp"])
@@ -188,8 +201,8 @@ def test_backward_expansion_all_pairs():
 
 
 def test_vjp_wrt_walks_only_dependent_nodes():
-    # the stem, stage 1 and block 1 of stage 2 cannot reach x_2's gradient:
-    # a walk restricted to x_2 skips them and gives the same bits
+    # block 1 of stage 2 cannot reach x_2's gradient: a walk restricted to
+    # x_2 skips it and gives the same bits
     net = stage_net("idempotent_mr", {"B": 2}, k=3)
     trace = prop.capture_trace(net, input_batch(5), stage=2, m=2, n=3)
     graph = trace._graph
