@@ -6,6 +6,16 @@ mixing, and softmax cross-entropy. Every operation executed while a
 :class:`Graph` is active is appended to the tape; :func:`backward` and
 :func:`vjp` walk the tape in reverse to produce gradients.
 
+A tape node keeps its input and output tensors, and its VJP closure
+keeps what its pullback reads: mostly the same arrays, plus per-channel
+statistics and the like. So every array an op returns lives until the
+tape is dropped, and an array that only feeds the next op is dead weight
+there. Two such pairs are therefore one op each: ``batch_norm(...,
+relu=True)`` clamps in place, since ReLU's pullback needs only its
+output, and ``channel_mix(x, P, plus=y)`` adds y into the mix, since the
+sum's pullback needs nothing at all. A building block then keeps no
+array that only its next op reads (see ``network.BuildingBlock``).
+
 A walk frees each cotangent once its node has consumed it, so it holds
 only the cotangents still live, not one per tape node. The exception is
 an unrestricted :func:`vjp` (no ``wrt``), which keeps and returns every
@@ -305,13 +315,19 @@ class BatchNormState:
 
 
 def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
-               eps: float = 1e-5, momentum: float = 0.9) -> Tensor:
+               eps: float = 1e-5, momentum: float = 0.9,
+               relu: bool = False) -> Tensor:
     """Per-channel batch normalization over NCHW input.
 
     Both modes compute (x - mu) * gamma / sqrt(var + eps) + beta. ``train``
     takes mu and the biased (ddof=0) var from the batch, var from the
     centred values, and updates the running buffers by exponential moving
     average; ``eval`` uses the running buffers, which must have x's dtype.
+
+    With ``relu`` the output is clamped at zero in place, so one node
+    stands for ``relu(batch_norm(...))`` and the unclamped array is never
+    kept. The VJP masks the cotangent with ``out > 0`` first, exactly as
+    :func:`relu`'s does, and reads nothing else of the output.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     xd = x.data
@@ -341,10 +357,14 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
     scale = gamma.data * invstd
     out_data *= scale[None, :, None, None]
     out_data += beta.data[None, :, None, None]
+    if relu:
+        np.maximum(out_data, 0, out=out_data)
 
     def pullback(g: np.ndarray, want_x: bool, want_gamma: bool,
                  want_beta: bool):
         gx = ggamma = gbeta = None
+        if relu:
+            g = g * (out_data > 0)
         if want_gamma or want_beta or (want_x and mode == "train"):
             xhat = (xd - mu[None, :, None, None]) * invstd[None, :, None, None]
             gsum = g.sum(axis=(0, 2, 3))
@@ -445,11 +465,15 @@ def add(a, b) -> Tensor:
     return _record("add", (a, b), out_data, pullback)
 
 
-def channel_mix(x, matrix: np.ndarray) -> Tensor:
+def channel_mix(x, matrix: np.ndarray, plus=None) -> Tensor:
     """Apply a fixed channel-mixing matrix at every spatial position.
 
     Equivalent to a 1x1 convolution with constant kernel; the matrix is a
     non-trainable buffer, so the only gradient is matrix^T @ g into x.
+
+    With ``plus``, a tensor of x's shape, the result is matrix·x + plus
+    from one node with inputs ``(x, plus)``, so the mixed matrix·x is
+    never kept; ``plus`` gets the cotangent itself, as in :func:`add`.
     """
     x = _as_tensor(x)
     if x.data.ndim != 4:
@@ -459,16 +483,28 @@ def channel_mix(x, matrix: np.ndarray) -> Tensor:
     if mat.shape != (c, c):
         raise ValueError(
             f"mixing matrix has shape {mat.shape}, input has {c} channels")
+    inputs = (x,)
+    if plus is not None:
+        plus = _as_tensor(plus)
+        if plus.data.shape != x.data.shape:
+            raise ValueError(f"channel_mix plus needs equal shapes, got "
+                             f"{x.data.shape} and {plus.data.shape}")
+        inputs += (plus,)
     mat = mat.astype(x.dtype, copy=False)
     out_data = np.matmul(mat, x.data.reshape(n, c, h * w)).reshape(n, c, h, w)
+    if plus is not None:
+        out_data += plus.data
 
-    def pullback(g: np.ndarray, want_x: bool):
-        if not want_x:
-            return (None,)
-        gx = np.matmul(np.ascontiguousarray(mat.T), g.reshape(n, c, h * w))
-        return (gx.reshape(n, c, h, w),)
+    def pullback(g: np.ndarray, want_x: bool, want_plus: bool = False):
+        gx = None
+        if want_x:
+            gx = np.matmul(np.ascontiguousarray(mat.T), g.reshape(n, c, h * w))
+            gx = gx.reshape(n, c, h, w)
+        if plus is None:
+            return (gx,)
+        return gx, (g if want_plus else None)
 
-    return _record("channel_mix", (x,), out_data, pullback)
+    return _record("channel_mix", inputs, out_data, pullback)
 
 
 def reduce_sum(x) -> Tensor:
@@ -536,6 +572,13 @@ def vjp(graph: Graph, seeds: dict,
     walked: recording order is topological, so by then it is complete.
     The walk then holds only the cotangents still to be consumed.
 
+    Fan-in adds the cotangent held so far into a gradient the pullback
+    has just made, in place; a gradient that shares memory with the
+    node's cotangent (``add`` passes it through) is summed into a new
+    array instead. So no seed and no array already held in the map is
+    ever written, and addition commutes, so the bits are those of
+    ``acc + gi``.
+
     A walk differentiates a node's input only if it ``requires_grad`` and,
     with ``wrt``, depends on a ``wrt`` tensor (activity analysis): only
     nodes with such an input are walked, and inside them no gradient is
@@ -575,7 +618,13 @@ def vjp(graph: Graph, seeds: dict,
             if gi is None:
                 continue
             acc = grads.get(t)
-            grads[t] = gi if acc is None else acc + gi
+            if acc is None:
+                grads[t] = gi
+            elif np.may_share_memory(gi, g):
+                grads[t] = acc + gi
+            else:   # fresh from the pullback: the walk owns it
+                gi += acc
+                grads[t] = gi
     if wrt is not None:
         return {t: grads[t] for t in wrt if t in grads}
     return grads

@@ -17,8 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import transforms
+# ``relu`` is no longer called here (``bn2`` applies it), but tracers that
+# wrap module attributes (the benchmark's among them) still look it up on
+# this module
 from .autodiff import (BatchNormState, Tensor, _is_int, add, batch_norm,
-                       channel_mix, conv2d, dense, global_avg_pool, relu)
+                       channel_mix, conv2d, dense, global_avg_pool,
+                       relu)  # noqa: F401
 from .transforms import StructuredTransform
 
 __all__ = [
@@ -154,8 +158,9 @@ class BNLayer:
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.state = BatchNormState(channels, dtype)
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.state, mode)
+    def __call__(self, x: Tensor, mode: str, relu: bool = False) -> Tensor:
+        return batch_norm(x, self.gamma, self.beta, self.state, mode,
+                          relu=relu)
 
 
 def _he_conv(rng: np.random.Generator, out_ch: int, in_ch: int, k: int,
@@ -181,6 +186,17 @@ class BuildingBlock:
     their invariants; a width-32 ``orthogonal_tp`` misses Q^T Q = I by
     3.4e-8, far beyond the 1e-10 of ``is_orthogonal``, so the rewrites
     would reject it.
+
+    On a tape the block keeps only arrays that some pullback reads.
+    ``bn2`` and its ReLU are one node (``batch_norm(..., relu=True)``),
+    and a non-identity skip and the final sum are one node
+    (``channel_mix(x, P, plus=F(x))``), because the unclamped ``bn2``
+    output and the mixed skip P x feed only the next op, whose pullback
+    reads neither. The activation-sized arrays kept are the outputs of
+    ``bn1``, ``conv1``, the clamped ``bn2``, ``conv2`` (with any
+    ``post_mix``) and the block itself. ``conv2``'s output, F(x), stays a
+    tensor of its own, because ``propagation.capture_trace`` seeds its
+    walks at the branch outputs.
     """
 
     def __init__(self, width: int, groups: int, skip: Optional[np.ndarray],
@@ -215,8 +231,7 @@ class BuildingBlock:
             h = channel_mix(h, self.pre_mix)
         h = self.bn1(h, mode)
         h = conv2d(h, self.conv1, stride=1, padding=1, groups=self.groups)
-        h = self.bn2(h, mode)
-        h = relu(h)
+        h = self.bn2(h, mode, relu=True)
         h = conv2d(h, self.conv2, stride=1, padding=1, groups=self.groups)
         if self.post_mix is not None:
             h = channel_mix(h, self.post_mix)
@@ -228,7 +243,7 @@ class BuildingBlock:
             return branch
         if self._skip_is_identity:
             return add(x, branch)
-        return add(channel_mix(x, self.skip), branch)
+        return channel_mix(x, self.skip, plus=branch)
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return self.combine(x, self.branch_output(x, mode))

@@ -108,3 +108,26 @@ def mix_channels(mat, x):
             for xi in range(w):
                 out[ni, :, yi, xi] = mat @ x[ni, :, yi, xi]
     return out
+
+
+def batch_norm_relu(x, gamma, beta, mean=None, var=None, eps=1e-5):
+    """max(BN(x), 0), one channel at a time, in float64.
+
+    Without ``mean``/``var`` the statistics are the batch's own (train
+    mode, biased variance); with them they are fixed (eval mode).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    for ci in range(x.shape[1]):
+        v = x[:, ci]
+        mu = v.mean() if mean is None else float(mean[ci])
+        var_c = ((v - mu) ** 2).mean() if var is None else float(var[ci])
+        y = (v - mu) / np.sqrt(var_c + eps) * float(gamma[ci]) + float(beta[ci])
+        out[:, ci] = np.where(y > 0.0, y, 0.0)
+    return out
+
+
+def mix_plus(mat, x, y):
+    """P x + y for NCHW arrays, with the loop mix above."""
+    return mix_channels(np.asarray(mat, dtype=np.float64),
+                        np.asarray(x, dtype=np.float64)) + y

@@ -486,6 +486,145 @@ def test_walks_leave_no_stale_wants(wrapped):
 
 
 # ---------------------------------------------------------------------------
+# fused ops: batch_norm(..., relu=True) and channel_mix(..., plus=y)
+
+# Finite differences are taken on the float64 oracles with this step, so
+# their own error (truncation h^2, rounding eps/h) stays near 1e-9 and
+# bounds a float64 op; a float32 op is bounded by its rounding instead
+# (about 1 eps seen).
+_FD_STEP = 1e-6
+
+
+def _fd_tol(dtype) -> float:
+    return max(1e-7, 2.0 ** 6 * float(np.finfo(dtype).eps))
+
+
+def _pulled(build, arrays, w):
+    """Output of ``build`` on fresh leaves of ``arrays``, and the gradient
+    of each leaf for the output cotangent ``w``."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Graph() as graph:
+        out = build(*leaves)
+    grads = ad.vjp(graph, {out: w}, wrt=leaves)
+    return out.data, [grads[t] for t in leaves]
+
+
+def _bn_arrays(dtype):
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal((3, 4, 5, 5))
+    gamma = rng.standard_normal(4) + 1.0
+    beta = rng.standard_normal(4)
+    mean = rng.standard_normal(4)
+    var = rng.uniform(0.5, 2.0, 4)
+    w = rng.standard_normal(x.shape)
+    return [a.astype(dtype) for a in (x, gamma, beta, mean, var, w)]
+
+
+def _bn_relu(mode, mean, var, fused):
+    """BN + ReLU as one fused node or as batch_norm then relu, each call on
+    a fresh state holding ``mean``/``var``."""
+    def build(x, gamma, beta):
+        state = BatchNormState(len(mean), mean.dtype)
+        state.running_mean, state.running_var = mean.copy(), var.copy()
+        if fused:
+            return batch_norm(x, gamma, beta, state, mode, relu=True)
+        return relu(batch_norm(x, gamma, beta, state, mode))
+    return build
+
+
+def _check_against_oracle(oracle, arrays, out, grads, w, dtype):
+    """``out`` against the float64 oracle, and each gradient against
+    central differences of sum(w * oracle)."""
+    tol = _fd_tol(dtype)
+    ref = [a.astype(np.float64) for a in arrays]
+    w = w.astype(np.float64)
+    assert oracles.relative_error(out, oracle(*ref)) <= tol
+    for arr, g in zip(ref, grads):
+        assert g.dtype == dtype
+        fd = oracles.numeric_gradient(lambda: float((w * oracle(*ref)).sum()),
+                                      arr, _FD_STEP)
+        assert oracles.relative_error(g, fd) <= tol
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_fused_batch_norm_relu_matches_oracle(mode, dtype):
+    x, gamma, beta, mean, var, w = _bn_arrays(dtype)
+    stats = {} if mode == "train" else {"mean": mean, "var": var}
+    out, grads = _pulled(_bn_relu(mode, mean, var, fused=True),
+                         (x, gamma, beta), w)
+    _check_against_oracle(
+        lambda *a: oracles.batch_norm_relu(*a, **stats), (x, gamma, beta),
+        out, grads, w, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_fused_batch_norm_relu_is_batch_norm_then_relu(mode, dtype):
+    x, gamma, beta, mean, var, w = _bn_arrays(dtype)
+    x[0, 0, 1, 2] = np.nan
+    gamma[3] = beta[3] = 0      # channel 3 normalizes to exactly 0
+    fused = _pulled(_bn_relu(mode, mean, var, True), (x, gamma, beta), w)
+    plain = _pulled(_bn_relu(mode, mean, var, False), (x, gamma, beta), w)
+    assert np.array_equal(fused[0], plain[0], equal_nan=True)
+    for a, b in zip(fused[1], plain[1]):
+        assert a.dtype == b.dtype == dtype
+        assert np.array_equal(a, b, equal_nan=True)
+    _, (gx, ggamma, gbeta) = fused
+    assert np.all(fused[0][:, 3] == 0)
+    assert ggamma[3] == 0 and gbeta[3] == 0
+    if mode == "eval":      # in train mode the NaN spreads over channel 0
+        assert np.isnan(fused[0][0, 0, 1, 2]) and gx[0, 0, 1, 2] == 0
+
+
+def _mix_arrays(dtype):
+    rng = np.random.default_rng(62)
+    x, y, w = (rng.standard_normal((2, 4, 3, 3)).astype(dtype)
+               for _ in range(3))
+    return x, y, rng.standard_normal((4, 4)), w
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_channel_mix_plus_matches_oracle(dtype):
+    x, y, mat, w = _mix_arrays(dtype)
+    out, grads = _pulled(lambda a, b: channel_mix(a, mat, plus=b), (x, y), w)
+    _check_against_oracle(lambda a, b: oracles.mix_plus(mat, a, b), (x, y),
+                          out, grads, w, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_channel_mix_plus_is_channel_mix_then_add(dtype):
+    x, y, mat, w = _mix_arrays(dtype)
+    x[1, 2, 0, 0] = np.nan
+    fused = _pulled(lambda a, b: channel_mix(a, mat, plus=b), (x, y), w)
+    plain = _pulled(lambda a, b: add(channel_mix(a, mat), b), (x, y), w)
+    assert np.array_equal(fused[0], plain[0], equal_nan=True)
+    for a, b in zip(fused[1], plain[1]):
+        assert a.dtype == b.dtype == dtype
+        assert np.array_equal(a, b)
+
+
+def test_fused_channel_mix_plus_passes_the_cotangent_through():
+    # ``vjp`` sums fan-in in place only into arrays that share no memory
+    # with the node's cotangent, so plus must get that cotangent itself
+    x, y, mat, w = _mix_arrays(np.float64)
+    leaves = [Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)]
+    with Graph() as graph:
+        channel_mix(leaves[0], mat, plus=leaves[1])
+    assert len(graph) == 1 and graph.nodes[0].inputs == tuple(leaves)
+    gx, gy = graph.nodes[0].vjp_fn(w)
+    assert gy is w and not np.may_share_memory(gx, w)
+
+
+def test_fused_channel_mix_plus_checks_shapes():
+    x = Tensor(np.ones((2, 3, 4, 4)))
+    with pytest.raises(ValueError, match="equal shapes"):
+        channel_mix(x, np.eye(3), plus=Tensor(np.ones((2, 3, 4, 5))))
+    with pytest.raises(ValueError, match="dtype"):
+        channel_mix(x, np.eye(3), plus=_f32(2, 3, 4, 4))
+
+
+# ---------------------------------------------------------------------------
 # live cotangents: a walk frees each one after its node
 
 def test_backward_walk_memory_does_not_grow_with_depth():
@@ -509,6 +648,64 @@ def test_backward_walk_memory_does_not_grow_with_depth():
         tracemalloc.stop()
     assert peak < 4 * x.data.nbytes
     assert list(grads) == [x]
+
+
+def _relu_add_chain(x, pairs):
+    """h = add(h, relu(h)) ``pairs`` times, summed; returns the tape, the
+    loss and every add output."""
+    outputs = []
+    with Graph() as graph:
+        h = x
+        for _ in range(pairs):
+            h = add(h, relu(h))
+            outputs.append(h)
+        loss = reduce_sum(h)
+    return graph, loss, outputs
+
+
+def test_fan_in_adds_into_fresh_gradients_in_place():
+    # at each relu/add pair the walk holds the cotangent, relu's bool mask
+    # and relu's fresh gradient, into which the add's pass-through is
+    # summed in place: 2 1/8 arrays; a sum into a new array would hold 3
+    x = Tensor(np.random.default_rng(2).standard_normal((256, 512)),
+               requires_grad=True)
+    graph, loss, _ = _relu_add_chain(x, 16)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grads = backward(graph, loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * x.data.nbytes
+    assert list(grads) == [x]
+
+
+@pytest.mark.parametrize("restricted", [False, True],
+                         ids=["unrestricted", "wrt"])
+def test_fan_in_writes_no_seed_and_no_returned_cotangent(restricted):
+    # a seed on a mid add output meets the next add's pass-through, and an
+    # unrestricted walk returns cotangents that pullbacks passed on: the
+    # in-place sum must write into neither
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    graph, loss, outputs = _relu_add_chain(x, 8)
+    mid = rng.standard_normal((4, 5))
+    seeds = {loss: np.ones_like(loss.data), outputs[3]: mid}
+    kept = {t: s.copy() for t, s in seeds.items()}
+    received = {}
+    for node in graph.nodes:
+        node.vjp_fn = (lambda inner, out: lambda g: (
+            received.setdefault(out, g.copy()), inner(g))[1])(
+                node.vjp_fn, node.output)
+    grads = ad.vjp(graph, seeds, wrt=[x] if restricted else None)
+    for t, s in seeds.items():
+        assert np.array_equal(s, kept[t])
+    if not restricted:
+        for out, g in received.items():
+            assert np.array_equal(grads[out], g)
+    expected = ad.vjp(graph, kept, wrt=[x])[x]
+    assert np.array_equal(grads[x], expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

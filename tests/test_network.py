@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from linearskip import transforms as tr
-from linearskip.autodiff import Tensor, conv2d, dense, global_avg_pool
+from linearskip.autodiff import Graph, Tensor, conv2d, dense, global_avg_pool
 from linearskip.network import (BuildingBlock, NetworkSpec, build_network,
                                 describe)
 
@@ -62,6 +63,28 @@ def test_depthwise_block_uses_one_channel_per_branch():
 def test_block_width_group_mismatch():
     with pytest.raises(ValueError, match="not divisible"):
         BuildingBlock(6, 4, None, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("skip", [tr.make_idempotent_mr(16, 2).matrix,
+                                  tr.make_identity(16).matrix],
+                         ids=["idempotent_mr", "identity"])
+def test_block_tape_keeps_five_activations(skip):
+    # bn1, conv1, the clamped bn2, conv2 and the block output; a separate
+    # relu node adds the unclamped bn2 output, and a separate skip mix its
+    # P x (7 arrays with a mix, 6 without)
+    rng = np.random.default_rng(12)
+    blk = BuildingBlock(16, 1, skip, rng)
+    x = Tensor(rng.standard_normal((4, 16, 16, 16)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Graph() as graph:
+            blk.forward(x, mode="train")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 5
+    assert held <= 5.25 * x.data.nbytes
 
 
 # ---------------------------------------------------------------------------
