@@ -202,6 +202,11 @@ def _correlate(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
     ho = _conv_out_size(h, kh, stride, padding)
     wo = _conv_out_size(w, kw, stride, padding)
     out = np.matmul(kmat, _im2col(x, kh, kw, stride, padding, kmat.shape[0]))
+    return _nchw(out, n, ho, wo)
+
+
+def _nchw(out: np.ndarray, n: int, ho: int, wo: int) -> np.ndarray:
+    """A (groups, og, n*ho*wo) GEMM result as a contiguous NCHW array."""
     return np.ascontiguousarray(
         out.reshape(-1, n, ho, wo).transpose(1, 0, 2, 3))
 
@@ -226,13 +231,15 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     ``padding`` and ``groups`` must be integers.
 
     The VJP retains only the input and kernel arrays, which the node
-    already references; no im2col columns outlive the forward call. The
-    kernel gradient, computed only when the walk wants it, rebuilds the
-    columns. At stride 1 the input gradient is a correlation of the output
-    gradient with the flipped, in/out transposed kernel; otherwise column
-    gradients are scattered back with ``_col2im``. Either way the backward
-    builds one transient column-sized buffer per wanted gradient, freed
-    before the VJP returns.
+    already references; no im2col columns outlive the forward call, and
+    the backward builds at most one transient column buffer, freed before
+    the VJP returns. Each gradient is computed only when the walk wants it.
+    At stride 1 (square kernel wider than the padding) the input gradient
+    is a correlation of the output gradient with the flipped, in/out
+    transposed kernel, and the kernel gradient reads the same columns of
+    the output gradient against the input. Otherwise, and when only the
+    kernel gradient is wanted, the kernel gradient rebuilds the input's
+    columns, and column gradients are scattered back with ``_col2im``.
     """
     x = _as_tensor(x)
     kernel = _as_tensor(kernel)
@@ -275,8 +282,30 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     flipped = stride == 1 and kh == kw and padding < kh
 
     def pullback(g: np.ndarray, want_x: bool, want_k: bool):
-        gx = gk = gg = None
-        if want_k or (want_x and not flipped):
+        gx = gk = None
+        if want_x and flipped:
+            # one column buffer of g serves both gradients: row (o, a, b)
+            # at input position (y, x) holds g[o, y + padding - (kh-1-a),
+            # x + padding - (kw-1-b)], the output that tap (kh-1-a, kw-1-b)
+            # of the kernel carried x[y, x] to
+            cols = _im2col(g, kh, kw, 1, kh - 1 - padding, groups)
+            if want_k:
+                xcm = xd.transpose(1, 0, 2, 3).reshape(groups, cg, n * h * w)
+                # the tall-output orientation, as for x's columns below
+                gk = np.matmul(cols, xcm.transpose(0, 2, 1))
+                del xcm
+                gk = gk.reshape(groups, og, kh, kw, cg)[:, :, ::-1, ::-1]
+                gk = np.ascontiguousarray(
+                    gk.transpose(0, 1, 4, 2, 3)).reshape(kd.shape)
+            # contiguous: a depthwise kflip left as a negative-stride view
+            # makes np.matmul bypass BLAS
+            kflip = kd.reshape(groups, og, cg, kh, kw)[..., ::-1, ::-1]
+            kflip = np.ascontiguousarray(
+                kflip.transpose(0, 2, 1, 3, 4)).reshape(groups, cg, -1)
+            gx = np.matmul(kflip, cols)
+            del cols
+            return _nchw(gx, n, h, w), gk
+        if want_k or want_x:
             gg = g.transpose(1, 0, 2, 3).reshape(groups, og, n * ho * wo)
         if want_k:
             cols = _im2col(xd, kh, kw, stride, padding, groups)
@@ -285,11 +314,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
             gk = np.matmul(cols, gg.transpose(0, 2, 1))
             gk = gk.transpose(0, 2, 1).reshape(kd.shape)
             del cols
-        if want_x and flipped:
-            kflip = kd.reshape(groups, og, cg, kh, kw)[..., ::-1, ::-1]
-            kflip = kflip.transpose(0, 2, 1, 3, 4).reshape(groups, cg, -1)
-            gx = _correlate(g, kflip, kh, kw, 1, kh - 1 - padding)
-        elif want_x:
+        if want_x:
             gcols = np.matmul(kmat.transpose(0, 2, 1), gg)
             gcols = gcols.reshape(c, kh, kw, n, ho, wo)
             gxp = _col2im(gcols, (c, n, h + 2 * padding, w + 2 * padding),

@@ -93,8 +93,9 @@ def test_conv_rejects_non_integer_arguments(name, value):
 
 
 def _conv_vjp_cases():
+    # padding 2 makes the stride-1 input gradient a correlation at padding 0
     for stride in (1, 2):
-        for padding in (0, 1):
+        for padding in (0, 1, 2):
             for c, o in ((4, 4), (4, 8), (8, 4)):
                 for groups in sorted({1, 2, c}):
                     if c % groups == 0 and o % groups == 0:
@@ -160,6 +161,48 @@ def test_conv_tape_keeps_no_columns():
         tracemalloc.stop()
     assert len(graph) == 1
     assert held <= 1.25 * out.data.nbytes
+
+
+@pytest.mark.parametrize("groups,padding", [(1, 1), (16, 1), (2, 0), (1, 2)])
+def test_conv_stride1_pullback_builds_one_column_buffer(groups, padding):
+    # both gradients read g's columns, so the pullback's peak is those
+    # columns, the padded copy of g that _im2col fills them from, and the
+    # two gradients it returns; a second column buffer would add 9x g
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((2, 16, 16, 16)), requires_grad=True)
+    k = Tensor(rng.standard_normal((16, 16 // groups, 3, 3)), requires_grad=True)
+    with Graph() as graph:
+        out = conv2d(x, k, padding=padding, groups=groups)
+    g = rng.standard_normal(out.shape)
+    q = 2 - padding
+    cols = ad._im2col(g, 3, 3, 1, q, groups).nbytes
+    g_padded = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q))).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gx, gk = graph.nodes[0].vjp_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= cols + g_padded + gx.nbytes + gk.nbytes
+
+
+@pytest.mark.parametrize("want_k", [False, True])
+def test_depthwise_flipped_kernel_is_contiguous(want_k, monkeypatch):
+    # a depthwise kflip built by reshape alone is a negative-stride view,
+    # and np.matmul runs such an operand outside BLAS, about 3x slower
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
+    k = Tensor(rng.standard_normal((4, 1, 3, 3)), requires_grad=want_k)
+    with Graph() as graph:
+        out = conv2d(x, k, padding=1, groups=4)
+    operands = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul",
+                        lambda a, b: operands.append(a) or matmul(a, b))
+    graph.nodes[0].vjp_fn(np.ones(out.shape))
+    kflips = [a for a in operands if a.shape == (4, 1, 9)]
+    assert len(kflips) == 1 and kflips[0].flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +489,10 @@ def test_restricted_walk_skips_parameter_work(op, kwargs, dtype, monkeypatch):
     assert returned[0][1:] == (None,) * len(params)
     assert all(g is not None for g in returned[1])
     if op == "conv2d":
-        # stride 1 correlates with the flipped kernel (one im2col); stride 2
-        # scatters columns back; the kernel gradient builds one more
-        expected = (1, 2) if kwargs["stride"] == 1 else (0, 1)
+        # stride 1 builds g's columns once, for the flipped-kernel input
+        # gradient and the kernel gradient alike; stride 2 scatters columns
+        # back, and its kernel gradient builds the input's columns
+        expected = (1, 1) if kwargs["stride"] == 1 else (0, 1)
         assert (restricted_columns, len(columns) - restricted_columns) == expected
 
 
@@ -753,6 +797,25 @@ def test_gradcheck_conv(seed):
 
     def loss():
         out = conv2d(x, k, stride=2, padding=1, groups=2)
+        return softmax_cross_entropy(dense(global_avg_pool(out), w), labels)
+
+    _finite_difference_check(loss, [x, k])
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("groups", [1, 2, 4], ids=["dense", "grouped",
+                                                   "depthwise"])
+def test_gradcheck_conv_stride1(groups, padding):
+    # stride 1 takes both gradients from the output gradient's columns
+    rng = np.random.default_rng(10 * groups + padding)
+    x = Tensor(rng.standard_normal((2, 4, 5, 5)), requires_grad=True)
+    k = Tensor(rng.standard_normal((8, 4 // groups, 3, 3)) * 0.5,
+               requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 8)))
+    labels = np.array([0, 2])
+
+    def loss():
+        out = conv2d(x, k, padding=padding, groups=groups)
         return softmax_cross_entropy(dense(global_avg_pool(out), w), labels)
 
     _finite_difference_check(loss, [x, k])
