@@ -55,21 +55,27 @@ __all__ = [
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+_BN_EPS, _BN_MOMENTUM = 1e-5, 0.9  # batch norm: variance floor, EMA keep
 
 
 class Tensor:
     """Dense N-dimensional array, optionally participating in gradients.
 
-    ``data`` is always a float32 or float64 numpy array; anything else is
-    promoted to float64. Tensors hash by identity, which is what the tape
-    and gradient maps key on.
+    ``data`` is a float32 or float64 numpy array: ``dtype`` must be one of
+    them, other real data is promoted to float64 and complex data refused.
+    Tensors hash by identity, which is what the tape and gradient maps key on.
     """
 
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
+        if np.iscomplexobj(arr):
+            raise ValueError(f"Tensor data must be real, got {arr.dtype}")
         if dtype is not None:
+            if np.dtype(dtype) not in _FLOAT_DTYPES:
+                raise ValueError(f"dtype must be float32 or float64, got "
+                                 f"{np.dtype(dtype)}")
             arr = np.ascontiguousarray(arr, dtype=dtype)
         elif arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
@@ -340,14 +346,14 @@ class BatchNormState:
 
 
 def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
-               eps: float = 1e-5, momentum: float = 0.9,
                relu: bool = False) -> Tensor:
     """Per-channel batch normalization over NCHW input.
 
-    Both modes compute (x - mu) * gamma / sqrt(var + eps) + beta. ``train``
-    takes mu and the biased (ddof=0) var from the batch, var from the
-    centred values, and updates the running buffers by exponential moving
-    average; ``eval`` uses the running buffers, which must have x's dtype.
+    Both modes compute (x - mu) * gamma / sqrt(var + _BN_EPS) + beta.
+    ``train`` takes mu and the biased (ddof=0) var from the batch, var from
+    the centred values, and updates the running buffers by exponential
+    moving average; ``eval`` uses the running buffers, which must have x's
+    dtype.
 
     With ``relu`` the output is clamped at zero in place, so one node
     stands for ``relu(batch_norm(...))`` and the unclamped array is never
@@ -378,7 +384,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
     out_data = xd - mu[None, :, None, None]
     if mode == "train":
         var = np.einsum("nchw,nchw->c", out_data, out_data) / m
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + _BN_EPS)
     scale = gamma.data * invstd
     out_data *= scale[None, :, None, None]
     out_data += beta.data[None, :, None, None]
@@ -408,8 +414,9 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
     out = _record("batch_norm", (x, gamma, beta), out_data, pullback)
     if mode == "train":
         # rebound, not updated in place: an eval node's VJP reads the old mu
-        state.running_mean = momentum * state.running_mean + (1.0 - momentum) * mu
-        state.running_var = momentum * state.running_var + (1.0 - momentum) * var
+        keep = _BN_MOMENTUM
+        state.running_mean = keep * state.running_mean + (1.0 - keep) * mu
+        state.running_var = keep * state.running_var + (1.0 - keep) * var
     return out
 
 

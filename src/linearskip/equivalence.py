@@ -5,10 +5,10 @@ that B_{i+1} P B_i^-1 is the new skip: B_1 is folded into the layer
 feeding the stage, block i's branch composite is wrapped by fixed 1x1
 mixes (pre B_i^-1, post B_{i+1}), and the exit basis B_{L+1}^-1 is folded
 into the input channels of the layer after the stage. An orthogonal-skip
-stage becomes an identity-skip stage with B_i = Q^(L+1-i); an
-idempotent-skip stage becomes a diagonal {0,1}-skip stage with B_i = U
-for P = U^-1 diag(lam) U. Both rewrites leave the network's function
-unchanged up to floating-point accumulation.
+stage with skips Q_1..Q_L becomes an identity-skip stage with
+B_i = Q_L...Q_i; an idempotent-skip stage becomes a diagonal {0,1}-skip
+stage with B_i = U for P = U^-1 diag(lam) U. Both rewrites leave the
+network's function unchanged up to floating-point accumulation.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ import numpy as np
 
 from .autodiff import Graph, backward, reduce_sum, Tensor
 from .network import Network
+# ``matrix_power`` is no longer called here, but tracers that wrap module
+# attributes (the benchmark's among them) still look it up on this module
 from .transforms import (diagonalize_idempotent, is_idempotent, is_orthogonal,
-                         matrix_power)
+                         matrix_power)  # noqa: F401
 
 __all__ = [
     "EquivalenceReport",
@@ -43,20 +45,13 @@ def _mix_channels(tensor, mat: np.ndarray, axis: int) -> None:
         np.moveaxis(np.tensordot(m, d, axes=(1, axis)), 0, axis))
 
 
-def _stage_matrix(net: Network, stage: int) -> np.ndarray:
-    p = net.stage_skip_matrix(stage)
-    if p is None:
-        raise ValueError(f"stage {stage} has no skip transform to convert")
-    return p
-
-
 def _change_basis(net: Network, stage: int, bases, inverses,
                   skip: np.ndarray) -> None:
     """Rewrite a 1-based stage in place in the basis z_i = B_i x_i.
 
     ``bases`` and ``inverses`` hold B_1..B_{L+1} and their inverses, with
-    B_{i+1} P B_i^-1 = ``skip``, so block i maps z_i to
-    skip z_i + B_{i+1} F(B_i^-1 z_i). After stage 3 the head absorbs
+    B_{i+1} P_i B_i^-1 = ``skip`` for block i's skip P_i, so block i maps
+    z_i to skip z_i + B_{i+1} F(B_i^-1 z_i). After stage 3 the head absorbs
     B_{L+1}^-1, because global pooling commutes with a channel mix.
     """
     _mix_channels(net.stem if stage == 1 else net.transitions[stage - 2],
@@ -72,20 +67,26 @@ def _change_basis(net: Network, stage: int, bases, inverses,
 def convert_orthogonal_to_identity(net: Network) -> Network:
     """Rewrite every stage's orthogonal skips as identity skips.
 
-    Requires each stage to share one orthogonal matrix Q. The returned
-    network computes the same function as the input for every input.
+    Each block may carry its own orthogonal Q_i: the bases are the running
+    product B_{L+1} = I, B_i = B_{i+1} Q_i, the powers Q^(L+1-i) for a
+    shared Q. The result computes the same function for every input.
     """
     out = net.copy()
     for stage in (1, 2, 3):
-        q = _stage_matrix(out, stage)
-        if not is_orthogonal(q):
-            raise ValueError(
-                f"stage {stage} skip matrix is not orthogonal; "
-                "use convert_idempotent_to_diagonal for idempotent skips")
-        lcount = len(out.stages[stage - 1])
-        bases = [matrix_power(q, lcount - i) for i in range(lcount + 1)]
+        blocks = out.stages[stage - 1]
+        bases = [np.eye(blocks[0].width)]
+        for i in range(len(blocks), 0, -1):
+            q = blocks[i - 1].skip
+            if q is None:
+                raise ValueError(f"stage {stage} block {i} has no skip "
+                                 "transform to convert")
+            if not is_orthogonal(q):
+                raise ValueError(
+                    f"stage {stage} block {i} skip matrix is not orthogonal; "
+                    "use convert_idempotent_to_diagonal for idempotent skips")
+            bases.insert(0, bases[0] @ q)
         _change_basis(out, stage, bases, [b.T for b in bases],
-                      np.eye(q.shape[0]))
+                      np.eye(blocks[0].width))
     return out
 
 
@@ -93,7 +94,9 @@ def convert_idempotent_to_diagonal(net: Network) -> Network:
     """Rewrite every stage's idempotent skips as diagonal {0,1} skips."""
     out = net.copy()
     for stage in (1, 2, 3):
-        p = _stage_matrix(out, stage)
+        p = out.stage_skip_matrix(stage)
+        if p is None:
+            raise ValueError(f"stage {stage} has no skip transform to convert")
         if not is_idempotent(p):
             raise ValueError(
                 f"stage {stage} skip matrix is not idempotent; "

@@ -49,9 +49,9 @@ class NetworkSpec:
     :meth:`validate` rejects any other key. What a kind needs of a stage
     (a power-of-2 width, a B that divides it, ...) is stated once, by its
     ``transforms.make_*`` constructor. Random transforms are seeded
-    from the ``seed`` passed to :func:`build_network`.
-    ``share_random_per_stage`` forces one shared random orthogonal matrix
-    per stage instead of one per block.
+    from the ``seed`` passed to :func:`build_network`; an
+    ``orthogonal_random`` stage draws one seeded matrix per block, every
+    other kind one matrix per stage that its blocks share.
     """
 
     blocks_per_stage: int
@@ -62,7 +62,6 @@ class NetworkSpec:
     transform_params: dict = field(default_factory=dict)
     num_classes: int = 10
     input_shape: tuple = (3, 32, 32)
-    share_random_per_stage: bool = False
 
     @property
     def depth_label(self) -> int:
@@ -167,7 +166,7 @@ def _he_conv(rng: np.random.Generator, out_ch: int, in_ch: int, k: int,
              dtype) -> Tensor:
     std = np.sqrt(2.0 / (in_ch * k * k))
     w = rng.standard_normal((out_ch, in_ch, k, k)) * std
-    return Tensor(w.astype(dtype), requires_grad=True)
+    return Tensor(w, requires_grad=True, dtype=dtype)
 
 
 class BuildingBlock:
@@ -275,8 +274,7 @@ class Network:
 
     def stage_input(self, x, stage: int, mode: str = "eval") -> Tensor:
         """Forward through everything before 1-based ``stage``."""
-        if stage not in (1, 2, 3):
-            raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
+        self.stage_blocks(stage)  # checks the index
         x = x if isinstance(x, Tensor) else Tensor(x, dtype=self.dtype)
         self._check_input(x)
         h = conv2d(x, self.stem, stride=1, padding=1)
@@ -387,12 +385,18 @@ class Network:
     def copy(self) -> "Network":
         return copy.deepcopy(self)
 
+    def stage_blocks(self, stage: int) -> list:
+        """The blocks of a 1-based stage; ValueError unless it is 1, 2 or 3."""
+        if not _is_int(stage) or stage not in (1, 2, 3):
+            raise ValueError(f"stage must be 1, 2, or 3, got {stage!r}")
+        return self.stages[stage - 1]
+
     def stage_skip_matrix(self, stage: int) -> Optional[np.ndarray]:
         """The skip matrix shared by a 1-based stage, or None if absent.
 
         Raises if the stage's blocks do not all carry the same matrix.
         """
-        blocks = self.stages[stage - 1]
+        blocks = self.stage_blocks(stage)
         first = blocks[0].skip
         for blk in blocks[1:]:
             if not np.array_equal(blk.skip, first):
@@ -453,21 +457,10 @@ def _make_transform(spec: NetworkSpec, width: int,
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
-def _stage_transform_matrices(spec: NetworkSpec, width: int,
-                              seed_rng: np.random.Generator) -> list:
-    """Per-block skip matrices for one stage; shared kinds share instances."""
-    k = spec.blocks_per_stage
-    per_block = spec.transform_kind == "orthogonal_random" and \
-        not spec.share_random_per_stage
-    made = [_make_transform(spec, width, int(seed_rng.integers(2 ** 31)))
-            for _ in range(k if per_block else 1)]
-    mats = [None if t is None else t.matrix for t in made]
-    return mats if per_block else mats * k
-
-
 def build_network(spec: NetworkSpec, seed: int = 0,
                   dtype=np.float64) -> Network:
-    """Instantiate a full network from its spec, deterministically."""
+    """Instantiate a full network from its spec, deterministically, in
+    ``dtype``: float32 or float64, which the stem's ``Tensor`` enforces."""
     spec.validate()
     root = np.random.SeedSequence(seed)
     param_ss, transform_ss = root.spawn(2)
@@ -476,15 +469,19 @@ def build_network(spec: NetworkSpec, seed: int = 0,
 
     c_in = spec.input_shape[0]
     widths = spec.stage_widths
+    k = spec.blocks_per_stage
+    draws = k if spec.transform_kind == "orthogonal_random" else 1
     stem = _he_conv(rng, widths[0], c_in, 3, dtype)
     stages = []
     for width in widths:
         groups = spec.resolve_branches(width)
-        mats = _stage_transform_matrices(spec, width, seed_rng)
+        made = [_make_transform(spec, width, int(seed_rng.integers(2 ** 31)))
+                for _ in range(draws)]
+        mats = [None if t is None else t.matrix for t in made] * (k // draws)
         # set_skip keeps the instance when the dtype already matches, so
         # blocks built from one stage matrix share it
-        stages.append([BuildingBlock(width, groups, mats[i], rng, dtype)
-                       for i in range(spec.blocks_per_stage)])
+        stages.append([BuildingBlock(width, groups, mat, rng, dtype)
+                       for mat in mats])
     transitions = [_he_conv(rng, widths[1], widths[0], 3, dtype),
                    _he_conv(rng, widths[2], widths[1], 3, dtype)]
     head_w = Tensor((rng.standard_normal((spec.num_classes, widths[2]))

@@ -63,24 +63,21 @@ class PropagationTrace:
     _input_tensors: list
     _branch_tensors: list
 
+    def _at(self, values: list, i: int, last: int, what: str) -> np.ndarray:
+        if not self.m <= i <= last:
+            raise IndexError(f"{what} index {i} outside trace range "
+                             f"[{self.m}, {last}]")
+        return values[i - self.m]
+
     def x(self, i: int) -> np.ndarray:
-        if not self.m <= i <= self.n:
-            raise IndexError(f"block index {i} outside trace range "
-                             f"[{self.m}, {self.n}]")
-        return self.inputs[i - self.m]
+        return self._at(self.inputs, i, self.n, "block")
 
     def branch(self, i: int) -> np.ndarray:
         """x'_{i+1} = F(x_i), for m <= i < n."""
-        if not self.m <= i < self.n:
-            raise IndexError(f"branch index {i} outside trace range "
-                             f"[{self.m}, {self.n})")
-        return self.branch_outputs[i - self.m]
+        return self._at(self.branch_outputs, i, self.n - 1, "branch")
 
     def grad(self, i: int) -> np.ndarray:
-        if not self.m <= i <= self.n:
-            raise IndexError(f"gradient index {i} outside trace range "
-                             f"[{self.m}, {self.n}]")
-        return self.gradients[i - self.m]
+        return self._at(self.gradients, i, self.n, "gradient")
 
 
 def capture_trace(network: Network, x, stage: int, m: int, n: int,
@@ -92,7 +89,7 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     Batch-norm runs in eval mode by default so capture has no side
     effects.
     """
-    blocks = network.stages[stage - 1]
+    blocks = network.stage_blocks(stage)
     k = len(blocks)
     if not (1 <= m < n <= k):
         raise ValueError(

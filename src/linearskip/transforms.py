@@ -13,6 +13,7 @@ module; the constructors meet their invariants to within 5e-15.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Union
 
 import numpy as np
@@ -139,10 +140,7 @@ def _check_power_of_two(r: int) -> int:
 def make_orthogonal_tp(r: int) -> StructuredTransform:
     """Kronecker power of the fixed 2x2 rotation (1/sqrt2)[[1,-1],[1,1]]."""
     k = _check_power_of_two(r)
-    m = _TP_FACTOR.copy()
-    for _ in range(k - 1):
-        m = np.kron(m, _TP_FACTOR)
-    return StructuredTransform(m, "orthogonal_tp")
+    return StructuredTransform(reduce(np.kron, [_TP_FACTOR] * k), "orthogonal_tp")
 
 
 def _random_o2(rng: np.random.Generator) -> np.ndarray:
@@ -159,9 +157,7 @@ def make_orthogonal_random(r: int, seed: int) -> StructuredTransform:
     """Kronecker product of log2(r) seeded random O(2) factors."""
     k = _check_power_of_two(r)
     rng = np.random.default_rng(seed)
-    m = _random_o2(rng)
-    for _ in range(k - 1):
-        m = np.kron(m, _random_o2(rng))
+    m = reduce(np.kron, [_random_o2(rng) for _ in range(k)])
     return StructuredTransform(m, "orthogonal_random", {"seed": seed})
 
 

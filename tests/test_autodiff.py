@@ -301,6 +301,24 @@ def test_mixed_dtypes_raise(op):
         op()
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.complex128, bool])
+def test_tensor_rejects_a_non_float_dtype(dtype):
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        Tensor(np.ones(3), dtype=dtype)
+
+
+def test_tensor_rejects_complex_data():
+    for kw in ({}, {"dtype": np.float64}):
+        with pytest.raises(ValueError, match="complex128"):
+            Tensor(np.array([1.0 + 2.0j]), **kw)
+
+
+def test_tensor_promotes_real_data_to_float64():
+    for data in (np.arange(3), [True, False], np.ones(2, dtype=np.float16)):
+        assert Tensor(data).dtype == np.float64
+    assert Tensor(np.arange(3), dtype=np.float32).dtype == np.float32
+
+
 def test_mixed_dtype_batch_norm_leaves_state_alone():
     state = BatchNormState(3, np.float32)
     with pytest.raises(ValueError, match="dtype"):

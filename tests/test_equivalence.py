@@ -33,8 +33,7 @@ def test_identity_net_converts_to_itself():
 
 
 def test_single_block_random_orthogonal():
-    net = make_net("orthogonal_random", k=1, seed=3,
-                   share_random_per_stage=True)
+    net = make_net("orthogonal_random", k=1, seed=3)
     conv = eq.convert_orthogonal_to_identity(net)
     report = eq.verify_equivalence(net, conv, num_inputs=8, seed=2)
     assert report.max_deviation <= 1e-9
@@ -83,9 +82,54 @@ def test_orthogonal_converter_rejects_no_skip():
         eq.convert_orthogonal_to_identity(net)
 
 
-def test_orthogonal_converter_rejects_unshared_stage():
-    net = make_net("orthogonal_random", k=2, seed=4)  # distinct per block
-    with pytest.raises(ValueError, match="share"):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_per_block_orthogonal_stage_converts(dtype):
+    # one Q_i per block: block i's wraps are Q_L...Q_{i+1} after and
+    # (Q_L...Q_i)^T before the branch, and the stem absorbs Q_L...Q_1
+    spec = NetworkSpec(blocks_per_stage=3, stage_widths=(8,) * 3,
+                       transform_kind="orthogonal_random",
+                       input_shape=(3, 8, 8))
+    net = build_network(spec, seed=4, dtype=dtype)
+    qs = [blk.skip for blk in net.stages[0]]
+    assert not np.array_equal(qs[0], qs[1])
+    conv = eq.convert_orthogonal_to_identity(net)
+
+    def product(mats):
+        out = np.eye(8)
+        for m in mats:
+            out = out @ m
+        return out
+
+    for i, blk in enumerate(conv.stages[0], start=1):
+        npt.assert_allclose(blk.post_mix, product(qs[i:][::-1]), atol=1e-12)
+        npt.assert_allclose(blk.pre_mix, product(qs[i - 1:][::-1]).T,
+                            atol=1e-12)
+        assert blk._skip_is_identity
+    npt.assert_allclose(
+        conv.stem.data,
+        np.einsum("oc,cihw->oihw", product(qs[::-1]), net.stem.data),
+        atol=1e-12 if dtype == np.float64 else 1e-5)
+    report = eq.verify_equivalence(net, conv, num_inputs=8, seed=2)
+    assert report.passed, report
+
+
+def test_shared_q_bases_are_the_powers_of_q():
+    # the running product does the multiplications of matrix_power, in
+    # its order, so a shared Q gives its powers bit for bit
+    net = make_net("orthogonal_tp", k=4, seed=2)
+    conv = eq.convert_orthogonal_to_identity(net)
+    for stage, conv_stage in zip(net.stages, conv.stages):
+        q = stage[0].skip
+        for i, blk in enumerate(conv_stage, start=1):
+            npt.assert_array_equal(blk.pre_mix, tr.matrix_power(q, 5 - i).T)
+            npt.assert_array_equal(blk.post_mix, tr.matrix_power(q, 4 - i))
+
+
+def test_orthogonal_converter_names_the_non_orthogonal_block():
+    net = make_net("orthogonal_tp", k=3, seed=4)
+    net.stages[1][1].set_skip(tr.make_idempotent_mr(8, 2).matrix)
+    with pytest.raises(ValueError,
+                       match="stage 2 block 2 skip matrix is not orthogonal"):
         eq.convert_orthogonal_to_identity(net)
 
 
@@ -175,8 +219,7 @@ def test_input_gradient_deviation_rejects_class_mismatch():
 ])
 @pytest.mark.parametrize("k", [1, 2])
 def test_round_trip_fidelity(kind, params, converter, k):
-    net = make_net(kind, params, k=k, width=8, seed=13 + k,
-                   share_random_per_stage=True)
+    net = make_net(kind, params, k=k, width=8, seed=13 + k)
     conv = converter(net)
     report = eq.verify_equivalence(net, conv, num_inputs=8, seed=7)
     assert report.max_deviation <= 1e-8, (kind, k)
@@ -185,6 +228,7 @@ def test_round_trip_fidelity(kind, params, converter, k):
 @pytest.mark.parametrize("kind,params,converter", [
     ("orthogonal_tp", {}, eq.convert_orthogonal_to_identity),
     ("idempotent_mr", {"B": 2}, eq.convert_idempotent_to_diagonal),
+    ("orthogonal_random", {}, eq.convert_orthogonal_to_identity),
 ])
 def test_float32_conversion_keeps_dtype_and_function(kind, params, converter):
     spec = NetworkSpec(blocks_per_stage=2, stage_widths=(8,) * 3,

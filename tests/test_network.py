@@ -277,6 +277,23 @@ def test_forward_matches_straight_line_oracle(kind, params):
     npt.assert_allclose(logits, _oracle_forward(net, x), atol=1e-10)
 
 
+@pytest.mark.parametrize("stage", [0, -1, 4, True, 1.0])
+def test_stage_indexes_are_checked(stage):
+    net = build_network(small_spec(), seed=0)
+    x = np.zeros((1, 3, 8, 8))
+    for call in (lambda: net.stage_skip_matrix(stage),
+                 lambda: net.stage_blocks(stage),
+                 lambda: net.stage_input(x, stage)):
+        with pytest.raises(ValueError, match="stage must be 1, 2, or 3"):
+            call()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.complex128])
+def test_build_network_rejects_unsupported_dtype(dtype):
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        build_network(small_spec(), seed=0, dtype=dtype)
+
+
 def test_forward_rejects_wrong_input_shape():
     net = build_network(small_spec(), seed=0)
     with pytest.raises(ValueError, match="does not match spec"):
@@ -368,17 +385,12 @@ def test_stage_blocks_share_matrix_instance():
             assert all(blk.skip is stage[0].skip for blk in stage)
 
 
-def test_random_orthogonal_per_block_differs_but_shareable():
+def test_random_orthogonal_per_block_differs():
     spec = small_spec(blocks_per_stage=2, stage_widths=(4, 8, 8),
                       transform_kind="orthogonal_random")
     net = build_network(spec, seed=2)
-    s0 = net.stages[0]
-    assert not np.array_equal(s0[0].skip, s0[1].skip)
-    shared = build_network(small_spec(blocks_per_stage=2,
-                                      stage_widths=(4, 8, 8),
-                                      transform_kind="orthogonal_random",
-                                      share_random_per_stage=True), seed=2)
-    assert shared.stages[0][0].skip is shared.stages[0][1].skip
+    for stage in net.stages:
+        assert not np.array_equal(stage[0].skip, stage[1].skip)
 
 
 def test_depthwise_channel_equivariance():

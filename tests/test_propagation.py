@@ -91,6 +91,13 @@ def test_trace_index_validation():
         prop.capture_trace(net, input_batch(), stage=1, m=1, n=4)
 
 
+@pytest.mark.parametrize("stage", [0, 4])
+def test_trace_stage_validation(stage):
+    net = stage_net("identity", k=3)
+    with pytest.raises(ValueError, match="stage must be 1, 2, or 3"):
+        prop.capture_trace(net, input_batch(), stage=stage, m=1, n=2)
+
+
 # ---------------------------------------------------------------------------
 # forward expansion
 
@@ -114,8 +121,10 @@ def test_forward_expansion_idempotent_collapse():
 
 
 def test_forward_expansion_orthogonal_with_power_oracle():
-    net = stage_net("orthogonal_random", k=5, share_random_per_stage=True,
-                    seed=3)
+    net = stage_net("orthogonal_random", k=5, seed=3)
+    q = tr.make_orthogonal_random(8, seed=3).matrix
+    for blk in net.stages[0]:
+        blk.set_skip(q)  # one P for the whole stage
     trace = prop.capture_trace(net, input_batch(5), stage=1, m=1, n=5)
     check = prop.verify_forward_expansion(trace)
     assert check.deviation <= 1e-9
