@@ -185,19 +185,49 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     Layout (groups, cg*kh*kw, n*ho*wo): row (ci, i, j) holds tap (i, j) of
     channel ci of the group, column (ni, yi, xi) one output position. The
     fill is kh*kw strided copies out of one padded, channel-major copy of
-    ``x``; a conv is then one GEMM per group against these columns.
+    ``x``; a conv is then one GEMM per group against these columns. The
+    forward of a stride-1 conv uses the kw-fold :func:`_row_columns`
+    instead, so these kh*kw-fold columns serve the forward at other
+    strides and the pullbacks.
     """
     n, c, h, w = x.shape
     ho = _conv_out_size(h, kh, stride, padding)
     wo = _conv_out_size(w, kw, stride, padding)
-    xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    xp[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
+    xp = _padded_channel_major(x, padding)
     cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = xp[:, :, i:i + stride * ho:stride,
                                j:j + stride * wo:stride]
     return cols.reshape(groups, (c // groups) * kh * kw, n * ho * wo)
+
+
+def _padded_channel_major(x: np.ndarray, padding: int) -> np.ndarray:
+    """NCHW ``x`` zero-padded on every side, as a (C, N, H + 2p, W + 2p)
+    array."""
+    n, c, h, w = x.shape
+    xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
+    return xp
+
+
+def _row_columns(x: np.ndarray, kw: int, padding: int,
+                 groups: int) -> np.ndarray:
+    """Row columns of the zero-padded NCHW input ``x``, one matrix per group.
+
+    Layout (groups, cg*kw, n*hp*wo), hp = h + 2*padding: row (ci, j) holds
+    horizontal tap j of channel ci of the group, column (ni, r, xi) the
+    padded input at row r, column j + xi of image ni. Every padded row is
+    lowered, but along the width only, so the fill is kw strided copies and
+    the columns are kw times the input, not kh*kw times as ``_im2col``'s.
+    """
+    n, c, h, w = x.shape
+    wo = _conv_out_size(w, kw, 1, padding)
+    xp = _padded_channel_major(x, padding)
+    cols = np.empty((c, kw, n, h + 2 * padding, wo), dtype=x.dtype)
+    for j in range(kw):
+        cols[:, j] = xp[..., j:j + wo]
+    return cols.reshape(groups, (c // groups) * kw, -1)
 
 
 def _correlate(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
@@ -209,6 +239,41 @@ def _correlate(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
     wo = _conv_out_size(w, kw, stride, padding)
     out = np.matmul(kmat, _im2col(x, kh, kw, stride, padding, kmat.shape[0]))
     return _nchw(out, n, ho, wo)
+
+
+def _correlate_rows(x: np.ndarray, kernel: np.ndarray, padding: int,
+                    groups: int) -> np.ndarray:
+    """Stride-1 grouped cross-correlation of NCHW ``x`` with an OIHW
+    kernel, over row columns; returns a contiguous (n, o, ho, wo) array.
+
+    Flattened, the row columns are a grid of n*hp rows of wo positions,
+    and vertical tap i of an output row is the grid row i further down, so
+    it reads the same columns shifted by i*wo. The output grid is therefore
+    the sum of kh GEMMs, each of tap i's (og, cg*kw) kernel slice against
+    the columns from i*wo on. The grid ends at the last image's row ho - 1;
+    a grid row r >= ho of any other image reads into the next image, and
+    the crop to rows < ho drops it.
+    """
+    n, _, h, w = x.shape
+    o, cg, kh, kw = kernel.shape
+    og = o // groups
+    hp = h + 2 * padding
+    ho = _conv_out_size(h, kh, 1, padding)
+    wo = _conv_out_size(w, kw, 1, padding)
+    cols = _row_columns(x, kw, padding, groups)
+    taps = kernel.reshape(groups, og, cg, kh, kw).transpose(3, 0, 1, 2, 4)
+    taps = np.ascontiguousarray(taps).reshape(kh, groups, og, cg * kw)
+    span = (n * hp - kh + 1) * wo
+    grid = np.matmul(taps[0], cols[..., :span])
+    for i in range(1, kh):
+        grid += np.matmul(taps[i], cols[..., i * wo:i * wo + span])
+    del cols
+    # as _nchw, keeping only grid rows ni*hp + y, y < ho, of each image ni
+    item = grid.itemsize
+    rows = np.lib.stride_tricks.as_strided(
+        grid, (o, n, ho, wo), (span * item, hp * wo * item, wo * item, item),
+        writeable=False)
+    return np.ascontiguousarray(rows.transpose(1, 0, 2, 3))
 
 
 def _nchw(out: np.ndarray, n: int, ho: int, wo: int) -> np.ndarray:
@@ -236,10 +301,13 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     depthwise case. Linear in both input and kernel. ``stride``,
     ``padding`` and ``groups`` must be integers.
 
-    The VJP retains only the input and kernel arrays, which the node
-    already references; no im2col columns outlive the forward call, and
-    the backward builds at most one transient column buffer, freed before
-    the VJP returns. Each gradient is computed only when the walk wants it.
+    The forward at stride 1 sums kh GEMMs over kw-fold row columns
+    (:func:`_correlate_rows`); at other strides it is one GEMM per group
+    over kh*kw-fold ``_im2col`` columns. The VJP retains only the input
+    and kernel arrays, which the node already references; no columns
+    outlive the forward call, and the backward builds at most one
+    transient ``_im2col`` buffer, freed before the VJP returns. Each
+    gradient is computed only when the walk wants it.
     At stride 1 (square kernel wider than the padding) the input gradient
     is a correlation of the output gradient with the flipped, in/out
     transposed kernel, and the kernel gradient reads the same columns of
@@ -282,7 +350,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
 
     og = o // groups
     kmat = kd.reshape(groups, og, cg * kh * kw)
-    out_data = _correlate(xd, kmat, kh, kw, stride, padding)
+    if stride == 1:
+        out_data = _correlate_rows(xd, kd, padding, groups)
+    else:
+        out_data = _correlate(xd, kmat, kh, kw, stride, padding)
     # the flipped kernel pads kernel - 1 - padding on every side: that needs
     # a square kernel wider than the padding
     flipped = stride == 1 and kh == kw and padding < kh
@@ -393,22 +464,29 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
 
     def pullback(g: np.ndarray, want_x: bool, want_gamma: bool,
                  want_beta: bool):
+        # two activation-sized temporaries at most: the masked copy of g,
+        # which gx is then built in, and the centred input
         gx = ggamma = gbeta = None
         if relu:
-            g = g * (out_data > 0)
+            # g * (out > 0) without a mask array: the comparison is cast
+            # to 1.0 / 0.0 as it is written
+            masked = np.greater(out_data, 0, out=np.empty_like(g))
+            g = np.multiply(masked, g, out=masked)
         if want_gamma or want_beta or (want_x and mode == "train"):
-            xhat = (xd - mu[None, :, None, None]) * invstd[None, :, None, None]
+            xc = xd - mu[None, :, None, None]
             gsum = g.sum(axis=(0, 2, 3))
-            gx_hat_sum = np.einsum("nchw,nchw->c", g, xhat)
+            gx_hat_sum = invstd * np.einsum("nchw,nchw->c", g, xc)
             gbeta = gsum if want_beta else None
             ggamma = gx_hat_sum if want_gamma else None
-        if want_x and mode == "train":
-            gx = (scale / m)[None, :, None, None] * (
-                m * g
-                - gsum[None, :, None, None]
-                - xhat * gx_hat_sum[None, :, None, None])
-        elif want_x:
-            gx = g * scale[None, :, None, None]
+        if want_x:
+            # gx = scale * (g - gsum / m - xhat * gx_hat_sum / m) in train
+            # mode, scale * g in eval; in place when g is the masked copy
+            gx = np.multiply(g, scale[None, :, None, None],
+                             out=g if relu else None)
+            if mode == "train":
+                xc *= (-scale * invstd * gx_hat_sum / m)[None, :, None, None]
+                gx += xc
+                gx -= (scale * gsum / m)[None, :, None, None]
         return gx, ggamma, gbeta
 
     out = _record("batch_norm", (x, gamma, beta), out_data, pullback)

@@ -57,6 +57,57 @@ def test_conv_grouped_matches_loop_oracle(groups):
         atol=1e-12)
 
 
+def _forward_grid_cases():
+    for kh, kw in ((1, 1), (3, 3), (1, 3), (3, 1), (5, 5)):
+        for padding in range(max(kh, kw) + 1):
+            for groups in (1, 2, 4):        # 4 channels: 4 is depthwise
+                yield kh, kw, padding, groups
+
+
+@pytest.mark.parametrize("kh,kw,padding,groups", list(_forward_grid_cases()))
+def test_conv_stride1_forward_grid_matches_loop_oracle(kh, kw, padding, groups):
+    # the row-column forward against the loop oracle: one image of height 1,
+    # and three images of odd width, whose grid rows >= ho read into the
+    # next image; the inputs are exact in float32, so one float64 oracle
+    # serves both dtypes
+    rng = np.random.default_rng(100 * kh + 10 * kw + padding + groups)
+    k = rng.standard_normal((4, 4 // groups, kh, kw)).astype(np.float32)
+    checked = 0
+    for shape in ((1, 4, 1, 7), (3, 4, 5, 5)):
+        if min(shape[2] + 2 * padding - kh, shape[3] + 2 * padding - kw) < 0:
+            continue
+        x = rng.standard_normal(shape).astype(np.float32)
+        want = oracles.conv2d_loop(x.astype(np.float64), k.astype(np.float64),
+                                   padding=padding, groups=groups)
+        for dtype in (np.float32, np.float64):
+            out = conv2d(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype),
+                         padding=padding, groups=groups)
+            assert out.dtype == dtype and out.data.flags.c_contiguous
+            assert out.shape == want.shape
+            assert oracles.relative_error(out.data, want) \
+                <= 2 ** 4 * np.finfo(dtype).eps
+        checked += 1
+    assert checked >= 1
+
+
+@pytest.mark.parametrize("row", [0, 5])
+def test_conv_stride1_forward_keeps_images_apart(row):
+    # a NaN in image 0 (its top or bottom row) must reach image 0's outputs
+    # exactly where the oracle's do, and no output of image 1; grid rows of
+    # image 0 that read into image 1 are cropped, and the same holds back
+    rng = np.random.default_rng(12 + row)
+    x = rng.standard_normal((2, 4, 6, 7))
+    k = rng.standard_normal((4, 2, 3, 3))
+    x[0, 1, row, 3] = np.nan
+    want = oracles.conv2d_loop(x, k, padding=1, groups=2)
+    out = conv2d(Tensor(x), Tensor(k), padding=1, groups=2).data
+    assert np.array_equal(np.isnan(out), np.isnan(want))
+    assert np.isnan(out[0]).any() and np.isfinite(out[1]).all()
+    flipped = conv2d(Tensor(x[::-1]), Tensor(k), padding=1, groups=2).data
+    assert np.isfinite(flipped[0]).all()
+    assert np.array_equal(np.isnan(flipped[1]), np.isnan(want[0]))
+
+
 def test_conv_linearity():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 3, 6, 6))
@@ -164,6 +215,30 @@ def test_conv_tape_keeps_no_columns():
 
 
 @pytest.mark.parametrize("groups,padding", [(1, 1), (16, 1), (2, 0), (1, 2)])
+def test_conv_stride1_forward_builds_kw_fold_columns(groups, padding):
+    # the forward holds kw-fold row columns of the padded input, and with
+    # them first the padded copy they are filled from, then the output grid,
+    # one tap's GEMM result and the kernel reordered by tap: about kw padded
+    # inputs, 2 outputs and a kernel, which im2col's 9x column buffer alone
+    # would exceed
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((4, 16, 16, 16)))
+    k = Tensor(rng.standard_normal((16, 16 // groups, 3, 3)))
+    padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
+                             (padding, padding))).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, k, padding=padding, groups=groups)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = 3 * padded + 2 * out.data.nbytes + k.data.nbytes
+    assert 9 * x.data.nbytes > bound
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("groups,padding", [(1, 1), (16, 1), (2, 0), (1, 2)])
 def test_conv_stride1_pullback_builds_one_column_buffer(groups, padding):
     # both gradients read g's columns, so the pullback's peak is those
     # columns, the padded copy of g that _im2col fills them from, and the
@@ -261,6 +336,32 @@ def test_batch_norm_float32_large_mean_keeps_unit_std():
     std = out.data.astype(np.float64).std(axis=(0, 2, 3))
     tol = 2 ** 6 * np.finfo(np.float32).eps
     assert np.abs(std - 1.0 / np.sqrt(1.0 + 1e-5)).max() <= tol
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batch_norm_relu_pullback_holds_two_temporaries(mode, dtype):
+    # the masked copy of g, which gx is built in, and the centred input;
+    # the rest is numpy's fixed-size ufunc buffer, 1/16 of x here
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((8, 16, 32, 32)), requires_grad=True,
+               dtype=dtype)
+    gamma = Tensor(rng.standard_normal(16) + 1.0, requires_grad=True,
+                   dtype=dtype)
+    beta = Tensor(rng.standard_normal(16), requires_grad=True, dtype=dtype)
+    with Graph() as graph:
+        out = batch_norm(x, gamma, beta, BatchNormState(16, dtype), mode,
+                         relu=True)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gx, ggamma, gbeta = graph.nodes[0].vjp_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert gx.dtype == ggamma.dtype == gbeta.dtype == dtype
+    assert peak <= 2.25 * x.data.nbytes
 
 
 def test_batch_norm_eval_vjp_keeps_its_statistics():
