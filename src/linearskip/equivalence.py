@@ -23,7 +23,7 @@ from .network import Network
 # ``matrix_power`` is no longer called here, but tracers that wrap module
 # attributes (the benchmark's among them) still look it up on this module
 from .transforms import (diagonalize_idempotent, is_idempotent, is_orthogonal,
-                         matrix_power)  # noqa: F401
+                         matrix_power, skip_products)  # noqa: F401
 
 __all__ = [
     "EquivalenceReport",
@@ -64,45 +64,51 @@ def _change_basis(net: Network, stage: int, bases, inverses,
                   inverses[-1], axis=1)
 
 
+def _stage_skips(net: Network, stage: int, law: str, holds, other: str,
+                 shared: bool = False) -> list:
+    """The skips of a stage's blocks, or ValueError naming the first block
+    whose skip is missing, is not ``law`` or, if ``shared``, differs from
+    block 1's."""
+    skips = [blk.skip for blk in net.stage_blocks(stage)]
+    for i, p in enumerate(skips, start=1):
+        if p is None:
+            why = "has no skip transform to convert"
+        elif not holds(p):
+            why = f"skip matrix is not {law}; use {other}"
+        elif shared and not np.array_equal(p, skips[0]):
+            why = "skip matrix differs from block 1's; it must be shared"
+        else:
+            continue
+        raise ValueError(f"stage {stage} block {i} {why}")
+    return skips
+
+
 def convert_orthogonal_to_identity(net: Network) -> Network:
     """Rewrite every stage's orthogonal skips as identity skips.
 
-    Each block may carry its own orthogonal Q_i: the bases are the running
-    product B_{L+1} = I, B_i = B_{i+1} Q_i, the powers Q^(L+1-i) for a
-    shared Q. The result computes the same function for every input.
+    Each block may carry its own orthogonal Q_i: the bases are the skip
+    paths B_i = Q_L...Q_i of ``skip_products``, the powers Q^(L+1-i) for
+    a shared Q. The result computes the same function for every input.
     """
     out = net.copy()
     for stage in (1, 2, 3):
-        blocks = out.stages[stage - 1]
-        bases = [np.eye(blocks[0].width)]
-        for i in range(len(blocks), 0, -1):
-            q = blocks[i - 1].skip
-            if q is None:
-                raise ValueError(f"stage {stage} block {i} has no skip "
-                                 "transform to convert")
-            if not is_orthogonal(q):
-                raise ValueError(
-                    f"stage {stage} block {i} skip matrix is not orthogonal; "
-                    "use convert_idempotent_to_diagonal for idempotent skips")
-            bases.insert(0, bases[0] @ q)
+        bases = skip_products(_stage_skips(
+            out, stage, "orthogonal", is_orthogonal,
+            "convert_idempotent_to_diagonal"))
         _change_basis(out, stage, bases, [b.T for b in bases],
-                      np.eye(blocks[0].width))
+                      np.eye(len(bases[0])))
     return out
 
 
 def convert_idempotent_to_diagonal(net: Network) -> Network:
-    """Rewrite every stage's idempotent skips as diagonal {0,1} skips."""
+    """Rewrite every stage's idempotent skips as diagonal {0,1} skips; the
+    blocks of a stage must share one idempotent P."""
     out = net.copy()
     for stage in (1, 2, 3):
-        p = out.stage_skip_matrix(stage)
-        if p is None:
-            raise ValueError(f"stage {stage} has no skip transform to convert")
-        if not is_idempotent(p):
-            raise ValueError(
-                f"stage {stage} skip matrix is not idempotent; "
-                "use convert_orthogonal_to_identity for orthogonal skips")
-        diag = diagonalize_idempotent(p)
-        n = len(out.stages[stage - 1]) + 1
+        skips = _stage_skips(out, stage, "idempotent", is_idempotent,
+                             "convert_orthogonal_to_identity", shared=True)
+        diag = diagonalize_idempotent(skips[0])
+        n = len(skips) + 1
         _change_basis(out, stage, [diag.U] * n, [diag.U_inv] * n,
                       np.diag(diag.lam))
     return out

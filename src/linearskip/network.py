@@ -391,19 +391,6 @@ class Network:
             raise ValueError(f"stage must be 1, 2, or 3, got {stage!r}")
         return self.stages[stage - 1]
 
-    def stage_skip_matrix(self, stage: int) -> Optional[np.ndarray]:
-        """The skip matrix shared by a 1-based stage, or None if absent.
-
-        Raises if the stage's blocks do not all carry the same matrix.
-        """
-        blocks = self.stage_blocks(stage)
-        first = blocks[0].skip
-        for blk in blocks[1:]:
-            if not np.array_equal(blk.skip, first):
-                raise ValueError(
-                    f"stage {stage} blocks do not share one skip matrix")
-        return first
-
 
 def _checked(key: str, value, dtype, shape: tuple) -> np.ndarray:
     """A copy of one checkpoint array in ``dtype``, or ValueError naming

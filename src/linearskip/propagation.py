@@ -1,12 +1,13 @@
 """Numerical verification of how features and gradients travel along the
 skip path of a stage.
 
-The key identities, for blocks m..n of one stage with shared matrix P and
-branch outputs x'_{i+1} = F(x_i):
+Block i maps x_i to x_{i+1} = P_i x_i + x'_{i+1}, with its own skip P_i
+and branch output x'_{i+1} = F(x_i). Over blocks m..n of one stage, with
+the skip paths Φ(n, i) = P_{n-1}...P_i (Φ(n, n) = I, Φ(n, i) = P^(n-i)
+for a shared P):
 
-    forward:   x_n = P^(n-m) x_m + sum_i P^(n-i-1) x'_{i+1}
-    backward:  dL/dx_m = (P^(n-m))^T dL/dx_n
-                         + sum_i J_i^T (P^(n-i-1))^T dL/dx_n
+    forward:   x_n = Φ(n, m) x_m + sum_i Φ(n, i+1) x'_{i+1}
+    backward:  dL/dx_m = Φ(n, m)^T dL/dx_n + sum_i J_i^T Φ(n, i+1)^T dL/dx_n
 
 where J_i is the Jacobian of x'_{i+1} with respect to x_m. Both are exact
 chain-rule rearrangements, so deviations measure floating-point
@@ -22,12 +23,12 @@ from typing import Optional
 import numpy as np
 
 from . import transforms
-# ``add`` is no longer called here, but tracers that wrap module attributes
-# (the benchmark's among them) still look it up on this module
+# ``add`` and ``matrix_power`` are no longer called here, but tracers that
+# wrap module attributes (the benchmark's among them) still look them up
 from .autodiff import Graph, Tensor, add, reduce_sum, vjp  # noqa: F401
 from .network import Network
 from .transforms import (apply_transform, is_idempotent, is_symmetric,
-                         matrix_power)
+                         matrix_power, skip_products)  # noqa: F401
 
 __all__ = [
     "PropagationTrace",
@@ -50,12 +51,16 @@ class PropagationTrace:
 
     ``inputs[j]`` is x_{m+j}; ``branch_outputs[j]`` is x'_{m+j+1};
     ``gradients[j]`` is dL/dx_{m+j} for the probe loss L = sum(x_n).
+    ``skips[j]`` is block m+j's skip P_{m+j} (zeros for a block without
+    one); ``transform`` is the one skip they all share, or None when the
+    span's blocks differ.
     """
 
     stage: int
     m: int
     n: int
-    transform: np.ndarray
+    skips: list
+    transform: Optional[np.ndarray]
     inputs: list
     branch_outputs: list
     gradients: list
@@ -94,9 +99,9 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     if not (1 <= m < n <= k):
         raise ValueError(
             f"need 1 <= m < n <= {k} blocks in stage {stage}, got m={m}, n={n}")
-    p = network.stage_skip_matrix(stage)
-    if p is None:
-        p = np.zeros((blocks[0].width, blocks[0].width))
+    skips = [np.zeros((blk.width,) * 2) if blk.skip is None else blk.skip
+             for blk in blocks[m - 1:n - 1]]
+    shared = all(np.array_equal(p, skips[0]) for p in skips)
 
     # the tape starts at the stage input: no walk from x_m reaches before it
     h = Tensor(network.stage_input(x, stage, mode).data, requires_grad=True)
@@ -115,7 +120,8 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=input_tensors)
     gradients = [np.asarray(grads[t]) for t in input_tensors]
     trace = PropagationTrace(
-        stage=stage, m=m, n=n, transform=np.asarray(p, dtype=np.float64),
+        stage=stage, m=m, n=n, skips=skips,
+        transform=skips[0] if shared else None,
         inputs=[t.data for t in input_tensors],
         branch_outputs=[t.data for t in branch_tensors],
         gradients=gradients, _graph=graph, _input_tensors=input_tensors,
@@ -125,10 +131,10 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
 
 
 def _check_trace(trace: PropagationTrace, tol: float = 1e-10) -> None:
-    """Replay y = P x + F(x) from the recorded pieces."""
+    """Replay x_{i+1} = P_i x_i + F(x_i) from the recorded pieces."""
     scale = max(np.abs(trace.inputs[0]).max(), 1.0)
-    for i in range(trace.m, trace.n):
-        recon = apply_transform(trace.transform, trace.x(i)) + trace.branch(i)
+    for i, p in enumerate(trace.skips, start=trace.m):
+        recon = apply_transform(p, trace.x(i)) + trace.branch(i)
         dev = np.abs(recon - trace.x(i + 1)).max()
         if dev > tol * scale:
             raise AssertionError(
@@ -144,39 +150,34 @@ class ExpansionCheck:
 
 def _span(trace: PropagationTrace, m: Optional[int],
           n: Optional[int]) -> tuple:
-    """Blocks m..n of an expansion, defaulting to the whole trace."""
+    """Blocks m..n (default: the whole trace) and the paths Φ(n, m..n)."""
     m = trace.m if m is None else m
     n = trace.n if n is None else n
     if not (trace.m <= m < n <= trace.n):
         raise ValueError(f"need {trace.m} <= m < n <= {trace.n}")
-    return m, n
+    return m, n, skip_products(trace.skips[m - trace.m:n - trace.m])
 
 
 def verify_forward_expansion(trace: PropagationTrace, m: Optional[int] = None,
                              n: Optional[int] = None) -> ExpansionCheck:
     """Rebuild x_n from x_m and the branch outputs; report max deviation.
 
-    For an idempotent P the collapsed form (every positive power replaced
-    by P itself) is checked as well.
+    For one shared idempotent P the collapsed form (every path of one or
+    more blocks replaced by P itself) is checked as well.
     """
-    m, n = _span(trace, m, n)
+    m, n, phi = _span(trace, m, n)
     p = trace.transform
 
-    def reconstruct(power):
-        rhs = apply_transform(power(n - m), trace.x(m))
+    def deviation(paths):
+        rhs = apply_transform(paths[0], trace.x(m))
         for i in range(m, n):
-            rhs = rhs + apply_transform(power(n - i - 1), trace.branch(i))
-        return rhs
-
-    rhs = reconstruct(lambda k: matrix_power(p, k))
-    deviation = float(np.abs(rhs - trace.x(n)).max())
+            rhs = rhs + apply_transform(paths[i - m + 1], trace.branch(i))
+        return float(np.abs(rhs - trace.x(n)).max())
 
     collapsed = None
-    if is_idempotent(p):
-        eye = np.eye(p.shape[0])
-        rhs_c = reconstruct(lambda k: eye if k == 0 else p)
-        collapsed = float(np.abs(rhs_c - trace.x(n)).max())
-    return ExpansionCheck(deviation, collapsed)
+    if p is not None and is_idempotent(p):
+        collapsed = deviation([p] * (n - m) + [phi[-1]])
+    return ExpansionCheck(deviation(phi), collapsed)
 
 
 def verify_backward_expansion(trace: PropagationTrace, m: Optional[int] = None,
@@ -185,15 +186,13 @@ def verify_backward_expansion(trace: PropagationTrace, m: Optional[int] = None,
 
     One walk seeded at every branch output sums the terms, by linearity.
     """
-    m, n = _span(trace, m, n)
-    p = trace.transform
+    m, n, phi = _span(trace, m, n)
     g_n = trace.grad(n)
     x_m = trace._input_tensors[m - trace.m]
     seeds = {trace._branch_tensors[i - trace.m]:
-             apply_transform(matrix_power(p, n - i - 1).T, g_n)
-             for i in range(m, n)}
+             apply_transform(phi[i - m + 1].T, g_n) for i in range(m, n)}
     pulled = vjp(trace._graph, seeds, wrt=[x_m])[x_m]
-    recon = apply_transform(matrix_power(p, n - m).T, g_n) + pulled
+    recon = apply_transform(phi[0].T, g_n) + pulled
     return float(np.abs(recon - trace.grad(m)).max())
 
 
@@ -201,23 +200,20 @@ def _norm(v) -> float:
     return float(np.linalg.norm(np.asarray(v).ravel()))
 
 
-def skip_path_gain(p, k: int, x) -> float:
-    """|| P^k x ||_2 / || x ||_2 over k stacked skip-connections."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+def skip_path_gain(p, x) -> float:
+    """|| P x ||_2 / || x ||_2 for a composed skip path P, such as Φ(n, m)."""
     mat = transforms._as_matrix(p)
     xd = np.asarray(x, dtype=np.float64)
     base = _norm(xd)
     if base == 0.0:
         raise ValueError("skip_path_gain is undefined for a zero input")
-    pk = matrix_power(mat, k)
-    out = apply_transform(pk, xd) if xd.ndim == 4 else pk @ xd
+    out = apply_transform(mat, xd) if xd.ndim == 4 else mat @ xd
     return _norm(out) / base
 
 
-def gradient_skip_gain(p, k: int, g) -> float:
-    """|| (P^k)^T g ||_2 / || g ||_2 for a gradient signal g."""
-    return skip_path_gain(transforms._as_matrix(p).T, k, g)
+def gradient_skip_gain(p, g) -> float:
+    """|| P^T g ||_2 / || g ||_2 for a gradient signal g."""
+    return skip_path_gain(transforms._as_matrix(p).T, g)
 
 
 @dataclass
@@ -271,7 +267,7 @@ class FlowReport:
         out.write(f"  forward expansion   max dev {self.forward_deviation:.3e}\n")
         out.write(f"  backward expansion  max dev {self.backward_deviation:.3e}\n")
         for i, nrm in enumerate(self.term_norms):
-            out.write(f"  |P^{self.n - self.m - i - 1} x'_{self.m + i + 1}|"
+            out.write(f"  |Φ({self.n},{self.m + i + 1}) x'_{self.m + i + 1}|"
                       f"  {nrm:.6f}\n")
         if self.null_fraction_x_m is not None:
             out.write(f"  null-space fraction of x_m  "
@@ -286,22 +282,21 @@ def flow_report(trace: PropagationTrace) -> FlowReport:
     p = trace.transform
     x_m = trace.x(trace.m)
     g_n = trace.grad(trace.n)
-    span = trace.n - trace.m
+    _, _, phi = _span(trace, None, None)
     forward = verify_forward_expansion(trace)
     backward = verify_backward_expansion(trace)
-    terms = [_norm(apply_transform(matrix_power(p, trace.n - i - 1),
-                                   trace.branch(i)))
-             for i in range(trace.m, trace.n)]
+    terms = [_norm(apply_transform(path, trace.branch(i)))
+             for i, path in enumerate(phi[1:], start=trace.m)]
     nf_m = nf_n = None
-    if is_idempotent(p):
+    if p is not None and is_idempotent(p):
         frac_m = null_space_components(p, x_m).fractions
         frac_n = null_space_components(p, trace.x(trace.n)).fractions
         nf_m = None if frac_m is None else frac_m[1]
         nf_n = None if frac_n is None else frac_n[1]
     return FlowReport(
         stage=trace.stage, m=trace.m, n=trace.n,
-        skip_gain=skip_path_gain(p, span, x_m) if _norm(x_m) else 0.0,
-        gradient_gain=gradient_skip_gain(p, span, g_n) if _norm(g_n) else 0.0,
+        skip_gain=skip_path_gain(phi[0], x_m) if _norm(x_m) else 0.0,
+        gradient_gain=gradient_skip_gain(phi[0], g_n) if _norm(g_n) else 0.0,
         term_norms=terms, forward_deviation=forward.deviation,
         backward_deviation=backward, null_fraction_x_m=nf_m,
         null_fraction_x_n=nf_n)

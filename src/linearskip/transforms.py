@@ -35,6 +35,7 @@ __all__ = [
     "is_symmetric",
     "rank",
     "matrix_power",
+    "skip_products",
     "diagonalize_idempotent",
     "apply_transform",
 ]
@@ -234,6 +235,17 @@ def matrix_power(p, k: int) -> np.ndarray:
     out = np.eye(m.shape[0])
     for _ in range(k):
         out = out @ m
+    return out
+
+
+def skip_products(skips) -> list:
+    """Skip paths Φ(n, m + j) = P_{n-1}...P_{m+j}, j = 0..n-m, of blocks
+    with ``skips`` P_m..P_{n-1}, built as Φ(n, n) = I, Φ(n, i) = Φ(n, i+1)
+    P_i: for a shared P, ``matrix_power``'s products in its order."""
+    mats = [_as_matrix(p) for p in skips]
+    out = [np.eye(mats[0].shape[0])]
+    for m in reversed(mats):
+        out.insert(0, out[0] @ m)
     return out
 
 

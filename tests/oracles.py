@@ -99,6 +99,14 @@ def matrix_power_loop(m, k):
     return out
 
 
+def skip_product_loop(mats, width):
+    """The product I @ mats[0] @ mats[1] @ ..., multiplied left to right."""
+    out = np.eye(width)
+    for m in mats:
+        out = out @ np.asarray(m, dtype=np.float64)
+    return out
+
+
 def mix_channels(mat, x):
     """Channel mixing of an NCHW array by an explicit loop over positions."""
     n, c, h, w = x.shape

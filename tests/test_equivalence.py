@@ -95,10 +95,7 @@ def test_per_block_orthogonal_stage_converts(dtype):
     conv = eq.convert_orthogonal_to_identity(net)
 
     def product(mats):
-        out = np.eye(8)
-        for m in mats:
-            out = out @ m
-        return out
+        return oracles.skip_product_loop(mats, 8)
 
     for i, blk in enumerate(conv.stages[0], start=1):
         npt.assert_allclose(blk.post_mix, product(qs[i:][::-1]), atol=1e-12)
@@ -164,6 +161,16 @@ def test_diagonal_skip_has_rank_many_units():
     npt.assert_allclose(skip, np.diag(diag), atol=1e-12)
     assert int(np.round(diag).sum()) == p_rank == 2
     assert set(np.round(diag)) <= {0.0, 1.0}
+
+
+def test_idempotent_converter_names_the_block_that_differs():
+    # every block is idempotent, but block 3 of stage 2 carries the
+    # complement of the stage's projector
+    net = make_net("idempotent_mr", {"B": 2}, k=3)
+    net.stages[1][2].set_skip(tr.make_idempotent_cmr(8, 2).matrix)
+    with pytest.raises(ValueError, match="stage 2 block 3 skip matrix "
+                                         "differs from block 1's"):
+        eq.convert_idempotent_to_diagonal(net)
 
 
 def test_idempotent_converter_rejects_orthogonal_skips():

@@ -281,8 +281,7 @@ def test_forward_matches_straight_line_oracle(kind, params):
 def test_stage_indexes_are_checked(stage):
     net = build_network(small_spec(), seed=0)
     x = np.zeros((1, 3, 8, 8))
-    for call in (lambda: net.stage_skip_matrix(stage),
-                 lambda: net.stage_blocks(stage),
+    for call in (lambda: net.stage_blocks(stage),
                  lambda: net.stage_input(x, stage)):
         with pytest.raises(ValueError, match="stage must be 1, 2, or 3"):
             call()

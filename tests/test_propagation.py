@@ -167,6 +167,57 @@ def test_forward_expansion_idempotent_collapse_float32():
 
 
 # ---------------------------------------------------------------------------
+# per-block skips
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_per_block_orthogonal_net_traces_every_stage(dtype):
+    # the default orthogonal_random net draws one Q per block
+    spec = NetworkSpec(blocks_per_stage=9, transform_kind="orthogonal_random",
+                       input_shape=(3, 8, 8))
+    net = build_network(spec, seed=1, dtype=dtype)
+    eps = float(np.finfo(dtype).eps)
+    for stage in (1, 2, 3):
+        trace = prop.capture_trace(net, input_batch(19), stage, m=1, n=9)
+        assert trace.transform is None
+        for p, blk in zip(trace.skips, net.stages[stage - 1]):
+            assert p is blk.skip
+        report = prop.flow_report(trace)
+        assert report.forward_deviation <= 2 ** 8 * eps * np.abs(
+            trace.x(9)).max()
+        assert report.backward_deviation <= 2 ** 8 * eps * np.abs(
+            trace.grad(1)).max()
+        assert abs(report.skip_gain - 1.0) <= 2 ** 4 * eps
+        assert abs(report.gradient_gain - 1.0) <= 2 ** 4 * eps
+
+
+def test_mixed_skip_stage_traces_and_verifies():
+    skips = [np.eye(8), tr.make_idempotent_mr(8, 2).matrix,
+             tr.make_orthogonal_tp(8).matrix,
+             tr.make_periodic(8, 3, seed=2).matrix, None]
+    net = stage_net("identity", k=6, seed=12)
+    for blk, p in zip(net.stages[0], skips):
+        blk.set_skip(p)
+    trace = prop.capture_trace(net, input_batch(20), stage=1, m=1, n=6)
+    assert trace.transform is None
+    npt.assert_array_equal(trace.skips[4], np.zeros((8, 8)))
+    tol = 2 ** 8 * np.finfo(np.float64).eps
+    for m in range(1, 6):
+        for n in range(m + 1, 7):
+            check = prop.verify_forward_expansion(trace, m=m, n=n)
+            assert check.collapsed_deviation is None
+            assert check.deviation <= tol * np.abs(trace.x(n)).max(), (m, n)
+            assert prop.verify_backward_expansion(trace, m=m, n=n) <= \
+                tol * np.abs(trace.grad(m)).max(), (m, n)
+    report = prop.flow_report(trace)
+    assert report.null_fraction_x_m is None
+    assert report.null_fraction_x_n is None
+    # the none block ends every path through it: only x'_6 survives
+    assert report.skip_gain == report.gradient_gain == 0.0
+    assert report.term_norms[:4] == [0.0] * 4
+    assert "|Φ(6,2) x'_2|" in report.to_text()
+
+
+# ---------------------------------------------------------------------------
 # backward expansion
 
 def test_backward_zeroed_branches_is_transposed_power():
@@ -283,8 +334,9 @@ def test_orthogonal_gains_are_one():
     x = rng.standard_normal(16)
     g = rng.standard_normal(16)
     for k in (1, 3, 16):
-        assert abs(prop.skip_path_gain(q, k, x) - 1.0) <= 1e-9
-        assert abs(prop.gradient_skip_gain(q, k, g) - 1.0) <= 1e-9
+        qk = tr.matrix_power(q, k)
+        assert abs(prop.skip_path_gain(qk, x) - 1.0) <= 1e-9
+        assert abs(prop.gradient_skip_gain(qk, g) - 1.0) <= 1e-9
 
 
 def test_idempotent_column_space_gain_one():
@@ -292,7 +344,8 @@ def test_idempotent_column_space_gain_one():
     rng = np.random.default_rng(12)
     v = p.matrix @ rng.standard_normal(8)
     for k in (1, 2, 7):
-        assert abs(prop.skip_path_gain(p, k, v) - 1.0) <= 1e-9
+        pk = tr.matrix_power(p, k)
+        assert abs(prop.skip_path_gain(pk, v) - 1.0) <= 1e-9
 
 
 def test_idempotent_null_space_gain_zero():
@@ -301,13 +354,13 @@ def test_idempotent_null_space_gain_zero():
     # null space of CMR = column space of MR
     v = tr.make_idempotent_mr(8, 2).matrix @ rng.standard_normal(8)
     for k in (1, 2, 5):
-        assert prop.skip_path_gain(p, k, v) <= 1e-9
+        assert prop.skip_path_gain(tr.matrix_power(p, k), v) <= 1e-9
 
 
 def test_gain_rejects_zero_vector():
     p = tr.make_identity(4)
     with pytest.raises(ValueError, match="zero input"):
-        prop.skip_path_gain(p, 1, np.zeros(4))
+        prop.skip_path_gain(tr.matrix_power(p, 1), np.zeros(4))
 
 
 def test_gains_float32():
@@ -316,8 +369,9 @@ def test_gains_float32():
     x = rng.standard_normal(16).astype(np.float32)
     g = rng.standard_normal(16).astype(np.float32)
     for k in (1, 3, 16):
-        assert abs(prop.skip_path_gain(q, k, x) - 1.0) <= 2 ** 4 * EPS32
-        assert abs(prop.gradient_skip_gain(q, k, g) - 1.0) <= 2 ** 4 * EPS32
+        qk = tr.matrix_power(q, k)
+        assert abs(prop.skip_path_gain(qk, x) - 1.0) <= 2 ** 4 * EPS32
+        assert abs(prop.gradient_skip_gain(qk, g) - 1.0) <= 2 ** 4 * EPS32
     trace = float32_trace("orthogonal_tp", k=3, seed=4, batch_seed=16)
     report = prop.flow_report(trace)
     assert abs(report.skip_gain - 1.0) <= 2 ** 4 * EPS32

@@ -177,6 +177,27 @@ def test_matrix_power_zero_is_identity():
         tr.matrix_power(p, -1)
 
 
+def test_skip_products_match_loop_oracle():
+    # Phi(n, m + j) = P_{n-1}...P_{m+j} for five different skips
+    rng = np.random.default_rng(5)
+    skips = [rng.standard_normal((6, 6)) for _ in range(5)]
+    phi = tr.skip_products(skips)
+    assert len(phi) == 6
+    for j, path in enumerate(phi):
+        npt.assert_allclose(
+            path, oracles.skip_product_loop(skips[j:][::-1], 6),
+            rtol=1e-13, atol=1e-13)
+    npt.assert_array_equal(phi[-1], np.eye(6))
+
+
+def test_skip_products_of_a_shared_skip_are_its_powers():
+    # one P: the running product is matrix_power's, bit for bit
+    p = tr.make_orthogonal_random(8, seed=2)
+    phi = tr.skip_products([p] * 4)
+    for j, path in enumerate(phi):
+        npt.assert_array_equal(path, tr.matrix_power(p, 4 - j))
+
+
 def test_symmetry_predicate():
     assert tr.is_symmetric(tr.make_idempotent_mr(6, 3))
     assert not tr.is_symmetric(np.array([[1.0, 1.0], [0.0, 0.0]]))
