@@ -56,6 +56,8 @@ __all__ = [
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 _BN_EPS, _BN_MOMENTUM = 1e-5, 0.9  # batch norm: variance floor, EMA keep
+# column bytes a conv pullback builds per batch chunk: half a 2 MiB L2
+_PULLBACK_COLUMN_BYTES = 1 << 20
 
 
 class Tensor:
@@ -188,7 +190,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     ``x``; a conv is then one GEMM per group against these columns. The
     forward of a stride-1 conv uses the kw-fold :func:`_row_columns`
     instead, so these kh*kw-fold columns serve the forward at other
-    strides and the pullbacks.
+    strides and the pullbacks, which lower one batch chunk at a time.
     """
     n, c, h, w = x.shape
     ho = _conv_out_size(h, kh, stride, padding)
@@ -305,9 +307,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     (:func:`_correlate_rows`); at other strides it is one GEMM per group
     over kh*kw-fold ``_im2col`` columns. The VJP retains only the input
     and kernel arrays, which the node already references; no columns
-    outlive the forward call, and the backward builds at most one
-    transient ``_im2col`` buffer, freed before the VJP returns. Each
-    gradient is computed only when the walk wants it.
+    outlive the forward call. The backward runs over batch chunks, each
+    building its columns (at most ``_PULLBACK_COLUMN_BYTES``, or one
+    image's) and using them for both gradients while they are in cache;
+    gk sums the chunks, and gx is written one contiguous NCHW slice per
+    chunk. Each gradient is computed only when the walk wants it.
     At stride 1 (square kernel wider than the padding) the input gradient
     is a correlation of the output gradient with the flipped, in/out
     transposed kernel, and the kernel gradient reads the same columns of
@@ -359,45 +363,65 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     flipped = stride == 1 and kh == kw and padding < kh
 
     def pullback(g: np.ndarray, want_x: bool, want_k: bool):
+        # every gradient splits over images (gk sums them, gx slices them),
+        # so the pullback runs over batch chunks whose columns stay in cache
+        by_g = want_x and flipped
+        image_cols = kh * kw * (o * h * w if by_g else c * ho * wo) * g.itemsize
+        step = max(1, _PULLBACK_COLUMN_BYTES // image_cols)
         gx = gk = None
-        if want_x and flipped:
-            # one column buffer of g serves both gradients: row (o, a, b)
-            # at input position (y, x) holds g[o, y + padding - (kh-1-a),
-            # x + padding - (kw-1-b)], the output that tap (kh-1-a, kw-1-b)
-            # of the kernel carried x[y, x] to
-            cols = _im2col(g, kh, kw, 1, kh - 1 - padding, groups)
-            if want_k:
-                xcm = xd.transpose(1, 0, 2, 3).reshape(groups, cg, n * h * w)
-                # the tall-output orientation, as for x's columns below
-                gk = np.matmul(cols, xcm.transpose(0, 2, 1))
-                del xcm
-                gk = gk.reshape(groups, og, kh, kw, cg)[:, :, ::-1, ::-1]
-                gk = np.ascontiguousarray(
-                    gk.transpose(0, 1, 4, 2, 3)).reshape(kd.shape)
+        if not (want_x or want_k):
+            return gx, gk
+        if by_g:
             # contiguous: a depthwise kflip left as a negative-stride view
             # makes np.matmul bypass BLAS
             kflip = kd.reshape(groups, og, cg, kh, kw)[..., ::-1, ::-1]
             kflip = np.ascontiguousarray(
                 kflip.transpose(0, 2, 1, 3, 4)).reshape(groups, cg, -1)
-            gx = np.matmul(kflip, cols)
-            del cols
-            return _nchw(gx, n, h, w), gk
-        if want_k or want_x:
-            gg = g.transpose(1, 0, 2, 3).reshape(groups, og, n * ho * wo)
-        if want_k:
-            cols = _im2col(xd, kh, kw, stride, padding, groups)
-            # (columns @ g^T)^T: OpenBLAS ran this tall-output GEMM 1.3 to
-            # 1.9x faster than g @ columns^T on the stage-1 shapes
-            gk = np.matmul(cols, gg.transpose(0, 2, 1))
+        for lo in range(0, n, step):
+            xs, gs = xd[lo:lo + step], g[lo:lo + step]
+            nb = len(xs)
+            if by_g:
+                # one column buffer of g serves both gradients: row (o, a, b)
+                # at input position (y, x) holds g[o, y + padding - (kh-1-a),
+                # x + padding - (kw-1-b)], the output that tap (kh-1-a,
+                # kw-1-b) of the kernel carried x[y, x] to
+                cols = _im2col(gs, kh, kw, 1, kh - 1 - padding, groups)
+                if want_k:
+                    xcm = xs.transpose(1, 0, 2, 3).reshape(groups, cg, nb * h * w)
+                    # the tall-output orientation, as for x's columns below
+                    part = np.matmul(cols, xcm.transpose(0, 2, 1))
+                    del xcm
+                gxs = np.matmul(kflip, cols).reshape(c, nb, h, w)
+                del cols
+            else:
+                gg = gs.transpose(1, 0, 2, 3).reshape(groups, og, nb * ho * wo)
+                if want_k:
+                    cols = _im2col(xs, kh, kw, stride, padding, groups)
+                    # (columns @ g^T)^T: OpenBLAS ran this tall-output GEMM 1.3
+                    # to 1.9x faster than g @ columns^T on the stage-1 shapes
+                    part = np.matmul(cols, gg.transpose(0, 2, 1))
+                    del cols
+                if want_x:
+                    gcols = np.matmul(kmat.transpose(0, 2, 1), gg)
+                    gxs = _col2im(gcols.reshape(c, kh, kw, nb, ho, wo),
+                                  (c, nb, h + 2 * padding, w + 2 * padding),
+                                  stride)[:, :, padding:padding + h,
+                                          padding:padding + w]
+                    del gcols
+                del gg
+            if want_k:
+                gk = part if gk is None else np.add(gk, part, out=gk)
+            if want_x:
+                if gx is None:
+                    gx = np.empty(xd.shape, dtype=xd.dtype)
+                gx[lo:lo + nb] = gxs.transpose(1, 0, 2, 3)
+                del gxs
+        if want_k and by_g:
+            gk = gk.reshape(groups, og, kh, kw, cg)[:, :, ::-1, ::-1]
+            gk = np.ascontiguousarray(
+                gk.transpose(0, 1, 4, 2, 3)).reshape(kd.shape)
+        elif want_k:
             gk = gk.transpose(0, 2, 1).reshape(kd.shape)
-            del cols
-        if want_x:
-            gcols = np.matmul(kmat.transpose(0, 2, 1), gg)
-            gcols = gcols.reshape(c, kh, kw, n, ho, wo)
-            gxp = _col2im(gcols, (c, n, h + 2 * padding, w + 2 * padding),
-                          stride)
-            gx = gxp[:, :, padding:padding + h,
-                     padding:padding + w].transpose(1, 0, 2, 3)
         return gx, gk
 
     return _record("conv2d", (x, kernel), out_data, pullback)

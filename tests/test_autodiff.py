@@ -280,6 +280,100 @@ def test_depthwise_flipped_kernel_is_contiguous(want_k, monkeypatch):
     assert len(kflips) == 1 and kflips[0].flags.c_contiguous
 
 
+def _multi_chunk_cases():
+    for stride in (1, 2):
+        for padding in (0, 1, 2):
+            for groups in (1, 2, 4):
+                for x_grad, k_grad in ((True, True), (True, False),
+                                       (False, True)):
+                    yield stride, padding, groups, x_grad, k_grad
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("stride,padding,groups,x_grad,k_grad",
+                         list(_multi_chunk_cases()))
+def test_conv_vjp_multi_chunk_matches_loop_oracle(stride, padding, groups,
+                                                  x_grad, k_grad, dtype,
+                                                  monkeypatch):
+    # a budget of two images' columns splits a batch of 5 into 2 + 2 + 1;
+    # a stride-1 input gradient lowers g, every other pullback x's positions
+    rng = np.random.default_rng(100 * stride + 10 * padding + groups)
+    x = rng.standard_normal((5, 4, 6, 6))
+    k = rng.standard_normal((4, 4 // groups, 3, 3))
+    with Graph() as graph:
+        out = conv2d(Tensor(x, requires_grad=x_grad, dtype=dtype),
+                     Tensor(k, requires_grad=k_grad, dtype=dtype),
+                     stride=stride, padding=padding, groups=groups)
+    g = rng.standard_normal(out.shape)
+    lowered = (ad._im2col(g[:1], 3, 3, 1, 2 - padding, groups)
+               if stride == 1 and x_grad else
+               ad._im2col(x[:1], 3, 3, stride, padding, groups))
+    monkeypatch.setattr(ad, "_PULLBACK_COLUMN_BYTES",
+                        2 * lowered.astype(dtype).nbytes + 1)
+    chunks = []
+    im2col, col2im = ad._im2col, ad._col2im
+    monkeypatch.setattr(ad, "_im2col", lambda a, *rest: chunks.append(
+        len(a)) or im2col(a, *rest))
+    monkeypatch.setattr(ad, "_col2im", lambda a, shape, s: chunks.append(
+        shape[1]) or col2im(a, shape, s))
+    gx, gk = graph.nodes[0].vjp_fn(g.astype(dtype))
+    ox, ok = oracles.conv2d_vjp_loop(x, k, g, stride, padding, groups)
+    # both gradients at stride 2 run _im2col and _col2im on each chunk
+    calls = 2 if stride == 2 and x_grad and k_grad else 1
+    assert chunks == [size for size in (2, 2, 1) for _ in range(calls)]
+    tol = 2 ** 4 * np.finfo(dtype).eps
+    assert (gx is None) != x_grad and (gk is None) != k_grad
+    if x_grad:
+        assert gx.dtype == dtype and gx.flags.c_contiguous
+        assert oracles.relative_error(gx, ox) <= tol
+    if k_grad:
+        assert gk.dtype == dtype
+        assert oracles.relative_error(gk, ok) <= tol
+
+
+@pytest.mark.parametrize("groups", [1, 16])
+def test_conv_pullback_builds_one_chunk_of_columns(groups):
+    # a batch of 8 whose columns span three 1 MiB chunks: the peak holds one
+    # chunk's columns and the padded copy of g they are filled from, besides
+    # the gradients returned, the flipped kernel (gk's size) and a few KiB
+    # of array headers, and never the whole batch's columns
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((8, 16, 16, 16)), requires_grad=True)
+    k = Tensor(rng.standard_normal((16, 16 // groups, 3, 3)), requires_grad=True)
+    with Graph() as graph:
+        out = conv2d(x, k, padding=1, groups=groups)
+    g = rng.standard_normal(out.shape)
+    whole = ad._im2col(g, 3, 3, 1, 1, groups).nbytes
+    per_image = whole // len(g)
+    step = ad._PULLBACK_COLUMN_BYTES // per_image
+    assert 1 < step < len(g) / 2
+    chunk_padded = np.pad(g[:step], ((0, 0), (0, 0), (1, 1), (1, 1))).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gx, gk = graph.nodes[0].vjp_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < whole
+    assert peak <= (step * per_image + chunk_padded + gx.nbytes
+                    + 2 * gk.nbytes + 4096)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_input_gradient_is_contiguous(stride):
+    # gx owns its memory in NCHW order: a transposed view of the scatter
+    # path's padded, channel-major buffer would keep the padding alive
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((3, 4, 8, 8)), requires_grad=True)
+    k = Tensor(rng.standard_normal((4, 4, 3, 3)))
+    with Graph() as graph:
+        out = conv2d(x, k, stride=stride, padding=1)
+    gx, _ = graph.nodes[0].vjp_fn(np.ones(out.shape))
+    assert gx.shape == x.shape and gx.flags.c_contiguous
+    assert gx.base is None
+
+
 # ---------------------------------------------------------------------------
 # batch norm
 
@@ -935,6 +1029,23 @@ def test_gradcheck_conv_stride1(groups, padding):
 
     def loss():
         out = conv2d(x, k, padding=padding, groups=groups)
+        return softmax_cross_entropy(dense(global_avg_pool(out), w), labels)
+
+    _finite_difference_check(loss, [x, k])
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_gradcheck_conv_multi_chunk(stride, monkeypatch):
+    # a one-byte column budget runs the pullback one image per chunk
+    monkeypatch.setattr(ad, "_PULLBACK_COLUMN_BYTES", 1)
+    rng = np.random.default_rng(20 + stride)
+    x = Tensor(rng.standard_normal((3, 4, 5, 5)), requires_grad=True)
+    k = Tensor(rng.standard_normal((6, 2, 3, 3)) * 0.5, requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 6)))
+    labels = np.array([0, 2, 1])
+
+    def loss():
+        out = conv2d(x, k, stride=stride, padding=1, groups=2)
         return softmax_cross_entropy(dense(global_avg_pool(out), w), labels)
 
     _finite_difference_check(loss, [x, k])
