@@ -187,10 +187,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     Layout (groups, cg*kh*kw, n*ho*wo): row (ci, i, j) holds tap (i, j) of
     channel ci of the group, column (ni, yi, xi) one output position. The
     fill is kh*kw strided copies out of one padded, channel-major copy of
-    ``x``; a conv is then one GEMM per group against these columns. The
-    forward of a stride-1 conv uses the kw-fold :func:`_row_columns`
-    instead, so these kh*kw-fold columns serve the forward at other
-    strides and the pullbacks, which lower one batch chunk at a time.
+    ``x``. Only the pullbacks use these columns, one batch chunk at a
+    time; the forward uses the kw-fold :func:`_row_columns`.
     """
     n, c, h, w = x.shape
     ho = _conv_out_size(h, kh, stride, padding)
@@ -204,84 +202,77 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     return cols.reshape(groups, (c // groups) * kh * kw, n * ho * wo)
 
 
-def _padded_channel_major(x: np.ndarray, padding: int) -> np.ndarray:
-    """NCHW ``x`` zero-padded on every side, as a (C, N, H + 2p, W + 2p)
-    array."""
+def _padded_channel_major(x: np.ndarray, padding: int,
+                          bottom: int = 0) -> np.ndarray:
+    """NCHW ``x`` zero-padded on every side, and by ``bottom`` more rows
+    below, as a (C, N, H + 2p + bottom, W + 2p) array."""
     n, c, h, w = x.shape
-    xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp = np.zeros((c, n, h + 2 * padding + bottom, w + 2 * padding),
+                  dtype=x.dtype)
     xp[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
     return xp
 
 
-def _row_columns(x: np.ndarray, kw: int, padding: int,
+def _row_columns(x: np.ndarray, kw: int, stride: int, padding: int,
                  groups: int) -> np.ndarray:
-    """Row columns of the zero-padded NCHW input ``x``, one matrix per group.
+    """Row columns of the zero-padded NCHW input ``x``, one matrix per group
+    and stride phase.
 
-    Layout (groups, cg*kw, n*hp*wo), hp = h + 2*padding: row (ci, j) holds
-    horizontal tap j of channel ci of the group, column (ni, r, xi) the
-    padded input at row r, column j + xi of image ni. Every padded row is
-    lowered, but along the width only, so the fill is kw strided copies and
-    the columns are kw times the input, not kh*kw times as ``_im2col``'s.
+    Layout (groups, cg*kw, s, n*hq*wo), hp = h + 2*padding and hq =
+    ceil(hp / s): row (ci, j) holds horizontal tap j of channel ci of the
+    group, phase f the padded rows s*r + f, and column (ni, r, xi) the
+    padded input at row s*r + f, column j + s*xi of image ni; rows past hp
+    are zero. Every padded row is lowered, but along the width only, so
+    the fill is kw*s strided copies and the columns are about kw/s times
+    the input, not kh*kw/s**2 times as ``_im2col``'s.
     """
     n, c, h, w = x.shape
-    wo = _conv_out_size(w, kw, 1, padding)
-    xp = _padded_channel_major(x, padding)
-    cols = np.empty((c, kw, n, h + 2 * padding, wo), dtype=x.dtype)
-    for j in range(kw):
-        cols[:, j] = xp[..., j:j + wo]
-    return cols.reshape(groups, (c // groups) * kw, -1)
-
-
-def _correlate(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
-               stride: int, padding: int) -> np.ndarray:
-    """Grouped cross-correlation of NCHW ``x`` with a (groups, og, cg*kh*kw)
-    kernel matrix; returns a contiguous (n, groups*og, ho, wo) array."""
-    n, _, h, w = x.shape
-    ho = _conv_out_size(h, kh, stride, padding)
+    hp = h + 2 * padding
+    hq = -(-hp // stride)
     wo = _conv_out_size(w, kw, stride, padding)
-    out = np.matmul(kmat, _im2col(x, kh, kw, stride, padding, kmat.shape[0]))
-    return _nchw(out, n, ho, wo)
+    xp = _padded_channel_major(x, padding, stride * hq - hp)
+    cols = np.empty((c, kw, stride, n, hq, wo), dtype=x.dtype)
+    for f in range(stride):
+        for j in range(kw):
+            cols[:, j, f] = xp[:, :, f::stride, j:j + stride * wo:stride]
+    return cols.reshape(groups, (c // groups) * kw, stride, -1)
 
 
-def _correlate_rows(x: np.ndarray, kernel: np.ndarray, padding: int,
-                    groups: int) -> np.ndarray:
-    """Stride-1 grouped cross-correlation of NCHW ``x`` with an OIHW
-    kernel, over row columns; returns a contiguous (n, o, ho, wo) array.
+def _correlate_rows(x: np.ndarray, kernel: np.ndarray, stride: int,
+                    padding: int, groups: int) -> np.ndarray:
+    """Grouped cross-correlation of NCHW ``x`` with an OIHW kernel, over
+    row columns; returns a contiguous (n, o, ho, wo) array.
 
-    Flattened, the row columns are a grid of n*hp rows of wo positions,
-    and vertical tap i of an output row is the grid row i further down, so
-    it reads the same columns shifted by i*wo. The output grid is therefore
+    Flattened, each stride phase of the row columns is a grid of n*hq rows
+    of wo positions. Vertical tap i of output row y reads padded row
+    s*y + i, which is phase i % s at grid row y + i // s, so it reads that
+    phase's columns shifted by (i // s)*wo. The output grid is therefore
     the sum of kh GEMMs, each of tap i's (og, cg*kw) kernel slice against
-    the columns from i*wo on. The grid ends at the last image's row ho - 1;
-    a grid row r >= ho of any other image reads into the next image, and
-    the crop to rows < ho drops it.
+    those columns. The grid ends at the last image's row ho - 1; a grid
+    row y >= ho of any image reads past its last output row, into zero
+    rows or the next image, and the crop to rows < ho drops it.
     """
     n, _, h, w = x.shape
     o, cg, kh, kw = kernel.shape
     og = o // groups
-    hp = h + 2 * padding
-    ho = _conv_out_size(h, kh, 1, padding)
-    wo = _conv_out_size(w, kw, 1, padding)
-    cols = _row_columns(x, kw, padding, groups)
+    hq = -(-(h + 2 * padding) // stride)
+    ho = _conv_out_size(h, kh, stride, padding)
+    wo = _conv_out_size(w, kw, stride, padding)
+    cols = _row_columns(x, kw, stride, padding, groups)
     taps = kernel.reshape(groups, og, cg, kh, kw).transpose(3, 0, 1, 2, 4)
     taps = np.ascontiguousarray(taps).reshape(kh, groups, og, cg * kw)
-    span = (n * hp - kh + 1) * wo
-    grid = np.matmul(taps[0], cols[..., :span])
+    span = (n * hq - (kh - 1) // stride) * wo
+    grid = np.matmul(taps[0], cols[:, :, 0, :span])
     for i in range(1, kh):
-        grid += np.matmul(taps[i], cols[..., i * wo:i * wo + span])
+        lo = i // stride * wo
+        grid += np.matmul(taps[i], cols[:, :, i % stride, lo:lo + span])
     del cols
-    # as _nchw, keeping only grid rows ni*hp + y, y < ho, of each image ni
+    # keep only grid rows ni*hq + y, y < ho, of each image ni, as NCHW
     item = grid.itemsize
     rows = np.lib.stride_tricks.as_strided(
-        grid, (o, n, ho, wo), (span * item, hp * wo * item, wo * item, item),
+        grid, (o, n, ho, wo), (span * item, hq * wo * item, wo * item, item),
         writeable=False)
     return np.ascontiguousarray(rows.transpose(1, 0, 2, 3))
-
-
-def _nchw(out: np.ndarray, n: int, ho: int, wo: int) -> np.ndarray:
-    """A (groups, og, n*ho*wo) GEMM result as a contiguous NCHW array."""
-    return np.ascontiguousarray(
-        out.reshape(-1, n, ho, wo).transpose(1, 0, 2, 3))
 
 
 def _col2im(gcols: np.ndarray, xp_shape: tuple, stride: int) -> np.ndarray:
@@ -303,11 +294,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     depthwise case. Linear in both input and kernel. ``stride``,
     ``padding`` and ``groups`` must be integers.
 
-    The forward at stride 1 sums kh GEMMs over kw-fold row columns
-    (:func:`_correlate_rows`); at other strides it is one GEMM per group
-    over kh*kw-fold ``_im2col`` columns. The VJP retains only the input
-    and kernel arrays, which the node already references; no columns
-    outlive the forward call. The backward runs over batch chunks, each
+    The forward sums kh GEMMs over kw-fold row columns, at every stride
+    (:func:`_correlate_rows`). The VJP retains only the input and kernel
+    arrays, which the node already references; no columns outlive the
+    forward call. The backward runs over batch chunks, each
     building its columns (at most ``_PULLBACK_COLUMN_BYTES``, or one
     image's) and using them for both gradients while they are in cache;
     gk sums the chunks, and gx is written one contiguous NCHW slice per
@@ -353,11 +343,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
             f"fit input {h}x{w}")
 
     og = o // groups
-    kmat = kd.reshape(groups, og, cg * kh * kw)
-    if stride == 1:
-        out_data = _correlate_rows(xd, kd, padding, groups)
-    else:
-        out_data = _correlate(xd, kmat, kh, kw, stride, padding)
+    out_data = _correlate_rows(xd, kd, stride, padding, groups)
     # the flipped kernel pads kernel - 1 - padding on every side: that needs
     # a square kernel wider than the padding
     flipped = stride == 1 and kh == kw and padding < kh
@@ -402,6 +388,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
                     part = np.matmul(cols, gg.transpose(0, 2, 1))
                     del cols
                 if want_x:
+                    kmat = kd.reshape(groups, og, cg * kh * kw)
                     gcols = np.matmul(kmat.transpose(0, 2, 1), gg)
                     gxs = _col2im(gcols.reshape(c, kh, kw, nb, ho, wo),
                                   (c, nb, h + 2 * padding, w + 2 * padding),

@@ -143,7 +143,11 @@ class NetworkSpec:
         kw = dict(d)
         for key in ("stage_widths", "input_shape"):
             if key in kw:
-                kw[key] = tuple(kw[key])
+                try:
+                    kw[key] = tuple(kw[key])
+                except TypeError:
+                    raise ValueError(f"{key} must be a sequence of integers, "
+                                     f"got {kw[key]!r}") from None
         spec = cls(**kw)
         spec.validate()
         return spec

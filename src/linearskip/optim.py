@@ -47,7 +47,8 @@ def sgd_nesterov_step(params: Iterable[Tensor], grads: Mapping[Tensor, Tensor],
 
     Parameters listed in ``no_decay`` skip the weight-decay term
     (batch-norm scales/shifts and biases, by convention of the caller).
-    Parameters without a gradient entry are left untouched.
+    Parameters without a gradient entry are left untouched. Each gradient
+    must have its parameter's shape and dtype (ValueError otherwise).
     """
     skip = set(no_decay) if no_decay is not None else ()
     for p in params:
@@ -59,6 +60,11 @@ def sgd_nesterov_step(params: Iterable[Tensor], grads: Mapping[Tensor, Tensor],
             raise ValueError(
                 f"gradient shape {gd.shape} does not match parameter "
                 f"{p.data.shape}")
+        if gd.dtype != p.data.dtype:
+            # the in-place updates below would round it silently
+            raise ValueError(
+                f"gradient dtype {gd.dtype} does not match parameter "
+                f"{p.data.dtype}")
         d = gd if (state.weight_decay == 0.0 or p in skip) \
             else gd + state.weight_decay * p.data
         v = state.velocity(p)

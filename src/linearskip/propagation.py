@@ -44,6 +44,8 @@ __all__ = [
     "flow_report",
 ]
 
+_TRACE_TOL = 1e-10    # block-equation replay, relative to the input's scale
+
 
 @dataclass
 class PropagationTrace:
@@ -130,13 +132,13 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     return trace
 
 
-def _check_trace(trace: PropagationTrace, tol: float = 1e-10) -> None:
+def _check_trace(trace: PropagationTrace) -> None:
     """Replay x_{i+1} = P_i x_i + F(x_i) from the recorded pieces."""
     scale = max(np.abs(trace.inputs[0]).max(), 1.0)
     for i, p in enumerate(trace.skips, start=trace.m):
         recon = apply_transform(p, trace.x(i)) + trace.branch(i)
         dev = np.abs(recon - trace.x(i + 1)).max()
-        if dev > tol * scale:
+        if dev > _TRACE_TOL * scale:
             raise AssertionError(
                 f"trace violates the block equation at block {i}: "
                 f"deviation {dev:.3e}")

@@ -64,24 +64,26 @@ def _forward_grid_cases():
                 yield kh, kw, padding, groups
 
 
-@pytest.mark.parametrize("kh,kw,padding,groups", list(_forward_grid_cases()))
-def test_conv_stride1_forward_grid_matches_loop_oracle(kh, kw, padding, groups):
+def _check_forward_grid(stride, kh, kw, padding, groups):
     # the row-column forward against the loop oracle: one image of height 1,
-    # and three images of odd width, whose grid rows >= ho read into the
-    # next image; the inputs are exact in float32, so one float64 oracle
-    # serves both dtypes
-    rng = np.random.default_rng(100 * kh + 10 * kw + padding + groups)
+    # three images of odd height and two of even height, whose grid rows
+    # >= ho read into the next image or, where the padded height is no
+    # multiple of the stride, into the zero rows below it; the inputs are
+    # exact in float32, so one float64 oracle serves both dtypes
+    rng = np.random.default_rng(100 * kh + 10 * kw + padding + groups
+                                + 1000 * (stride - 1))
     k = rng.standard_normal((4, 4 // groups, kh, kw)).astype(np.float32)
     checked = 0
-    for shape in ((1, 4, 1, 7), (3, 4, 5, 5)):
+    for shape in ((1, 4, 1, 7), (3, 4, 5, 5), (2, 4, 6, 7)):
         if min(shape[2] + 2 * padding - kh, shape[3] + 2 * padding - kw) < 0:
             continue
         x = rng.standard_normal(shape).astype(np.float32)
         want = oracles.conv2d_loop(x.astype(np.float64), k.astype(np.float64),
-                                   padding=padding, groups=groups)
+                                   stride=stride, padding=padding,
+                                   groups=groups)
         for dtype in (np.float32, np.float64):
             out = conv2d(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype),
-                         padding=padding, groups=groups)
+                         stride=stride, padding=padding, groups=groups)
             assert out.dtype == dtype and out.data.flags.c_contiguous
             assert out.shape == want.shape
             assert oracles.relative_error(out.data, want) \
@@ -90,22 +92,69 @@ def test_conv_stride1_forward_grid_matches_loop_oracle(kh, kw, padding, groups):
     assert checked >= 1
 
 
+@pytest.mark.parametrize("kh,kw,padding,groups", list(_forward_grid_cases()))
+def test_conv_stride1_forward_grid_matches_loop_oracle(kh, kw, padding, groups):
+    _check_forward_grid(1, kh, kw, padding, groups)
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+@pytest.mark.parametrize("kh,kw,padding,groups", list(_forward_grid_cases()))
+def test_conv_strided_forward_grid_matches_loop_oracle(kh, kw, padding, groups,
+                                                       stride):
+    _check_forward_grid(stride, kh, kw, padding, groups)
+
+
 @pytest.mark.parametrize("row", [0, 5])
 def test_conv_stride1_forward_keeps_images_apart(row):
     # a NaN in image 0 (its top or bottom row) must reach image 0's outputs
     # exactly where the oracle's do, and no output of image 1; grid rows of
-    # image 0 that read into image 1 are cropped, and the same holds back
+    # image 0 that read into image 1 are cropped, and the same holds back.
+    # Stride 2 reads image 1's first rows from image 0's last grid row too.
     rng = np.random.default_rng(12 + row)
     x = rng.standard_normal((2, 4, 6, 7))
     k = rng.standard_normal((4, 2, 3, 3))
     x[0, 1, row, 3] = np.nan
-    want = oracles.conv2d_loop(x, k, padding=1, groups=2)
-    out = conv2d(Tensor(x), Tensor(k), padding=1, groups=2).data
-    assert np.array_equal(np.isnan(out), np.isnan(want))
-    assert np.isnan(out[0]).any() and np.isfinite(out[1]).all()
-    flipped = conv2d(Tensor(x[::-1]), Tensor(k), padding=1, groups=2).data
-    assert np.isfinite(flipped[0]).all()
-    assert np.array_equal(np.isnan(flipped[1]), np.isnan(want[0]))
+    for stride in (1, 2):
+        want = oracles.conv2d_loop(x, k, stride=stride, padding=1, groups=2)
+        out = conv2d(Tensor(x), Tensor(k), stride=stride, padding=1,
+                     groups=2).data
+        assert np.array_equal(np.isnan(out), np.isnan(want))
+        assert np.isnan(out[0]).any() and np.isfinite(out[1]).all()
+        flipped = conv2d(Tensor(x[::-1]), Tensor(k), stride=stride, padding=1,
+                         groups=2).data
+        assert np.isfinite(flipped[0]).all()
+        assert np.array_equal(np.isnan(flipped[1]), np.isnan(want[0]))
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+def test_conv_row_columns_zero_rows_past_the_padding(stride, monkeypatch):
+    # hp = 7 is no multiple of the stride, so the last grid row of the late
+    # phases lies below the padded input: only cropped grid rows read it,
+    # but it must hold zeros, not what np.empty left there
+    full = np.full
+    monkeypatch.setattr(np, "empty", lambda shape, dtype=float: full(
+        shape, np.inf, dtype=dtype))
+    x = np.random.default_rng(9).standard_normal((2, 4, 5, 6))
+    cols = ad._row_columns(x, 3, stride, 1, 2)
+    hq, wo = -(-7 // stride), 5 // stride + 1
+    assert cols.shape == (2, 2 * 3, stride, 2 * hq * wo)
+    assert np.isfinite(cols).all()
+    grid = cols.reshape(2, 6, stride, 2, hq, wo)
+    assert not grid[:, :, 7 - stride * (hq - 1):, :, hq - 1].any()
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv_forward_builds_no_im2col_columns(stride, monkeypatch):
+    # every stride runs the row-column forward; _im2col serves the pullback
+    calls = []
+    im2col = ad._im2col
+    monkeypatch.setattr(ad, "_im2col",
+                        lambda *args: calls.append(args[1:]) or im2col(*args))
+    x = np.random.default_rng(10).standard_normal((2, 4, 7, 7))
+    k = np.random.default_rng(11).standard_normal((4, 2, 3, 3))
+    out = conv2d(Tensor(x), Tensor(k), stride=stride, padding=1, groups=2)
+    assert out.shape == (2, 4, 6 // stride + 1, 6 // stride + 1)
+    assert calls == []
 
 
 def test_conv_linearity():
@@ -1163,6 +1212,23 @@ def test_sgd_two_step_hand_oracle():
     npt.assert_allclose(p.data, [0.81], rtol=1e-12)
     sgd_nesterov_step([p], g, state)
     npt.assert_allclose(p.data, [0.539], rtol=1e-12)
+
+
+@pytest.mark.parametrize("param_dtype,grad_dtype", [
+    (np.float32, np.float64), (np.float64, np.float32)])
+def test_sgd_rejects_a_gradient_of_another_dtype(param_dtype, grad_dtype):
+    # the in-place update would round a float64 gradient into a float32
+    # parameter, here a built net's stem; nothing is stepped
+    net = build_network(NetworkSpec(blocks_per_stage=1, stage_widths=(4, 4, 4),
+                                    input_shape=(3, 4, 4)),
+                        seed=0, dtype=param_dtype)
+    before = net.stem.data.copy()
+    grads = {net.stem: Tensor(np.ones(before.shape, dtype=grad_dtype))}
+    state = OptimState(lr=0.1)
+    with pytest.raises(ValueError, match="gradient dtype"):
+        sgd_nesterov_step([net.stem], grads, state)
+    assert np.array_equal(net.stem.data, before)
+    assert not state.velocities
 
 
 def test_sgd_weight_decay_exclusion():

@@ -188,6 +188,13 @@ def test_spec_rejects_unknown_keys():
         NetworkSpec.from_dict({"blocks_per_stage": 2, "bogus": 1})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("stage_widths", 16), ("input_shape", None), ("input_shape", 3.0)])
+def test_spec_from_dict_rejects_non_sequences(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a sequence"):
+        NetworkSpec.from_dict({"blocks_per_stage": 1, field: value})
+
+
 def test_spec_roundtrip():
     spec = small_spec(transform_kind="idempotent_cmr",
                       transform_params={"B": "width"})
