@@ -1,10 +1,12 @@
 """Dense tensors, a recording tape, and reverse-mode differentiation.
 
-The forward operations cover exactly what the building blocks need:
-convolution, batch normalization, ReLU, pooling, affine layers, channel
-mixing, and softmax cross-entropy. Every operation executed while a
-:class:`Graph` is active is appended to the tape; :func:`backward` and
-:func:`vjp` walk the tape in reverse to produce gradients.
+The forward operations are the ones the networks and analyses use:
+convolution, batch normalization (with an optional fused ReLU), add,
+channel mixing, global pooling, dense, softmax cross-entropy and
+reduce_sum, plus a standalone ReLU that no block calls. Every operation
+executed while a :class:`Graph` is active is appended to the tape;
+:func:`backward` and :func:`vjp` walk the tape in reverse to produce
+gradients.
 
 A tape node keeps its input and output tensors, and its VJP closure
 keeps what its pullback reads: mostly the same arrays, plus per-channel
@@ -601,6 +603,8 @@ def channel_mix(x, matrix: np.ndarray, plus=None) -> Tensor:
         raise ValueError(f"channel_mix expects NCHW input, got {x.shape}")
     n, c, h, w = x.data.shape
     mat = np.asarray(matrix)
+    if np.iscomplexobj(mat):
+        raise ValueError(f"mixing matrix must be real, got {mat.dtype}")
     if mat.shape != (c, c):
         raise ValueError(
             f"mixing matrix has shape {mat.shape}, input has {c} channels")

@@ -23,7 +23,6 @@ from . import transforms
 from .autodiff import (BatchNormState, Tensor, _is_int, add, batch_norm,
                        channel_mix, conv2d, dense, global_avg_pool,
                        relu)  # noqa: F401
-from .transforms import StructuredTransform
 
 __all__ = [
     "NetworkSpec",
@@ -42,7 +41,7 @@ BRANCH_MODES = ("single", "multi", "depthwise")
 class NetworkSpec:
     """Declarative architecture description.
 
-    ``transform_kind`` accepts any structured-transform kind plus
+    ``transform_kind`` accepts any of ``transforms.KINDS`` plus
     ``"none"`` for the no-skip control (P = 0). ``transform_params`` may
     carry only ``B`` (idempotent branch count: an integer or ``"width"``,
     resolved per stage) and ``N`` (period of a periodic transform);
@@ -218,7 +217,7 @@ class BuildingBlock:
 
     def set_skip(self, skip: Optional[np.ndarray]) -> None:
         if skip is not None:
-            skip = np.asarray(skip, dtype=np.float64)
+            skip = transforms._as_matrix(skip)
             if skip.shape != (self.width, self.width):
                 raise ValueError(
                     f"skip matrix shape {skip.shape} does not match width "
@@ -373,7 +372,7 @@ class Network:
                 continue
             arr = _checked(key, state[key], dtype, shape)
             if key.endswith(".skip"):
-                _check_skip_kind(self.spec, key, arr)
+                arr = _check_skip_kind(self.spec, key, arr)
                 # blocks of one stage that load equal skips share one array
                 stage = key.partition(".")[0]
                 if stage in stage_skip and np.array_equal(stage_skip[stage], arr):
@@ -398,10 +397,13 @@ class Network:
 
 def _checked(key: str, value, dtype, shape: tuple) -> np.ndarray:
     """A copy of one checkpoint array in ``dtype``, or ValueError naming
-    ``key`` if its shape is not ``shape``, an entry is not finite, or an
-    entry is beyond ``dtype``'s range. Both value checks run in the source
-    dtype, before the cast."""
+    ``key`` if its dtype is not integer or real float, its shape is not
+    ``shape``, an entry is not finite, or an entry is beyond ``dtype``'s
+    range. Both value checks run in the source dtype, before the cast."""
     src = np.asarray(value)
+    if src.dtype.kind not in "iuf":
+        raise ValueError(f"checkpoint tensor {key!r} has dtype {src.dtype}, "
+                         f"expected integers or real floats")
     if src.shape != shape:
         raise ValueError(f"checkpoint tensor {key!r} has shape {src.shape}, "
                          f"expected {shape}")
@@ -413,22 +415,23 @@ def _checked(key: str, value, dtype, shape: tuple) -> np.ndarray:
     return np.array(src, dtype=dtype)
 
 
-def _check_skip_kind(spec: NetworkSpec, key: str, skip: np.ndarray) -> None:
-    """ValueError naming ``key`` unless ``skip`` meets the invariant of the
-    spec's transform kind; a ``"none"`` network takes no skip at all."""
+def _check_skip_kind(spec: NetworkSpec, key: str,
+                     skip: np.ndarray) -> np.ndarray:
+    """``skip`` read-only, as built skips are, or ValueError naming ``key``
+    unless it meets the invariant of the spec's transform kind; a
+    ``"none"`` network takes no skip at all."""
     if spec.transform_kind == "none":
         raise ValueError(f"checkpoint tensor {key!r} is a skip, but the "
                          f"network's transform kind is 'none'")
-    params = {"N": spec.resolve_period()} \
-        if spec.transform_kind == "periodic" else {}
     try:
-        StructuredTransform(skip, spec.transform_kind, params)
+        return transforms.check_kind(skip, spec.transform_kind,
+                                     spec.resolve_period())
     except ValueError as err:
         raise ValueError(f"checkpoint tensor {key!r}: {err}") from err
 
 
 def _make_transform(spec: NetworkSpec, width: int,
-                    seed: int) -> Optional[StructuredTransform]:
+                    seed: int) -> Optional[np.ndarray]:
     """The spec's skip transform at one width; ``"none"`` gives None."""
     kind = spec.transform_kind
     if kind == "none":
@@ -466,9 +469,8 @@ def build_network(spec: NetworkSpec, seed: int = 0,
     stages = []
     for width in widths:
         groups = spec.resolve_branches(width)
-        made = [_make_transform(spec, width, int(seed_rng.integers(2 ** 31)))
-                for _ in range(draws)]
-        mats = [None if t is None else t.matrix for t in made] * (k // draws)
+        mats = [_make_transform(spec, width, int(seed_rng.integers(2 ** 31)))
+                for _ in range(draws)] * (k // draws)
         # set_skip keeps the instance when the dtype already matches, so
         # blocks built from one stage matrix share it
         stages.append([BuildingBlock(width, groups, mat, rng, dtype)

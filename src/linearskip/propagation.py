@@ -203,7 +203,7 @@ def _norm(v) -> float:
 
 
 def skip_path_gain(p, x) -> float:
-    """|| P x ||_2 / || x ||_2 for a composed skip path P, such as Φ(n, m)."""
+    """|| P x ||_2 / || x ||_2 for a square matrix P, such as Φ(n, m)."""
     mat = transforms._as_matrix(p)
     xd = np.asarray(x, dtype=np.float64)
     base = _norm(xd)
@@ -214,7 +214,7 @@ def skip_path_gain(p, x) -> float:
 
 
 def gradient_skip_gain(p, g) -> float:
-    """|| P^T g ||_2 / || g ||_2 for a gradient signal g."""
+    """|| P^T g ||_2 / || g ||_2 for a square matrix P and a gradient g."""
     return skip_path_gain(transforms._as_matrix(p).T, g)
 
 
@@ -226,7 +226,7 @@ class NullSpaceSplit:
 
 
 def null_space_components(p, v) -> NullSpaceSplit:
-    """Split v = Pv + (v - Pv) for an idempotent P.
+    """Split v = Pv + (v - Pv) for an idempotent square matrix P.
 
     For symmetric P the two parts are orthogonal and the squared-norm
     fractions sum to 1; for oblique projectors only the algebraic split

@@ -1,9 +1,9 @@
 """Skip-connection matrices: identity, merge-and-run idempotents, Kronecker
 orthogonals, and the periodic extension.
 
-All constructors return a :class:`StructuredTransform`, an immutable square
-float64 matrix tagged with its kind; the class constructor re-validates the
-kind's defining invariant, so hand-built matrices can also be wrapped.
+A skip transform is a plain read-only square float64 matrix. Each
+constructor checks its output with :func:`check_kind`, which states each
+kind's defining law once and checks hand-built matrices the same way.
 
 Every invariant check passes when each entry of its residual is within
 one tolerance, ``_INVARIANT_TOL``, so a matrix gets one verdict in every
@@ -12,7 +12,7 @@ module; the constructors meet their invariants to within 5e-15.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Union
 
@@ -22,7 +22,7 @@ from .autodiff import Tensor, _is_int, channel_mix
 
 __all__ = [
     "KINDS",
-    "StructuredTransform",
+    "check_kind",
     "Diagonalization",
     "make_identity",
     "make_idempotent_mr",
@@ -52,46 +52,37 @@ def _check_count(name: str, value) -> None:
 
 
 def _as_matrix(p) -> np.ndarray:
-    if isinstance(p, StructuredTransform):
-        return p.matrix
-    m = np.asarray(p, dtype=np.float64)
+    """``p`` as a real square float64 matrix (itself when it is one)."""
+    m = np.asarray(p)
+    if np.iscomplexobj(m):
+        raise ValueError(f"matrix must be real, got {m.dtype}")
+    m = m.astype(np.float64, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-@dataclass(frozen=True)
-class StructuredTransform:
-    """Square channel-mixing matrix with its construction kind and params."""
-
-    matrix: np.ndarray
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"transform matrix must be square, got {m.shape}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "identity":
-            law, holds = "P = I", _within_tol(m - np.eye(m.shape[0]))
-        elif self.kind.startswith("idempotent"):
-            law, holds = "P @ P = P", is_idempotent(m)
-        elif self.kind.startswith("orthogonal"):
-            law, holds = "Q^T Q = I", is_orthogonal(m)
-        else:
-            n = self.params.get("N")
-            _check_count("periodic N", n)
-            law, holds = f"P^{n + 1} = P", _within_tol(matrix_power(m, n + 1) - m)
-        if not holds:
-            raise ValueError(f"matrix tagged {self.kind} violates {law} beyond "
-                             f"{_INVARIANT_TOL}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def rank(self) -> int:
-        return rank(self.matrix)
+def check_kind(p, kind: str, n=None) -> np.ndarray:
+    """``p`` as a read-only float64 copy, or ValueError unless it meets the
+    law of ``kind``: P = I (identity), P @ P = P (idempotent_*),
+    Q^T Q = I (orthogonal_*) or P^(n+1) = P (periodic, period ``n``)."""
+    m = np.array(_as_matrix(p))
+    if kind not in KINDS:
+        raise ValueError(f"unknown transform kind {kind!r}")
+    if kind == "identity":
+        law, holds = "P = I", _within_tol(m - np.eye(m.shape[0]))
+    elif kind.startswith("idempotent"):
+        law, holds = "P @ P = P", is_idempotent(m)
+    elif kind.startswith("orthogonal"):
+        law, holds = "Q^T Q = I", is_orthogonal(m)
+    else:
+        _check_count("periodic N", n)
+        law, holds = f"P^{n + 1} = P", _within_tol(matrix_power(m, n + 1) - m)
+    if not holds:
+        raise ValueError(f"matrix tagged {kind} violates {law} beyond "
+                         f"{_INVARIANT_TOL}")
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -103,12 +94,12 @@ class Diagonalization:
     lam: np.ndarray
 
 
-def make_identity(r: int) -> StructuredTransform:
+def make_identity(r: int) -> np.ndarray:
     _check_count("channel count", r)
-    return StructuredTransform(np.eye(r), "identity")
+    return check_kind(np.eye(r), "identity")
 
 
-def make_idempotent_mr(r: int, b: int) -> StructuredTransform:
+def make_idempotent_mr(r: int, b: int) -> np.ndarray:
     """Merge-and-run projector: a BxB grid of identity blocks scaled 1/B.
 
     Rank is exactly r / b; b = 1 degenerates to the identity matrix.
@@ -119,13 +110,13 @@ def make_idempotent_mr(r: int, b: int) -> StructuredTransform:
         raise ValueError(f"branch count {b} must divide channel count {r}")
     block = np.eye(r // b)
     m = np.tile(block, (b, b)) / b
-    return StructuredTransform(m, "idempotent_mr", {"B": b})
+    return check_kind(m, "idempotent_mr")
 
 
-def make_idempotent_cmr(r: int, b: int) -> StructuredTransform:
+def make_idempotent_cmr(r: int, b: int) -> np.ndarray:
     """Complement of the merge-and-run projector: I - P_MR, rank r - r/b."""
-    mr = make_idempotent_mr(r, b).matrix
-    return StructuredTransform(np.eye(r) - mr, "idempotent_cmr", {"B": b})
+    mr = make_idempotent_mr(r, b)
+    return check_kind(np.eye(r) - mr, "idempotent_cmr")
 
 
 _TP_FACTOR = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
@@ -138,10 +129,10 @@ def _check_power_of_two(r: int) -> int:
     return r.bit_length() - 1
 
 
-def make_orthogonal_tp(r: int) -> StructuredTransform:
+def make_orthogonal_tp(r: int) -> np.ndarray:
     """Kronecker power of the fixed 2x2 rotation (1/sqrt2)[[1,-1],[1,1]]."""
     k = _check_power_of_two(r)
-    return StructuredTransform(reduce(np.kron, [_TP_FACTOR] * k), "orthogonal_tp")
+    return check_kind(reduce(np.kron, [_TP_FACTOR] * k), "orthogonal_tp")
 
 
 def _random_o2(rng: np.random.Generator) -> np.ndarray:
@@ -154,15 +145,15 @@ def _random_o2(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def make_orthogonal_random(r: int, seed: int) -> StructuredTransform:
+def make_orthogonal_random(r: int, seed: int) -> np.ndarray:
     """Kronecker product of log2(r) seeded random O(2) factors."""
     k = _check_power_of_two(r)
     rng = np.random.default_rng(seed)
     m = reduce(np.kron, [_random_o2(rng) for _ in range(k)])
-    return StructuredTransform(m, "orthogonal_random", {"seed": seed})
+    return check_kind(m, "orthogonal_random")
 
 
-def make_periodic(r: int, n: int, seed: int) -> StructuredTransform:
+def make_periodic(r: int, n: int, seed: int) -> np.ndarray:
     """Random matrix with P^(N+1) = P.
 
     Eigenvalues are 0 or N-th roots of unity; complex pairs are realized
@@ -195,7 +186,7 @@ def make_periodic(r: int, n: int, seed: int) -> StructuredTransform:
         core[0, 0] = 1.0
     basis, _ = np.linalg.qr(rng.standard_normal((r, r)))
     m = basis.T @ core @ basis
-    return StructuredTransform(m, "periodic", {"N": n, "seed": seed})
+    return check_kind(m, "periodic", n)
 
 
 def _within_tol(residual: np.ndarray) -> bool:
@@ -229,8 +220,8 @@ def rank(p) -> int:
 
 
 def matrix_power(p, k: int) -> np.ndarray:
-    if k < 0:
-        raise ValueError(f"exponent must be non-negative, got {k}")
+    if not _is_int(k) or k < 0:
+        raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
     m = _as_matrix(p)
     out = np.eye(m.shape[0])
     for _ in range(k):
@@ -276,8 +267,8 @@ def diagonalize_idempotent(p) -> Diagonalization:
 
 
 def apply_transform(p, x) -> Union[Tensor, np.ndarray]:
-    """Mix channels of an NCHW input by P (a StructuredTransform or a raw
-    matrix) at every spatial position, with the one op ``channel_mix``.
+    """Mix channels of an NCHW input by a square matrix P at every spatial
+    position, with the one op ``channel_mix``.
 
     A Tensor goes straight in (pullback P^T @ g). A plain array goes in as
     ``Tensor(x)``, so a non-float one is mixed in float64, and comes back

@@ -653,6 +653,12 @@ def test_channel_mix_matches_loop_oracle():
     npt.assert_allclose(out.data, oracles.mix_channels(mat, x), atol=1e-12)
 
 
+def test_channel_mix_rejects_complex_matrix():
+    x = Tensor(np.ones((1, 2, 2, 2)))
+    with pytest.raises(ValueError, match="must be real, got complex128"):
+        channel_mix(x, (1 + 1j) * np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -1148,7 +1154,7 @@ def test_gradcheck_pool_mix(seed):
 def test_gradcheck_full_block():
     # one y = Px + F(x) unit with a random mixing matrix, checked end to end
     rng = np.random.default_rng(42)
-    blk = BuildingBlock(8, 1, tr.make_orthogonal_random(8, 17).matrix,
+    blk = BuildingBlock(8, 1, tr.make_orthogonal_random(8, 17),
                         np.random.default_rng(5))
     x = Tensor(rng.standard_normal((2, 8, 5, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 8)))
@@ -1166,7 +1172,7 @@ def test_gradcheck_full_block():
 def test_deterministic_forward_and_gradients():
     def run():
         rng = np.random.default_rng(77)
-        blk = BuildingBlock(4, 1, tr.make_identity(4).matrix,
+        blk = BuildingBlock(4, 1, tr.make_identity(4),
                             np.random.default_rng(3))
         x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
         with Graph() as g:

@@ -124,7 +124,7 @@ def test_shared_q_bases_are_the_powers_of_q():
 
 def test_orthogonal_converter_names_the_non_orthogonal_block():
     net = make_net("orthogonal_tp", k=3, seed=4)
-    net.stages[1][1].set_skip(tr.make_idempotent_mr(8, 2).matrix)
+    net.stages[1][1].set_skip(tr.make_idempotent_mr(8, 2))
     with pytest.raises(ValueError,
                        match="stage 2 block 2 skip matrix is not orthogonal"):
         eq.convert_orthogonal_to_identity(net)
@@ -167,7 +167,7 @@ def test_idempotent_converter_names_the_block_that_differs():
     # every block is idempotent, but block 3 of stage 2 carries the
     # complement of the stage's projector
     net = make_net("idempotent_mr", {"B": 2}, k=3)
-    net.stages[1][2].set_skip(tr.make_idempotent_cmr(8, 2).matrix)
+    net.stages[1][2].set_skip(tr.make_idempotent_cmr(8, 2))
     with pytest.raises(ValueError, match="stage 2 block 3 skip matrix "
                                          "differs from block 1's"):
         eq.convert_idempotent_to_diagonal(net)

@@ -25,7 +25,7 @@ def small_spec(**kw):
 # block construction
 
 def test_single_branch_identity_block_adds_input():
-    blk = BuildingBlock(16, 1, tr.make_identity(16).matrix,
+    blk = BuildingBlock(16, 1, tr.make_identity(16),
                         np.random.default_rng(0))
     x = Tensor(np.random.default_rng(0).standard_normal((2, 16, 6, 6)))
     out = blk.forward(x, mode="eval")
@@ -34,7 +34,7 @@ def test_single_branch_identity_block_adds_input():
 
 
 def test_multi_branch_block_splits_width():
-    blk = BuildingBlock(32, 4, tr.make_idempotent_mr(32, 4).matrix,
+    blk = BuildingBlock(32, 4, tr.make_idempotent_mr(32, 4),
                         np.random.default_rng(1))
     assert blk.groups == 4
     assert blk.conv1.shape == (32, 8, 3, 3)
@@ -54,7 +54,7 @@ def test_multi_branch_is_block_diagonal_over_branches():
 
 
 def test_depthwise_block_uses_one_channel_per_branch():
-    blk = BuildingBlock(64, 64, tr.make_identity(64).matrix,
+    blk = BuildingBlock(64, 64, tr.make_identity(64),
                         np.random.default_rng(2))
     assert blk.groups == 64
     assert blk.conv1.shape == (64, 1, 3, 3)
@@ -65,8 +65,8 @@ def test_block_width_group_mismatch():
         BuildingBlock(6, 4, None, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("skip", [tr.make_idempotent_mr(16, 2).matrix,
-                                  tr.make_identity(16).matrix],
+@pytest.mark.parametrize("skip", [tr.make_idempotent_mr(16, 2),
+                                  tr.make_identity(16)],
                          ids=["idempotent_mr", "identity"])
 def test_block_tape_keeps_five_activations(skip):
     # bn1, conv1, the clamped bn2, conv2 and the block output; a separate
@@ -391,6 +391,17 @@ def test_stage_blocks_share_matrix_instance():
             assert all(blk.skip is stage[0].skip for blk in stage)
 
 
+def test_set_skip_rejects_complex_and_misfit_matrices():
+    blk = BuildingBlock(4, 1, tr.make_identity(4), np.random.default_rng(0))
+    p = tr.make_idempotent_mr(4, 2)
+    with pytest.raises(ValueError, match="must be real, got complex128"):
+        blk.set_skip(p + 1j)
+    with pytest.raises(ValueError, match="does not match width 4"):
+        blk.set_skip(np.eye(8))
+    blk.set_skip(p)
+    assert blk.skip is p
+
+
 def test_random_orthogonal_per_block_differs():
     spec = small_spec(blocks_per_stage=2, stage_widths=(4, 8, 8),
                       transform_kind="orthogonal_random")
@@ -401,13 +412,13 @@ def test_random_orthogonal_per_block_differs():
 
 def test_depthwise_channel_equivariance():
     width = 8
-    blk = BuildingBlock(width, width, tr.make_identity(width).matrix,
+    blk = BuildingBlock(width, width, tr.make_identity(width),
                         np.random.default_rng(9))
     rng = np.random.default_rng(10)
     x = rng.standard_normal((2, width, 5, 5))
     perm = rng.permutation(width)
 
-    permuted = BuildingBlock(width, width, tr.make_identity(width).matrix,
+    permuted = BuildingBlock(width, width, tr.make_identity(width),
                              np.random.default_rng(9))
     permuted.conv1.data = blk.conv1.data[perm].copy()
     permuted.conv2.data = blk.conv2.data[perm].copy()
@@ -472,7 +483,12 @@ def test_load_state_copies_running_stats():
     ("stage1.block1.post_mix", np.full((4, 4), np.nan), "has non-finite"),
     ("stage1.block1.bn1.running_mean", np.zeros(5), "has shape"),
     ("stage2.block1.conv1", np.full((8, 8, 3, 3), np.inf), "has non-finite"),
-], ids=["pre_mix_shape", "post_mix_nan", "running_mean_shape", "conv_inf"])
+    ("stage1.block1.skip", np.eye(4) + 0j, "has dtype complex128"),
+    ("stage1.block1.bn1.running_mean", np.array(["0"] * 4), "has dtype <U1"),
+    ("head.bias", np.zeros(10, dtype=object), "has dtype object"),
+    ("stage1.block1.pre_mix", np.eye(4, dtype=bool), "has dtype bool"),
+], ids=["pre_mix_shape", "post_mix_nan", "running_mean_shape", "conv_inf",
+        "skip_complex", "running_mean_str", "head_bias_object", "pre_mix_bool"])
 def test_load_state_rejects_bad_array(key, value, reason):
     source = build_network(small_spec(), seed=6)
     for blk in source.stages[0]:
@@ -566,6 +582,16 @@ def test_load_state_rejects_skip_breaking_its_kind(kind, params):
     state["stage2.block2.skip"] = 2.0 * np.eye(8)
     with pytest.raises(ValueError, match=re.escape("'stage2.block2.skip'")):
         target.load_state(state)
+
+
+def test_loaded_skips_are_read_only_as_built():
+    spec = small_spec(transform_kind="idempotent_mr", transform_params={"B": 2})
+    target = build_network(spec, seed=7)
+    target.load_state(build_network(spec, seed=6).state_dict())
+    for stage in target.stages:
+        assert all(blk.skip is stage[0].skip for blk in stage)
+        with pytest.raises(ValueError, match="read-only"):
+            stage[0].skip[0, 0] = 2.0
 
 
 def test_load_state_no_skip_network_rejects_skip():

@@ -122,7 +122,7 @@ def test_forward_expansion_idempotent_collapse():
 
 def test_forward_expansion_orthogonal_with_power_oracle():
     net = stage_net("orthogonal_random", k=5, seed=3)
-    q = tr.make_orthogonal_random(8, seed=3).matrix
+    q = tr.make_orthogonal_random(8, seed=3)
     for blk in net.stages[0]:
         blk.set_skip(q)  # one P for the whole stage
     trace = prop.capture_trace(net, input_batch(5), stage=1, m=1, n=5)
@@ -191,9 +191,9 @@ def test_per_block_orthogonal_net_traces_every_stage(dtype):
 
 
 def test_mixed_skip_stage_traces_and_verifies():
-    skips = [np.eye(8), tr.make_idempotent_mr(8, 2).matrix,
-             tr.make_orthogonal_tp(8).matrix,
-             tr.make_periodic(8, 3, seed=2).matrix, None]
+    skips = [np.eye(8), tr.make_idempotent_mr(8, 2),
+             tr.make_orthogonal_tp(8),
+             tr.make_periodic(8, 3, seed=2), None]
     net = stage_net("identity", k=6, seed=12)
     for blk, p in zip(net.stages[0], skips):
         blk.set_skip(p)
@@ -342,7 +342,7 @@ def test_orthogonal_gains_are_one():
 def test_idempotent_column_space_gain_one():
     p = tr.make_idempotent_mr(8, 2)
     rng = np.random.default_rng(12)
-    v = p.matrix @ rng.standard_normal(8)
+    v = p @ rng.standard_normal(8)
     for k in (1, 2, 7):
         pk = tr.matrix_power(p, k)
         assert abs(prop.skip_path_gain(pk, v) - 1.0) <= 1e-9
@@ -352,7 +352,7 @@ def test_idempotent_null_space_gain_zero():
     p = tr.make_idempotent_cmr(8, 2)
     rng = np.random.default_rng(13)
     # null space of CMR = column space of MR
-    v = tr.make_idempotent_mr(8, 2).matrix @ rng.standard_normal(8)
+    v = tr.make_idempotent_mr(8, 2) @ rng.standard_normal(8)
     for k in (1, 2, 5):
         assert prop.skip_path_gain(tr.matrix_power(p, k), v) <= 1e-9
 
@@ -388,7 +388,7 @@ def test_gains_float32():
 def test_null_split_of_column_vector():
     p = tr.make_idempotent_mr(6, 3)
     rng = np.random.default_rng(14)
-    v = p.matrix @ rng.standard_normal(6)
+    v = p @ rng.standard_normal(6)
     split = prop.null_space_components(p, v)
     npt.assert_allclose(split.null_part, 0.0, atol=1e-12)
     assert split.fractions[0] == pytest.approx(1.0)

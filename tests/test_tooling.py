@@ -1,6 +1,12 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md states."""
+"""Checks on the repository itself: the CI workflow runs the tier-1
+command that ROADMAP.md states, and the library keeps no dead import."""
 
+import ast
+import importlib
+import importlib.util
 import re
+import types
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,3 +22,40 @@ def test_workflow_runs_the_roadmap_tier1_command():
                      flags=re.MULTILINE)
     assert step is not None
     assert step.group(1).strip() == stated[0]
+
+
+def _tracer_lookups() -> dict:
+    """Module name -> the attributes that ``benchmark/tracing.py``'s
+    ``_targets()`` looks up on that module."""
+    spec = importlib.util.spec_from_file_location(
+        "_tracing", ROOT / "benchmark" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    out = defaultdict(set)
+    for owner, attr, _ in tracing._targets():
+        if isinstance(owner, types.ModuleType):
+            out[owner.__name__].add(attr)
+    return out
+
+
+def test_every_library_import_is_used():
+    # an import stays only if its module uses it, exports it, or the
+    # benchmark's tracer wraps it there
+    pinned = _tracer_lookups()
+    unused = {}
+    for path in sorted((ROOT / "src" / "linearskip").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.partition(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        name = f"linearskip.{path.stem}"
+        exported = set(getattr(importlib.import_module(name), "__all__", ()))
+        dead = imported - used - exported - pinned[name]
+        if dead:
+            unused[name] = sorted(dead)
+    assert not unused

@@ -19,33 +19,33 @@ import oracles
 def test_mr_block_structure():
     t = tr.make_idempotent_mr(4, 2)
     expected = 0.5 * np.tile(np.eye(2), (2, 2))
-    npt.assert_allclose(t.matrix, expected, atol=0)
+    npt.assert_allclose(t, expected, atol=0)
     for i in range(4):
         for j in range(4):
-            assert t.matrix[i, j] == (0.5 if i % 2 == j % 2 else 0.0)
+            assert t[i, j] == (0.5 if i % 2 == j % 2 else 0.0)
 
 
 def test_mr_rank_is_r_over_b():
-    assert tr.make_idempotent_mr(4, 2).rank() == 2
-    assert tr.make_idempotent_mr(8, 4).rank() == 2
-    assert tr.make_idempotent_mr(8, 8).rank() == 1
+    assert tr.rank(tr.make_idempotent_mr(4, 2)) == 2
+    assert tr.rank(tr.make_idempotent_mr(8, 4)) == 2
+    assert tr.rank(tr.make_idempotent_mr(8, 8)) == 1
 
 
 def test_mr_single_branch_is_identity():
-    npt.assert_array_equal(tr.make_idempotent_mr(2, 1).matrix, np.eye(2))
+    npt.assert_array_equal(tr.make_idempotent_mr(2, 1), np.eye(2))
 
 
 def test_cmr_definition_and_rank():
     t = tr.make_idempotent_cmr(4, 2)
-    npt.assert_allclose(t.matrix,
-                        np.eye(4) - tr.make_idempotent_mr(4, 2).matrix, atol=0)
-    assert t.rank() == 2
+    npt.assert_allclose(t,
+                        np.eye(4) - tr.make_idempotent_mr(4, 2), atol=0)
+    assert tr.rank(t) == 2
     assert tr.rank(tr.make_idempotent_cmr(8, 4)) == 6
 
 
 def test_cmr_mr_are_complementary_projectors():
-    mr = tr.make_idempotent_mr(4, 2).matrix
-    cmr = tr.make_idempotent_cmr(4, 2).matrix
+    mr = tr.make_idempotent_mr(4, 2)
+    cmr = tr.make_idempotent_cmr(4, 2)
     npt.assert_allclose(cmr @ mr, np.zeros((4, 4)), atol=1e-15)
 
 
@@ -72,18 +72,18 @@ def test_constructors_require_positive_integer_counts(make, args, name):
 
 @pytest.mark.parametrize("n", [1.5, 1.0, 0, True])
 def test_periodic_tag_requires_positive_integer_n(n):
-    p = tr.make_periodic(4, 1, seed=0).matrix  # meets P^2 = P
+    p = tr.make_periodic(4, 1, seed=0)  # meets P^2 = P
     with pytest.raises(ValueError, match=re.escape(
             f"periodic N must be a positive integer, got {n!r}")):
-        tr.StructuredTransform(p, "periodic", {"N": n})
+        tr.check_kind(p, "periodic", n)
 
 
 def test_periodic_tag_has_no_default_period():
-    p = tr.make_periodic(4, 2, seed=1).matrix  # meets P^3 = P, not P^2 = P
+    p = tr.make_periodic(4, 2, seed=1)  # meets P^3 = P, not P^2 = P
     with pytest.raises(ValueError, match=re.escape(
             "periodic N must be a positive integer, got None")):
-        tr.StructuredTransform(p, "periodic")
-    assert tr.StructuredTransform(p, "periodic", {"N": 2}).params == {"N": 2}
+        tr.check_kind(p, "periodic")
+    npt.assert_array_equal(tr.check_kind(p, "periodic", 2), p)
 
 
 @pytest.mark.parametrize("make,args", [
@@ -101,18 +101,18 @@ def test_constructors_require_positive_integer_channel_count(make, args):
 
 def test_orthogonal_tp_base_case():
     t = tr.make_orthogonal_tp(2)
-    npt.assert_allclose(t.matrix,
+    npt.assert_allclose(t,
                         np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0),
                         rtol=1e-15)
 
 
 def test_orthogonal_tp_kron_expansion():
     t = tr.make_orthogonal_tp(4)
-    m = tr.make_orthogonal_tp(2).matrix
-    npt.assert_allclose(t.matrix, np.kron(m, m), atol=0)
-    assert t.matrix[0, 0] == pytest.approx(0.5)
-    assert t.matrix[0, 3] == pytest.approx(0.5)
-    npt.assert_allclose(t.matrix.T @ t.matrix, np.eye(4), atol=1e-15)
+    m = tr.make_orthogonal_tp(2)
+    npt.assert_allclose(t, np.kron(m, m), atol=0)
+    assert t[0, 0] == pytest.approx(0.5)
+    assert t[0, 3] == pytest.approx(0.5)
+    npt.assert_allclose(t.T @ t, np.eye(4), atol=1e-15)
 
 
 def test_orthogonal_requires_power_of_two():
@@ -126,34 +126,34 @@ def test_orthogonal_requires_power_of_two():
 def test_orthogonal_random_is_orthogonal_and_deterministic():
     for seed in (0, 1, 17):
         a = tr.make_orthogonal_random(8, seed)
-        assert np.abs(a.matrix.T @ a.matrix - np.eye(8)).max() <= 1e-10
+        assert np.abs(a.T @ a - np.eye(8)).max() <= 1e-10
         b = tr.make_orthogonal_random(8, seed)
-        npt.assert_array_equal(a.matrix, b.matrix)
+        npt.assert_array_equal(a, b)
 
 
 def test_orthogonal_random_distinct_seeds_differ():
-    a = tr.make_orthogonal_random(4, seed=0).matrix
-    b = tr.make_orthogonal_random(4, seed=1).matrix
+    a = tr.make_orthogonal_random(4, seed=0)
+    b = tr.make_orthogonal_random(4, seed=1)
     assert np.abs(a - b).max() > 1e-6
 
 
 def test_periodic_n1_is_idempotent():
     t = tr.make_periodic(4, 1, seed=3)
-    assert tr.is_idempotent(t.matrix)
+    assert tr.is_idempotent(t)
 
 
 def test_periodic_sign_matrix():
     p = np.diag([-1.0, 1.0])
-    t = tr.StructuredTransform(p, "periodic", {"N": 2})
-    npt.assert_allclose(oracles.matrix_power_loop(t.matrix, 3), t.matrix,
+    t = tr.check_kind(p, "periodic", 2)
+    npt.assert_allclose(oracles.matrix_power_loop(t, 3), t,
                         atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_periodic_power_identity(seed):
     t = tr.make_periodic(4, 3, seed=seed)
-    p4 = oracles.matrix_power_loop(t.matrix, 4)
-    assert np.abs(p4 - t.matrix).max() <= 1e-8
+    p4 = oracles.matrix_power_loop(t, 4)
+    assert np.abs(p4 - t).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +166,22 @@ def test_identity_is_idempotent_and_orthogonal():
 
 
 def test_idempotent_power_is_fixed_point():
-    p = tr.make_idempotent_mr(6, 3).matrix
+    p = tr.make_idempotent_mr(6, 3)
     npt.assert_allclose(tr.matrix_power(p, 5), p, atol=1e-10)
 
 
 def test_matrix_power_zero_is_identity():
-    p = tr.make_orthogonal_tp(4).matrix
+    p = tr.make_orthogonal_tp(4)
     npt.assert_array_equal(tr.matrix_power(p, 0), np.eye(4))
     with pytest.raises(ValueError, match="non-negative"):
         tr.matrix_power(p, -1)
+
+
+@pytest.mark.parametrize("k", [2.0, True, np.float64(1)])
+def test_matrix_power_requires_integer_exponent(k):
+    with pytest.raises(ValueError, match=re.escape(
+            f"exponent must be a non-negative integer, got {k!r}")):
+        tr.matrix_power(np.eye(2), k)
 
 
 def test_skip_products_match_loop_oracle():
@@ -209,19 +216,26 @@ def test_predicates_require_square():
         tr.is_idempotent(np.zeros((2, 3)))
 
 
-def test_structured_transform_rejects_wrong_kind():
-    with pytest.raises(ValueError, match="violates"):
-        tr.StructuredTransform(np.array([[2.0, 0.0], [0.0, 1.0]]),
-                               "idempotent_mr")
-    with pytest.raises(ValueError, match="violates"):
-        tr.StructuredTransform(np.array([[2.0, 0.0], [0.0, 1.0]]),
-                               "orthogonal_tp")
+@pytest.mark.parametrize("fn", [tr.is_idempotent, tr.rank,
+                                lambda m: tr.check_kind(m, "identity")],
+                         ids=["is_idempotent", "rank", "check_kind"])
+def test_matrices_must_be_real(fn):
+    with pytest.raises(ValueError, match="must be real, got complex128"):
+        fn(np.eye(2) + 0j)
 
 
-def test_structured_transform_matrix_is_immutable():
+def test_check_kind_rejects_wrong_kind():
+    with pytest.raises(ValueError, match="violates"):
+        tr.check_kind(np.array([[2.0, 0.0], [0.0, 1.0]]), "idempotent_mr")
+    with pytest.raises(ValueError, match="violates"):
+        tr.check_kind(np.array([[2.0, 0.0], [0.0, 1.0]]), "orthogonal_tp")
+
+
+def test_constructed_matrix_is_immutable():
     t = tr.make_orthogonal_tp(4)
+    assert t.dtype == np.float64
     with pytest.raises(ValueError):
-        t.matrix[0, 0] = 3.0
+        t[0, 0] = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +247,7 @@ def test_diagonalize_identity():
 
 
 def test_diagonalize_mr_unit_count():
-    p = tr.make_idempotent_mr(4, 2).matrix
+    p = tr.make_idempotent_mr(4, 2)
     d = tr.diagonalize_idempotent(p)
     assert int(d.lam.sum()) == 2
     # independent eigenvalue oracle
@@ -244,8 +258,8 @@ def test_diagonalize_mr_unit_count():
 
 
 def test_diagonalize_cmr_spans_complement_of_mr():
-    mr = tr.make_idempotent_mr(4, 2).matrix
-    cmr = tr.make_idempotent_cmr(4, 2).matrix
+    mr = tr.make_idempotent_mr(4, 2)
+    cmr = tr.make_idempotent_cmr(4, 2)
     d = tr.diagonalize_idempotent(cmr)
     assert int(d.lam.sum()) == 2
     unit_vectors = d.U_inv[:, d.lam > 0.5]
@@ -312,7 +326,7 @@ def test_apply_transform_plain_array(dtype, mixed_dtype, atol):
     p = tr.make_idempotent_cmr(4, 2)
     out = tr.apply_transform(p, x)
     assert out.dtype == mixed_dtype
-    npt.assert_allclose(out, oracles.mix_channels(p.matrix, x.astype(mixed_dtype)),
+    npt.assert_allclose(out, oracles.mix_channels(p, x.astype(mixed_dtype)),
                         atol=atol)
 
 
@@ -322,7 +336,7 @@ def test_apply_transform_array_is_channel_mix(dtype):
     x = rng.standard_normal((2, 8, 4, 4)).astype(dtype)
     p = tr.make_orthogonal_random(8, seed=1)
     npt.assert_array_equal(tr.apply_transform(p, x),
-                           channel_mix(Tensor(x), p.matrix).data)
+                           channel_mix(Tensor(x), p).data)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +344,7 @@ def test_apply_transform_array_is_channel_mix(dtype):
 
 def test_product_closure_of_orthogonals():
     rng = np.random.default_rng(3)
-    qs = [tr.make_orthogonal_random(8, seed=int(s)).matrix
+    qs = [tr.make_orthogonal_random(8, seed=int(s))
           for s in rng.integers(0, 1000, size=8)]
     prod = np.eye(8)
     for q in qs:
@@ -345,7 +359,7 @@ def test_product_closure_of_orthogonals():
     (tr.make_idempotent_cmr, (16, 2)),
 ])
 def test_idempotent_powers_stay_fixed(make, args):
-    p = make(*args).matrix
+    p = make(*args)
     pk = p.copy()
     for _ in range(1, 8):
         pk = pk @ p
@@ -355,7 +369,7 @@ def test_idempotent_powers_stay_fixed(make, args):
 def test_column_space_fixing():
     rng = np.random.default_rng(4)
     for b in (1, 2, 4):
-        p = tr.make_idempotent_mr(8, b).matrix
+        p = tr.make_idempotent_mr(8, b)
         x = rng.standard_normal((8, 5))
         npt.assert_allclose(p @ (p @ x), p @ x, atol=1e-10)
 
@@ -363,7 +377,7 @@ def test_column_space_fixing():
 def test_norm_preservation_bound():
     rng = np.random.default_rng(5)
     for seed in range(5):
-        q = tr.make_orthogonal_random(16, seed=seed).matrix
+        q = tr.make_orthogonal_random(16, seed=seed)
         x = rng.standard_normal(16)
         assert abs(np.linalg.norm(q @ x) - np.linalg.norm(x)) \
             <= 1e-10 * np.linalg.norm(x)
@@ -371,14 +385,14 @@ def test_norm_preservation_bound():
 
 def test_periodic_unit_eigenvalue_norm_maintenance():
     t = tr.make_periodic(6, 4, seed=9)
-    vals, vecs = np.linalg.eig(t.matrix)
+    vals, vecs = np.linalg.eig(t)
     unit = np.abs(np.abs(vals) - 1.0) < 1e-8
     assert unit.any()
     for idx in np.nonzero(unit)[0]:
         v = vecs[:, idx]
         pv = v.copy()
         for k in range(1, 6):
-            pv = t.matrix @ pv
+            pv = t @ pv
             assert abs(np.linalg.norm(pv) - np.linalg.norm(v)) <= 1e-8
 
 
@@ -388,37 +402,38 @@ def test_periodic_unit_eigenvalue_norm_maintenance():
 TOL = tr._INVARIANT_TOL
 
 
-def _invariant_miss(t):
-    """Largest entry of the residual of a transform's defining law."""
-    m = t.matrix
+def _invariant_miss(kind, n, m):
+    """Largest entry of the residual of a kind's defining law."""
     eye = np.eye(m.shape[0])
-    if t.kind == "identity":
+    if kind == "identity":
         return np.abs(m - eye).max()
-    if t.kind.startswith("idempotent"):
+    if kind.startswith("idempotent"):
         return np.abs(m @ m - m).max()
-    if t.kind.startswith("orthogonal"):
+    if kind.startswith("orthogonal"):
         return np.abs(m.T @ m - eye).max()
-    return np.abs(oracles.matrix_power_loop(m, t.params["N"] + 1) - m).max()
+    return np.abs(oracles.matrix_power_loop(m, n + 1) - m).max()
 
 
 def _every_constructor(widths, seeds, periods):
+    """(kind, period, matrix) for every constructor call over the grid."""
     for r in widths:
-        yield tr.make_identity(r)
+        yield "identity", None, tr.make_identity(r)
         for b in (d for d in range(1, r + 1) if r % d == 0):
-            yield tr.make_idempotent_mr(r, b)
-            yield tr.make_idempotent_cmr(r, b)
+            yield "idempotent_mr", None, tr.make_idempotent_mr(r, b)
+            yield "idempotent_cmr", None, tr.make_idempotent_cmr(r, b)
         if r & (r - 1) == 0:
-            yield tr.make_orthogonal_tp(r)
-            yield from (tr.make_orthogonal_random(r, s) for s in seeds)
-        yield from (tr.make_periodic(r, n, s) for n in periods for s in seeds)
+            yield "orthogonal_tp", None, tr.make_orthogonal_tp(r)
+            yield from (("orthogonal_random", None,
+                         tr.make_orthogonal_random(r, s)) for s in seeds)
+        yield from (("periodic", n, tr.make_periodic(r, n, s))
+                    for n in periods for s in seeds)
 
 
 def test_constructors_meet_invariants_with_margin():
-    misses = {(t.kind, t.matrix.shape[0], repr(t.params)): _invariant_miss(t)
-              for t in _every_constructor(range(2, 65), range(3),
-                                          (1, 2, 3, 4, 8))}
-    worst = max(misses, key=misses.get)
-    assert misses[worst] <= TOL / 1000, (worst, misses[worst])
+    worst = max((_invariant_miss(kind, n, m), kind, m.shape[0], n)
+                for kind, n, m in _every_constructor(range(2, 65), range(3),
+                                                     (1, 2, 3, 4, 8)))
+    assert worst[0] <= TOL / 1000, worst
 
 
 # Each probe misses its invariant by more than the one tolerance but by
@@ -426,10 +441,10 @@ def test_constructors_meet_invariants_with_margin():
 # matrix that the others reject.
 
 def test_nudged_idempotent_is_rejected_everywhere():
-    p = (1.0 + 5e-10) * tr.make_idempotent_mr(8, 2).matrix
+    p = (1.0 + 5e-10) * tr.make_idempotent_mr(8, 2)
     assert TOL < np.abs(p @ p - p).max() < 1e-8
     with pytest.raises(ValueError, match="violates"):
-        tr.StructuredTransform(p, "idempotent_mr", {"B": 2})
+        tr.check_kind(p, "idempotent_mr")
     assert not tr.is_idempotent(p)
     with pytest.raises(ValueError, match="not idempotent"):
         tr.diagonalize_idempotent(p)
@@ -445,10 +460,10 @@ def _nudge_skips(net, scale):
 
 
 def test_nudged_orthogonal_is_rejected_everywhere():
-    q = (1.0 + 1.5e-10) * tr.make_orthogonal_tp(8).matrix
+    q = (1.0 + 1.5e-10) * tr.make_orthogonal_tp(8)
     assert TOL < np.abs(q.T @ q - np.eye(8)).max() < 1e-9
     with pytest.raises(ValueError, match="violates"):
-        tr.StructuredTransform(q, "orthogonal_tp")
+        tr.check_kind(q, "orthogonal_tp")
     assert not tr.is_orthogonal(q)
     net = build_network(NetworkSpec(2, (4, 8, 8), transform_kind="orthogonal_tp",
                                     input_shape=(3, 8, 8)), seed=3)
