@@ -15,8 +15,10 @@ tape is dropped, and an array that only feeds the next op is dead weight
 there. Two such pairs are therefore one op each: ``batch_norm(...,
 relu=True)`` clamps in place, since ReLU's pullback needs only its
 output, and ``channel_mix(x, P, plus=y)`` adds y into the mix, since the
-sum's pullback needs nothing at all. A building block then keeps no
-array that only its next op reads (see ``network.BuildingBlock``).
+sum's pullback needs nothing at all. For the same reason a building
+block's sum takes over the array of its branch output F(x), which the
+tape then keeps only as a key. A building block so keeps no array that
+only its next op reads (see ``network.BuildingBlock``).
 
 A walk frees each cotangent once its node has consumed it, so it holds
 only the cotangents still live, not one per tape node. The exception is

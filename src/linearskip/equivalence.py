@@ -22,8 +22,9 @@ from .autodiff import Graph, backward, reduce_sum, Tensor
 from .network import Network
 # ``matrix_power`` is no longer called here, but tracers that wrap module
 # attributes (the benchmark's among them) still look it up on this module
-from .transforms import (diagonalize_idempotent, is_idempotent, is_orthogonal,
-                         matrix_power, skip_products)  # noqa: F401
+from .transforms import (_check_count, diagonalize_idempotent, is_idempotent,
+                         is_orthogonal, matrix_power,
+                         skip_products)  # noqa: F401
 
 __all__ = [
     "EquivalenceReport",
@@ -129,6 +130,7 @@ def _probe_inputs(net_a: Network, net_b: Network, num_inputs: int,
                   seed: int) -> np.ndarray:
     """Seeded standard-normal inputs for two networks that must agree on
     input shape and class count."""
+    _check_count("num_inputs", num_inputs)
     if net_a.spec.input_shape != net_b.spec.input_shape:
         raise ValueError(
             f"input shapes differ: {net_a.spec.input_shape} vs "

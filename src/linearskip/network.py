@@ -194,11 +194,16 @@ class BuildingBlock:
     and a non-identity skip and the final sum are one node
     (``channel_mix(x, P, plus=F(x))``), because the unclamped ``bn2``
     output and the mixed skip P x feed only the next op, whose pullback
-    reads neither. The activation-sized arrays kept are the outputs of
-    ``bn1``, ``conv1``, the clamped ``bn2``, ``conv2`` (with any
-    ``post_mix``) and the block itself. ``conv2``'s output, F(x), stays a
-    tensor of its own, because ``propagation.capture_trace`` seeds its
-    walks at the branch outputs.
+    reads neither. The block sum's pullback reads nothing, and the
+    pullback of ``conv2`` (or of a ``post_mix``) reads only its input, so
+    no pullback reads F(x) itself: :meth:`combine` rebinds the F(x)
+    tensor to the sum's array, and F(x)'s own buffer is freed. The
+    activation-sized arrays kept are then the outputs of ``bn1``,
+    ``conv1``, the clamped ``bn2`` and the block itself (plus the
+    ``pre_mix`` output and ``conv2``'s output when the wraps are set).
+    F(x) stays a tensor of its own, because ``propagation.capture_trace``
+    seeds its walks there; it keeps its own reference to each F(x) array
+    before the sum takes the tensor over.
     """
 
     def __init__(self, width: int, groups: int, skip: Optional[np.ndarray],
@@ -240,12 +245,19 @@ class BuildingBlock:
         return h
 
     def combine(self, x: Tensor, branch: Tensor) -> Tensor:
-        """The block equation ``y = P x + F(x)``, given ``branch = F(x)``."""
+        """The block equation ``y = P x + F(x)``, given ``branch = F(x)``.
+
+        With a skip, ``branch`` then holds y's array: read F(x) before."""
         if self.skip is None:
             return branch
         if self._skip_is_identity:
-            return add(x, branch)
-        return channel_mix(x, self.skip, plus=branch)
+            out = add(x, branch)
+        else:
+            out = channel_mix(x, self.skip, plus=branch)
+        # no pullback reads F(x)'s values, only its tensor as a tape key, so
+        # the sum takes over its array and F's own buffer is freed
+        branch.data = out.data
+        return out
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return self.combine(x, self.branch_output(x, mode))

@@ -53,6 +53,10 @@ class PropagationTrace:
 
     ``inputs[j]`` is x_{m+j}; ``branch_outputs[j]`` is x'_{m+j+1};
     ``gradients[j]`` is dL/dx_{m+j} for the probe loss L = sum(x_n).
+    ``branch_outputs`` are the trace's own references to the F(x) arrays:
+    a block's sum takes over its branch tensor's array (see
+    ``network.BuildingBlock``), so ``_branch_tensors`` serve only as the
+    tape keys that walks are seeded at.
     ``skips[j]`` is block m+j's skip P_{m+j} (zeros for a block without
     one); ``transform`` is the one skip they all share, or None when the
     span's blocks differ.
@@ -112,9 +116,12 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
             h = blk.forward(h, mode)
         input_tensors = []
         branch_tensors = []
+        branch_outputs = []
         for blk in blocks[m - 1:n - 1]:
             input_tensors.append(h)
             branch_tensors.append(blk.branch_output(h, mode))
+            # combine hands F(x)'s array over to the block sum
+            branch_outputs.append(branch_tensors[-1].data)
             h = blk.combine(h, branch_tensors[-1])
         input_tensors.append(h)  # x_n
         loss = reduce_sum(h)
@@ -125,7 +132,7 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
         stage=stage, m=m, n=n, skips=skips,
         transform=skips[0] if shared else None,
         inputs=[t.data for t in input_tensors],
-        branch_outputs=[t.data for t in branch_tensors],
+        branch_outputs=branch_outputs,
         gradients=gradients, _graph=graph, _input_tensors=input_tensors,
         _branch_tensors=branch_tensors)
     _check_trace(trace)

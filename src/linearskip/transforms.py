@@ -126,7 +126,7 @@ def _check_power_of_two(r: int) -> int:
     if not (_is_int(r) and r >= 2 and r & (r - 1) == 0):
         raise ValueError(f"channel count must be a power of 2, got {r}; "
                          f"Kronecker orthogonals need power-of-2 widths")
-    return r.bit_length() - 1
+    return int(r).bit_length() - 1
 
 
 def make_orthogonal_tp(r: int) -> np.ndarray:

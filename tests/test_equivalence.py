@@ -213,6 +213,15 @@ def test_input_gradient_deviation_rejects_class_mismatch():
         eq.input_gradient_deviation(a, b)
 
 
+@pytest.mark.parametrize("check", [eq.verify_equivalence,
+                                   eq.input_gradient_deviation])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+def test_probe_rejects_non_positive_integer_num_inputs(check, bad):
+    net = make_net("identity", k=1)
+    with pytest.raises(ValueError, match="num_inputs"):
+        check(net, net, num_inputs=bad)
+
+
 # ---------------------------------------------------------------------------
 # round-trip fidelity and gradient agreement
 

@@ -65,16 +65,8 @@ def test_block_width_group_mismatch():
         BuildingBlock(6, 4, None, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("skip", [tr.make_idempotent_mr(16, 2),
-                                  tr.make_identity(16)],
-                         ids=["idempotent_mr", "identity"])
-def test_block_tape_keeps_five_activations(skip):
-    # bn1, conv1, the clamped bn2, conv2 and the block output; a separate
-    # relu node adds the unclamped bn2 output, and a separate skip mix its
-    # P x (7 arrays with a mix, 6 without)
-    rng = np.random.default_rng(12)
-    blk = BuildingBlock(16, 1, skip, rng)
-    x = Tensor(rng.standard_normal((4, 16, 16, 16)), requires_grad=True)
+def _block_tape(blk, x):
+    """Tape node count and the bytes a train forward of ``blk`` keeps."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -83,8 +75,46 @@ def test_block_tape_keeps_five_activations(skip):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(graph) == 5
-    assert held <= 5.25 * x.data.nbytes
+    return len(graph), held
+
+
+@pytest.mark.parametrize("skip", [tr.make_idempotent_mr(16, 2),
+                                  tr.make_identity(16)],
+                         ids=["idempotent_mr", "identity"])
+def test_block_tape_keeps_four_activations(skip):
+    # bn1, conv1, the clamped bn2 and the block output, whose array the
+    # sum takes over from conv2's output F(x); a separate relu node adds
+    # the unclamped bn2 output, a separate skip mix its P x, and a sum
+    # that left F(x) its own array one more
+    rng = np.random.default_rng(12)
+    blk = BuildingBlock(16, 1, skip, rng)
+    x = Tensor(rng.standard_normal((4, 16, 16, 16)), requires_grad=True)
+    nodes, held = _block_tape(blk, x)
+    assert nodes == 5
+    assert held <= 4.25 * x.data.nbytes
+
+
+def test_wrapped_block_tape_keeps_six_activations():
+    # the pre_mix output and conv2's output, now the post_mix input, join
+    # the four; the post_mix output F(x) gives its array to the sum
+    rng = np.random.default_rng(13)
+    blk = BuildingBlock(16, 1, tr.make_identity(16), rng)
+    blk.pre_mix = tr.make_orthogonal_tp(16)
+    blk.post_mix = tr.make_orthogonal_tp(16).T
+    x = Tensor(rng.standard_normal((4, 16, 16, 16)), requires_grad=True)
+    nodes, held = _block_tape(blk, x)
+    assert nodes == 7
+    assert held <= 6.25 * x.data.nbytes
+
+
+def test_no_skip_block_tape_keeps_four_activations():
+    # with no skip there is no sum: conv2's output is the block output
+    rng = np.random.default_rng(14)
+    blk = BuildingBlock(16, 1, None, rng)
+    x = Tensor(rng.standard_normal((4, 16, 16, 16)), requires_grad=True)
+    nodes, held = _block_tape(blk, x)
+    assert nodes == 4
+    assert held <= 4.25 * x.data.nbytes
 
 
 # ---------------------------------------------------------------------------

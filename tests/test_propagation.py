@@ -4,7 +4,7 @@ import pytest
 
 from linearskip import propagation as prop
 from linearskip import transforms as tr
-from linearskip.autodiff import vjp
+from linearskip.autodiff import Tensor, vjp
 from linearskip.network import NetworkSpec, build_network
 from linearskip.transforms import apply_transform
 
@@ -79,6 +79,19 @@ def test_trace_matches_direct_forward(kind, m):
     for blk in net.stages[1][:2]:
         h = blk.forward(h, mode="eval")
     npt.assert_allclose(trace.x(3), h.data, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["identity", "idempotent_mr",
+                                  "orthogonal_tp"])
+def test_trace_keeps_branch_outputs_the_sum_took_over(kind):
+    # a block's sum takes over its branch tensor's array, so the trace
+    # must hold F(x_i) itself, not x_{i+1}
+    net = stage_net(kind, k=4)
+    trace = prop.capture_trace(net, input_batch(3), stage=1, m=1, n=4)
+    for i, blk in enumerate(net.stages[0][:3], start=1):
+        fresh = blk.branch_output(Tensor(trace.x(i)), mode="eval").data
+        npt.assert_array_equal(trace.branch(i), fresh)
+        assert not np.shares_memory(trace.branch(i), trace.x(i + 1))
 
 
 def test_trace_index_validation():

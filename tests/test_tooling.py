@@ -1,5 +1,6 @@
 """Checks on the repository itself: the CI workflow runs the tier-1
-command that ROADMAP.md states, and the library keeps no dead import."""
+command that ROADMAP.md states and fails a piped benchmark run, and the
+library keeps no dead import."""
 
 import ast
 import importlib
@@ -59,3 +60,20 @@ def test_every_library_import_is_used():
         if dead:
             unused[name] = sorted(dead)
     assert not unused
+
+
+def test_piped_benchmark_steps_fail_with_their_run():
+    # a run step's default shell has no pipefail, so a failed run piped
+    # into the job summary would pass its step; `shell: bash` runs with
+    # -eo pipefail
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    steps = re.split(r"^      - ", workflow.partition("\n    steps:\n")[2],
+                     flags=re.MULTILINE)[1:]
+    piped = [step for step in steps
+             if re.search(r"benchmark/run\.py[^\n]*\|", step)]
+    assert piped
+    for step in piped:
+        assert re.search(r"^        shell: bash$", step, flags=re.MULTILINE), step
+        for line in step.splitlines():
+            if "benchmark/run.py" in line:
+                assert line.rstrip().endswith('>> "$GITHUB_STEP_SUMMARY"'), line

@@ -123,6 +123,25 @@ def test_orthogonal_requires_power_of_two():
             tr.make_orthogonal_random(bad, seed=0)
 
 
+@pytest.mark.parametrize("np_int", [np.int64, np.int32])
+def test_orthogonal_accepts_numpy_int_widths(np_int):
+    npt.assert_array_equal(tr.make_orthogonal_tp(np_int(8)),
+                           tr.make_orthogonal_tp(8))
+    npt.assert_array_equal(tr.make_orthogonal_random(np_int(8), 0),
+                           tr.make_orthogonal_random(8, 0))
+    for kind in ("orthogonal_tp", "orthogonal_random"):
+        nets = [build_network(NetworkSpec(
+            blocks_per_stage=2, stage_widths=tuple(map(cast, (4, 8, 8))),
+            transform_kind=kind, input_shape=(3, 8, 8)), seed=3)
+            for cast in (np_int, int)]
+        x = np.random.default_rng(4).standard_normal((2, 3, 8, 8))
+        for stage_a, stage_b in zip(nets[0].stages, nets[1].stages):
+            for a, b in zip(stage_a, stage_b):
+                npt.assert_array_equal(a.skip, b.skip)
+        npt.assert_array_equal(nets[0].forward(x, mode="eval").data,
+                               nets[1].forward(x, mode="eval").data)
+
+
 def test_orthogonal_random_is_orthogonal_and_deterministic():
     for seed in (0, 1, 17):
         a = tr.make_orthogonal_random(8, seed)
