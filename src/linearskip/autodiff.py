@@ -1,8 +1,9 @@
 """Dense tensors, a recording tape, and reverse-mode differentiation.
 
 The forward operations are the ones the networks and analyses use:
-convolution, batch normalization (with an optional fused ReLU), add,
-channel mixing, global pooling, dense, softmax cross-entropy and
+convolution (with an optional batch normalization and ReLU of its
+input folded in), batch normalization (with an optional fused ReLU),
+add, channel mixing, global pooling, dense, softmax cross-entropy and
 reduce_sum, plus a standalone ReLU that no block calls. Every operation
 executed while a :class:`Graph` is active is appended to the tape;
 :func:`backward` and :func:`vjp` walk the tape in reverse to produce
@@ -11,14 +12,18 @@ gradients.
 A tape node keeps its input and output tensors, and its VJP closure
 keeps what its pullback reads: mostly the same arrays, plus per-channel
 statistics and the like. So every array an op returns lives until the
-tape is dropped, and an array that only feeds the next op is dead weight
-there. Two such pairs are therefore one op each: ``batch_norm(...,
-relu=True)`` clamps in place, since ReLU's pullback needs only its
-output, and ``channel_mix(x, P, plus=y)`` adds y into the mix, since the
-sum's pullback needs nothing at all. For the same reason a building
-block's sum takes over the array of its branch output F(x), which the
-tape then keeps only as a key. A building block so keeps no array that
-only its next op reads (see ``network.BuildingBlock``).
+tape is dropped, and an array that only feeds the next op, or that is a
+cheap function of an array the tape already holds, is dead weight there.
+Three such pairs are therefore one op each. ``conv2d(x, k, gamma=...,
+beta=..., state=..., relu=...)`` convolves ``relu?(batch_norm(x))``:
+the normalized input is a per-channel affine map of x, so its pullback
+recomputes it one batch chunk at a time instead of keeping it.
+``batch_norm(..., relu=True)`` clamps in place, since ReLU's pullback
+needs only its output, and ``channel_mix(x, P, plus=y)`` adds y into the
+mix, since the sum's pullback needs nothing at all. For the same reason
+a building block's sum takes over the array of its branch output F(x),
+which the tape then keeps only as a key. A building block so keeps no
+array that only its next op reads (see ``network.BuildingBlock``).
 
 A walk frees each cotangent once its node has consumed it, so it holds
 only the cotangents still live, not one per tape node. The exception is
@@ -291,27 +296,42 @@ def _col2im(gcols: np.ndarray, xp_shape: tuple, stride: int) -> np.ndarray:
     return gxp
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
+def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
+           gamma=None, beta=None, state: Optional[BatchNormState] = None,
+           mode: str = "train", relu: bool = False) -> Tensor:
     """2-D convolution (cross-correlation) over NCHW input, OIHW kernel.
 
     Supports grouped convolution; ``groups == channels`` gives the
     depthwise case. Linear in both input and kernel. ``stride``,
     ``padding`` and ``groups`` must be integers.
 
+    With ``gamma``, ``beta`` and ``state`` (all three or none) the op
+    convolves A = ``batch_norm(x, gamma, beta, state, mode, relu)``
+    instead of x, as one node with inputs ``(x, gamma, beta, kernel)``;
+    ``relu`` and ``mode`` need them. A is what :func:`batch_norm` would
+    return, bit for bit, and the running statistics move as its do. A is
+    lowered to columns and freed in the forward, and the pullback
+    recomputes it one batch chunk at a time, so the tape keeps no array
+    of A's size.
+
     The forward sums kh GEMMs over kw-fold row columns, at every stride
     (:func:`_correlate_rows`). The VJP retains only the input and kernel
-    arrays, which the node already references; no columns outlive the
-    forward call. The backward runs over batch chunks, each
-    building its columns (at most ``_PULLBACK_COLUMN_BYTES``, or one
-    image's) and using them for both gradients while they are in cache;
-    gk sums the chunks, and gx is written one contiguous NCHW slice per
-    chunk. Each gradient is computed only when the walk wants it.
-    At stride 1 (square kernel wider than the padding) the input gradient
-    is a correlation of the output gradient with the flipped, in/out
+    arrays, which the node already references, and with a normalization
+    its per-channel statistics; no columns outlive the forward call. The
+    backward runs over batch chunks, each building its columns (at most
+    ``_PULLBACK_COLUMN_BYTES``, or one image's) and using them for both
+    gradients while they are in cache; gk sums the chunks, and A's
+    gradient is written one contiguous NCHW slice per chunk. A chunk of A
+    (recomputed, or x's own) feeds the kernel gradient and, with ``relu``,
+    masks A's gradient. Each gradient is computed only when the walk wants
+    it. At stride 1 (square kernel wider than the padding) A's gradient is
+    a correlation of the output gradient with the flipped, in/out
     transposed kernel, and the kernel gradient reads the same columns of
-    the output gradient against the input. Otherwise, and when only the
-    kernel gradient is wanted, the kernel gradient rebuilds the input's
-    columns, and column gradients are scattered back with ``_col2im``.
+    the output gradient against A. Otherwise, and when only the kernel
+    gradient is wanted, the kernel gradient builds A's columns, and
+    column gradients are scattered back with ``_col2im``. With a
+    normalization, A's gradient then goes through batch norm's own
+    gradient formula (:func:`_bn_grads`).
     """
     x = _as_tensor(x)
     kernel = _as_tensor(kernel)
@@ -345,22 +365,65 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
         raise ValueError(
             f"kernel {kh}x{kw} with stride {stride}, padding {padding} does not "
             f"fit input {h}x{w}")
+    given = [t is not None for t in (gamma, beta, state)]
+    norm = all(given)
+    if any(given) and not norm:
+        raise ValueError("conv2d normalizes its input only given all of "
+                         "gamma, beta and state")
+    if (relu or mode != "train") and not norm:
+        raise ValueError("conv2d takes relu and mode only with a "
+                         "normalization of its input")
 
+    inputs = (x, kernel)
+    a = xd
+    if norm:
+        gamma, beta = _as_tensor(gamma), _as_tensor(beta)
+        _check_bn(xd, gamma, beta, state, mode)
+        inputs = (x, gamma, beta, kernel)
+        a, mu, var, invstd, scale = _normalize(xd, gamma.data, beta.data,
+                                               state, mode, relu)
     og = o // groups
-    out_data = _correlate_rows(xd, kd, stride, padding, groups)
+    out_data = _correlate_rows(a, kd, stride, padding, groups)
+    del a
     # the flipped kernel pads kernel - 1 - padding on every side: that needs
     # a square kernel wider than the padding
     flipped = stride == 1 and kh == kw and padding < kh
 
-    def pullback(g: np.ndarray, want_x: bool, want_k: bool):
-        # every gradient splits over images (gk sums them, gx slices them),
+    def conv_input(lo: int, hi: int, xc: Optional[np.ndarray],
+                   clamp: bool) -> np.ndarray:
+        """A for images lo:hi, channel-major as (C, nb, H, W): a view of x,
+        or with a normalization a fresh array that repeats the forward's
+        arithmetic exactly, from the centred input ``xc`` when there is
+        one; unclamped unless ``clamp``, which only the kernel gradient
+        needs (the ReLU mask A > 0 is the same either way)."""
+        if not norm:
+            return xd[lo:hi].transpose(1, 0, 2, 3)
+        acm = np.empty((c, hi - lo, h, w), dtype=xd.dtype)
+        view = acm.transpose(1, 0, 2, 3)
+        centred = (np.subtract(xd[lo:hi], mu[None, :, None, None], out=view)
+                   if xc is None else xc[lo:hi])
+        _affine(centred, scale, beta.data, relu and clamp, out=view)
+        return acm
+
+    def pullback(g: np.ndarray, *wanted: bool):
+        if norm:
+            want_x, want_gamma, want_beta, want_k = wanted
+            want_a = want_x or want_gamma or want_beta
+        else:
+            want_a, want_k = wanted
+        # every gradient splits over images (gk sums them, ga slices them),
         # so the pullback runs over batch chunks whose columns stay in cache
-        by_g = want_x and flipped
+        by_g = want_a and flipped
         image_cols = kh * kw * (o * h * w if by_g else c * ho * wo) * g.itemsize
         step = max(1, _PULLBACK_COLUMN_BYTES // image_cols)
-        gx = gk = None
-        if not (want_x or want_k):
-            return gx, gk
+        ga = gk = None
+        if not (want_a or want_k):
+            return (None,) * len(wanted)
+        masked = relu and want_a
+        # batch norm's gradient reads the centred input, so it is made
+        # first and each chunk of A is recomputed from it
+        xc = (_bn_centred(xd, mu, mode, want_x, want_gamma, want_beta)
+              if norm and want_a else None)
         if by_g:
             # contiguous: a depthwise kflip left as a negative-stride view
             # makes np.matmul bypass BLAS
@@ -368,8 +431,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
             kflip = np.ascontiguousarray(
                 kflip.transpose(0, 2, 1, 3, 4)).reshape(groups, cg, -1)
         for lo in range(0, n, step):
-            xs, gs = xd[lo:lo + step], g[lo:lo + step]
-            nb = len(xs)
+            gs = g[lo:lo + step]
+            nb = len(gs)
+            acm = (conv_input(lo, lo + nb, xc, want_k) if want_k or masked
+                   else None)
             if by_g:
                 # one column buffer of g serves both gradients: row (o, a, b)
                 # at input position (y, x) holds g[o, y + padding - (kh-1-a),
@@ -377,24 +442,25 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
                 # kw-1-b) of the kernel carried x[y, x] to
                 cols = _im2col(gs, kh, kw, 1, kh - 1 - padding, groups)
                 if want_k:
-                    xcm = xs.transpose(1, 0, 2, 3).reshape(groups, cg, nb * h * w)
+                    acols = acm.reshape(groups, cg, nb * h * w)
                     # the tall-output orientation, as for x's columns below
-                    part = np.matmul(cols, xcm.transpose(0, 2, 1))
-                    del xcm
-                gxs = np.matmul(kflip, cols).reshape(c, nb, h, w)
+                    part = np.matmul(cols, acols.transpose(0, 2, 1))
+                    del acols
+                gas = np.matmul(kflip, cols).reshape(c, nb, h, w)
                 del cols
             else:
                 gg = gs.transpose(1, 0, 2, 3).reshape(groups, og, nb * ho * wo)
                 if want_k:
-                    cols = _im2col(xs, kh, kw, stride, padding, groups)
+                    cols = _im2col(acm.transpose(1, 0, 2, 3), kh, kw, stride,
+                                   padding, groups)
                     # (columns @ g^T)^T: OpenBLAS ran this tall-output GEMM 1.3
                     # to 1.9x faster than g @ columns^T on the stage-1 shapes
                     part = np.matmul(cols, gg.transpose(0, 2, 1))
                     del cols
-                if want_x:
+                if want_a:
                     kmat = kd.reshape(groups, og, cg * kh * kw)
                     gcols = np.matmul(kmat.transpose(0, 2, 1), gg)
-                    gxs = _col2im(gcols.reshape(c, kh, kw, nb, ho, wo),
+                    gas = _col2im(gcols.reshape(c, kh, kw, nb, ho, wo),
                                   (c, nb, h + 2 * padding, w + 2 * padding),
                                   stride)[:, :, padding:padding + h,
                                           padding:padding + w]
@@ -402,20 +468,38 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
                 del gg
             if want_k:
                 gk = part if gk is None else np.add(gk, part, out=gk)
-            if want_x:
-                if gx is None:
-                    gx = np.empty(xd.shape, dtype=xd.dtype)
-                gx[lo:lo + nb] = gxs.transpose(1, 0, 2, 3)
-                del gxs
+            if want_a:
+                if ga is None:
+                    ga = np.empty(xd.shape, dtype=xd.dtype)
+                if masked:
+                    # (A > 0) * ga, as relu's pullback: nothing reads A's
+                    # chunk any more, so the comparison is written into it
+                    # as 1.0 / 0.0 (a bool mask would be cast more slowly)
+                    np.greater(acm, 0, out=acm)
+                    np.multiply(acm.transpose(1, 0, 2, 3),
+                                gas.transpose(1, 0, 2, 3), out=ga[lo:lo + nb])
+                else:
+                    ga[lo:lo + nb] = gas.transpose(1, 0, 2, 3)
+                del gas
+            del acm
         if want_k and by_g:
             gk = gk.reshape(groups, og, kh, kw, cg)[:, :, ::-1, ::-1]
             gk = np.ascontiguousarray(
                 gk.transpose(0, 1, 4, 2, 3)).reshape(kd.shape)
         elif want_k:
             gk = gk.transpose(0, 2, 1).reshape(kd.shape)
-        return gx, gk
+        if not norm:
+            return ga, gk
+        # ga is the pullback's own array, so batch norm's gradient is built in it
+        if want_a:
+            return _bn_grads(ga, True, xc, invstd, scale, mode, want_x,
+                             want_gamma, want_beta) + (gk,)
+        return None, None, None, gk
 
-    return _record("conv2d", (x, kernel), out_data, pullback)
+    out = _record("conv2d", inputs, out_data, pullback)
+    if norm and mode == "train":
+        _update_running_stats(state, mu, var)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +513,102 @@ class BatchNormState:
     def __init__(self, channels: int, dtype=np.float64):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
+
+
+def _check_bn(xd: np.ndarray, gamma: Tensor, beta: Tensor,
+              state: BatchNormState, mode: str) -> None:
+    """ValueError unless a batch norm of the NCHW array ``xd`` can take
+    these parameters, this state and this mode."""
+    n, c = xd.shape[:2]
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise ValueError(
+            f"gamma/beta must have shape ({c},), got {gamma.data.shape} and "
+            f"{beta.data.shape}")
+    if n == 0:
+        raise ValueError("batch norm requires a non-empty batch")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if {state.running_mean.dtype, state.running_var.dtype} != {xd.dtype}:
+        raise ValueError(f"batch norm state dtype is not {xd.dtype}")
+
+
+def _affine(centred: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+            relu: bool, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``centred * scale + shift`` per channel, clamped at zero with
+    ``relu``, for the NCHW array or view ``centred`` = x - mu, written to
+    ``out`` (default: in place); returns it. Every batch-norm output, and
+    every recompute of one, is this arithmetic."""
+    out = np.multiply(centred, scale[None, :, None, None],
+                      out=centred if out is None else out)
+    out += shift[None, :, None, None]
+    if relu:
+        np.maximum(out, 0, out=out)
+    return out
+
+
+def _normalize(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               state: BatchNormState, mode: str, relu: bool) -> tuple:
+    """Batch norm of the NCHW array ``xd`` as (out, mu, var, invstd,
+    scale), scale = gamma * invstd. ``train`` takes mu and the biased
+    (ddof=0) var from the batch, var from the centred values; ``eval``
+    takes the running buffers."""
+    m = xd.size // xd.shape[1]
+    if mode == "train":
+        mu = xd.mean(axis=(0, 2, 3))
+    else:
+        mu, var = state.running_mean, state.running_var
+    out = xd - mu[None, :, None, None]
+    if mode == "train":
+        var = np.einsum("nchw,nchw->c", out, out) / m
+    invstd = 1.0 / np.sqrt(var + _BN_EPS)
+    scale = gamma * invstd
+    return _affine(out, scale, beta, relu), mu, var, invstd, scale
+
+
+def _bn_centred(xd: np.ndarray, mu: np.ndarray, mode: str, want_x: bool,
+                want_gamma: bool, want_beta: bool) -> Optional[np.ndarray]:
+    """The centred input x - mu that :func:`_bn_grads` reads for these
+    wanted gradients, as a fresh array, or None if it reads none."""
+    if want_gamma or want_beta or (want_x and mode == "train"):
+        return xd - mu[None, :, None, None]
+    return None
+
+
+def _bn_grads(g: np.ndarray, own_g: bool, xc: Optional[np.ndarray],
+              invstd: np.ndarray, scale: np.ndarray, mode: str, want_x: bool,
+              want_gamma: bool, want_beta: bool) -> tuple:
+    """(gx, ggamma, gbeta) of batch norm for the cotangent ``g`` of its
+    unclamped output (a caller with a ReLU masks g first), each None
+    unless wanted. ``xc`` is :func:`_bn_centred`'s array, which this
+    overwrites. gx is built in g when the caller owns it (``own_g``), so
+    the one activation-sized temporary besides is ``xc``."""
+    m = g.size // g.shape[1]
+    gx = ggamma = gbeta = None
+    if xc is not None:
+        gsum = g.sum(axis=(0, 2, 3))
+        gx_hat_sum = invstd * np.einsum("nchw,nchw->c", g, xc)
+        gbeta = gsum if want_beta else None
+        ggamma = gx_hat_sum if want_gamma else None
+    if want_x:
+        # gx = scale * (g - gsum / m - xhat * gx_hat_sum / m) in train
+        # mode, scale * g in eval
+        gx = np.multiply(g, scale[None, :, None, None],
+                         out=g if own_g else None)
+        if mode == "train":
+            xc *= (-scale * invstd * gx_hat_sum / m)[None, :, None, None]
+            gx += xc
+            gx -= (scale * gsum / m)[None, :, None, None]
+    return gx, ggamma, gbeta
+
+
+def _update_running_stats(state: BatchNormState, mu: np.ndarray,
+                          var: np.ndarray) -> None:
+    """Exponential moving average of a train batch's statistics into the
+    running buffers, rebound rather than updated in place: an eval node's
+    VJP reads the old mu."""
+    keep = _BN_MOMENTUM
+    state.running_mean = keep * state.running_mean + (1.0 - keep) * mu
+    state.running_var = keep * state.running_var + (1.0 - keep) * var
 
 
 def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
@@ -445,71 +625,36 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
     stands for ``relu(batch_norm(...))`` and the unclamped array is never
     kept. The VJP masks the cotangent with ``out > 0`` first, exactly as
     :func:`relu`'s does, and reads nothing else of the output.
+
+    A batch norm that feeds a convolution is better folded into it
+    (:func:`conv2d`'s ``gamma``, ``beta`` and ``state``), which keeps no
+    array of the output's size; this op keeps its output.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"batch_norm expects NCHW input, got shape {xd.shape}")
-    n, c, h, w = xd.shape
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ValueError(
-            f"gamma/beta must have shape ({c},), got {gamma.data.shape} and "
-            f"{beta.data.shape}")
-    if n == 0:
-        raise ValueError("batch_norm requires a non-empty batch")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if {state.running_mean.dtype, state.running_var.dtype} != {xd.dtype}:
-        raise ValueError(f"batch_norm state dtype is not {xd.dtype}")
-    m = n * h * w
-
-    if mode == "train":
-        mu = xd.mean(axis=(0, 2, 3))
-    else:
-        mu, var = state.running_mean, state.running_var
-    out_data = xd - mu[None, :, None, None]
-    if mode == "train":
-        var = np.einsum("nchw,nchw->c", out_data, out_data) / m
-    invstd = 1.0 / np.sqrt(var + _BN_EPS)
-    scale = gamma.data * invstd
-    out_data *= scale[None, :, None, None]
-    out_data += beta.data[None, :, None, None]
-    if relu:
-        np.maximum(out_data, 0, out=out_data)
+    _check_bn(xd, gamma, beta, state, mode)
+    out_data, mu, var, invstd, scale = _normalize(xd, gamma.data, beta.data,
+                                                  state, mode, relu)
 
     def pullback(g: np.ndarray, want_x: bool, want_gamma: bool,
                  want_beta: bool):
         # two activation-sized temporaries at most: the masked copy of g,
         # which gx is then built in, and the centred input
-        gx = ggamma = gbeta = None
         if relu:
             # g * (out > 0) without a mask array: the comparison is cast
             # to 1.0 / 0.0 as it is written
             masked = np.greater(out_data, 0, out=np.empty_like(g))
             g = np.multiply(masked, g, out=masked)
-        if want_gamma or want_beta or (want_x and mode == "train"):
-            xc = xd - mu[None, :, None, None]
-            gsum = g.sum(axis=(0, 2, 3))
-            gx_hat_sum = invstd * np.einsum("nchw,nchw->c", g, xc)
-            gbeta = gsum if want_beta else None
-            ggamma = gx_hat_sum if want_gamma else None
-        if want_x:
-            # gx = scale * (g - gsum / m - xhat * gx_hat_sum / m) in train
-            # mode, scale * g in eval; in place when g is the masked copy
-            gx = np.multiply(g, scale[None, :, None, None],
-                             out=g if relu else None)
-            if mode == "train":
-                xc *= (-scale * invstd * gx_hat_sum / m)[None, :, None, None]
-                gx += xc
-                gx -= (scale * gsum / m)[None, :, None, None]
-        return gx, ggamma, gbeta
+        return _bn_grads(g, relu,
+                         _bn_centred(xd, mu, mode, want_x, want_gamma,
+                                     want_beta),
+                         invstd, scale, mode, want_x, want_gamma, want_beta)
 
     out = _record("batch_norm", (x, gamma, beta), out_data, pullback)
     if mode == "train":
-        # rebound, not updated in place: an eval node's VJP reads the old mu
-        keep = _BN_MOMENTUM
-        state.running_mean = keep * state.running_mean + (1.0 - keep) * mu
-        state.running_var = keep * state.running_var + (1.0 - keep) * var
+        _update_running_stats(state, mu, var)
     return out
 
 

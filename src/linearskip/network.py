@@ -17,12 +17,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import transforms
-# ``relu`` is no longer called here (``bn2`` applies it), but tracers that
-# wrap module attributes (the benchmark's among them) still look it up on
+# ``batch_norm`` and ``relu`` are no longer called here (each block folds
+# its batch norms and ReLU into its convolutions), but tracers that wrap
+# module attributes (the benchmark's among them) still look them up on
 # this module
-from .autodiff import (BatchNormState, Tensor, _is_int, add, batch_norm,
-                       channel_mix, conv2d, dense, global_avg_pool,
-                       relu)  # noqa: F401
+from .autodiff import (BatchNormState, Tensor, _is_int, add,  # noqa: F401
+                       batch_norm, channel_mix, conv2d, dense,
+                       global_avg_pool, relu)
 
 __all__ = [
     "NetworkSpec",
@@ -91,6 +92,9 @@ class NetworkSpec:
         skip transform can be built. The kind rules are not restated here:
         each stage's transform is built once, so the constructor that
         :func:`build_network` calls is the one that accepts or rejects it."""
+        if not isinstance(self.transform_params, dict):
+            raise ValueError(f"transform_params must be a dict, got "
+                             f"{self.transform_params!r}")
         fields = [(name, getattr(self, name)) for name in
                   ("blocks_per_stage", "num_branches", "num_classes")]
         fields += [(f"{name}[{i}]", v) for name in ("stage_widths", "input_shape")
@@ -160,10 +164,6 @@ class BNLayer:
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.state = BatchNormState(channels, dtype)
 
-    def __call__(self, x: Tensor, mode: str, relu: bool = False) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.state, mode,
-                          relu=relu)
-
 
 def _he_conv(rng: np.random.Generator, out_ch: int, in_ch: int, k: int,
              dtype) -> Tensor:
@@ -190,20 +190,21 @@ class BuildingBlock:
     would reject it.
 
     On a tape the block keeps only arrays that some pullback reads.
-    ``bn2`` and its ReLU are one node (``batch_norm(..., relu=True)``),
-    and a non-identity skip and the final sum are one node
-    (``channel_mix(x, P, plus=F(x))``), because the unclamped ``bn2``
-    output and the mixed skip P x feed only the next op, whose pullback
-    reads neither. The block sum's pullback reads nothing, and the
-    pullback of ``conv2`` (or of a ``post_mix``) reads only its input, so
-    no pullback reads F(x) itself: :meth:`combine` rebinds the F(x)
-    tensor to the sum's array, and F(x)'s own buffer is freed. The
-    activation-sized arrays kept are then the outputs of ``bn1``,
-    ``conv1``, the clamped ``bn2`` and the block itself (plus the
-    ``pre_mix`` output and ``conv2``'s output when the wraps are set).
-    F(x) stays a tensor of its own, because ``propagation.capture_trace``
-    seeds its walks there; it keeps its own reference to each F(x) array
-    before the sum takes the tensor over.
+    Each batch norm is folded into the convolution it feeds: ``bn1`` ->
+    ``conv1`` and ``bn2`` + ReLU -> ``conv2`` are one ``conv2d`` node each
+    (its ``gamma``/``beta``/``state`` arguments), whose pullback
+    recomputes the normalized input from its own input. A non-identity
+    skip and the final sum are one node (``channel_mix(x, P, plus=F(x))``),
+    because the mixed skip P x feeds only the sum, whose pullback reads
+    nothing. The pullback of ``conv2`` (or of a ``post_mix``) reads only
+    its input, so no pullback reads F(x) itself: :meth:`combine` rebinds
+    the F(x) tensor to the sum's array, and F(x)'s own buffer is freed.
+    The activation-sized arrays kept are then the outputs of ``conv1``
+    and of the block itself (plus the ``pre_mix`` output and ``conv2``'s
+    output when the wraps are set). F(x) stays a tensor of its own,
+    because ``propagation.capture_trace`` seeds its walks there; it keeps
+    its own reference to each F(x) array before the sum takes the tensor
+    over.
     """
 
     def __init__(self, width: int, groups: int, skip: Optional[np.ndarray],
@@ -236,13 +237,18 @@ class BuildingBlock:
         h = x
         if self.pre_mix is not None:
             h = channel_mix(h, self.pre_mix)
-        h = self.bn1(h, mode)
-        h = conv2d(h, self.conv1, stride=1, padding=1, groups=self.groups)
-        h = self.bn2(h, mode, relu=True)
-        h = conv2d(h, self.conv2, stride=1, padding=1, groups=self.groups)
+        h = self._normalized_conv(h, self.bn1, self.conv1, mode)
+        h = self._normalized_conv(h, self.bn2, self.conv2, mode, relu=True)
         if self.post_mix is not None:
             h = channel_mix(h, self.post_mix)
         return h
+
+    def _normalized_conv(self, h: Tensor, bn: BNLayer, kernel: Tensor,
+                         mode: str, relu: bool = False) -> Tensor:
+        """The branch's 3x3 convolution of ``relu?(bn(h))``, as one node."""
+        return conv2d(h, kernel, stride=1, padding=1, groups=self.groups,
+                      gamma=bn.gamma, beta=bn.beta, state=bn.state, mode=mode,
+                      relu=relu)
 
     def combine(self, x: Tensor, branch: Tensor) -> Tensor:
         """The block equation ``y = P x + F(x)``, given ``branch = F(x)``.
@@ -366,8 +372,9 @@ class Network:
 
     def load_state(self, state: dict) -> None:
         """Copy a checkpoint in; every array must have its slot's shape and
-        only finite entries that fit its slot's dtype, and every skip must
-        meet the invariant of the spec's transform kind."""
+        only finite entries that fit its slot's dtype, no running variance
+        may be negative, and every skip must meet the invariant of the
+        spec's transform kind."""
         consumed = set()
         for name, tensor, _ in self.parameters():
             if name not in state:
@@ -383,6 +390,9 @@ class Network:
                 store(None)
                 continue
             arr = _checked(key, state[key], dtype, shape)
+            if key.endswith(".running_var") and (arr < 0).any():
+                raise ValueError(f"checkpoint tensor {key!r} has negative "
+                                 f"entries")
             if key.endswith(".skip"):
                 arr = _check_skip_kind(self.spec, key, arr)
                 # blocks of one stage that load equal skips share one array

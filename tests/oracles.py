@@ -118,8 +118,18 @@ def mix_channels(mat, x):
     return out
 
 
-def batch_norm_relu(x, gamma, beta, mean=None, var=None, eps=1e-5):
-    """max(BN(x), 0), one channel at a time, in float64.
+def _channel_stats(v, ci, mean, var):
+    """(mu, var) of one channel's values ``v``: the batch's own (biased
+    variance) without ``mean``/``var``, else the fixed ones."""
+    mu = v.mean() if mean is None else float(mean[ci])
+    var_c = ((v - mu) ** 2).mean() if var is None else float(var[ci])
+    return mu, var_c
+
+
+def batch_norm_relu(x, gamma, beta, mean=None, var=None, eps=1e-5,
+                    relu=True):
+    """max(BN(x), 0), or BN(x) itself without ``relu``, one channel at a
+    time, in float64.
 
     Without ``mean``/``var`` the statistics are the batch's own (train
     mode, biased variance); with them they are fixed (eval mode).
@@ -128,11 +138,53 @@ def batch_norm_relu(x, gamma, beta, mean=None, var=None, eps=1e-5):
     out = np.empty_like(x)
     for ci in range(x.shape[1]):
         v = x[:, ci]
-        mu = v.mean() if mean is None else float(mean[ci])
-        var_c = ((v - mu) ** 2).mean() if var is None else float(var[ci])
+        mu, var_c = _channel_stats(v, ci, mean, var)
         y = (v - mu) / np.sqrt(var_c + eps) * float(gamma[ci]) + float(beta[ci])
-        out[:, ci] = np.where(y > 0.0, y, 0.0)
+        out[:, ci] = np.where(y > 0.0, y, 0.0) if relu else y
     return out
+
+
+def batch_norm_relu_vjp(x, gamma, beta, gy, mean=None, var=None, eps=1e-5,
+                        relu=True):
+    """Gradients (gx, ggamma, gbeta) of sum(gy * batch_norm_relu(x, ...)),
+    one channel at a time, in float64, from the textbook closed form: with
+    batch statistics dx = gamma / std * (dz - mean(dz) - xhat *
+    mean(dz * xhat)), with fixed ones dx = gamma / std * dz, where dz is
+    gy masked by the ReLU."""
+    x = np.asarray(x, dtype=np.float64)
+    gy = np.asarray(gy, dtype=np.float64)
+    gx = np.empty_like(x)
+    ggamma = np.empty(x.shape[1])
+    gbeta = np.empty(x.shape[1])
+    for ci in range(x.shape[1]):
+        v = x[:, ci]
+        mu, var_c = _channel_stats(v, ci, mean, var)
+        std = np.sqrt(var_c + eps)
+        xhat = (v - mu) / std
+        dz = gy[:, ci]
+        if relu:
+            dz = np.where(xhat * float(gamma[ci]) + float(beta[ci]) > 0.0,
+                          dz, 0.0)
+        gbeta[ci] = dz.sum()
+        ggamma[ci] = (dz * xhat).sum()
+        if mean is None:
+            dz = dz - dz.mean() - xhat * (dz * xhat).mean()
+        gx[:, ci] = float(gamma[ci]) / std * dz
+    return gx, ggamma, gbeta
+
+
+def bn_conv_loop(x, gamma, beta, k, g, mean=None, var=None, relu=True,
+                 stride=1, padding=0, groups=1):
+    """conv2d_loop of batch_norm_relu(x, ...) and, for the output
+    cotangent ``g``, its gradients (gx, ggamma, gbeta, gk): the loop
+    conv's gradients of the normalized input, pulled back through
+    batch_norm_relu_vjp."""
+    a = batch_norm_relu(x, gamma, beta, mean, var, relu=relu)
+    out = conv2d_loop(a, k, stride, padding, groups)
+    ga, gk = conv2d_vjp_loop(a, k, g, stride, padding, groups)
+    gx, ggamma, gbeta = batch_norm_relu_vjp(x, gamma, beta, ga, mean, var,
+                                            relu=relu)
+    return out, (gx, ggamma, gbeta, gk)
 
 
 def mix_plus(mat, x, y):

@@ -523,6 +523,209 @@ def test_batch_norm_eval_vjp_keeps_its_statistics():
 
 
 # ---------------------------------------------------------------------------
+# conv2d with a folded batch norm: conv2d(relu?(batch_norm(x)), k), one node
+
+def _bn_conv_arrays(n=2, c=8, o=8, groups=1, seed=0):
+    """x, gamma, beta, running mean, running var and kernel; gamma takes
+    both signs, so the ReLU masks different sides of different channels."""
+    rng = np.random.default_rng(seed)
+    x = 1.5 * rng.standard_normal((n, c, 6, 5)) + 0.5
+    gamma = rng.standard_normal(c) + 0.5
+    beta = 0.5 * rng.standard_normal(c)
+    mean = rng.standard_normal(c)
+    var = rng.uniform(0.5, 2.0, c)
+    k = rng.standard_normal((o, c // groups, 3, 3))
+    return x, gamma, beta, mean, var, k
+
+
+def _bn_state(mean, var, dtype):
+    state = BatchNormState(len(mean), dtype)
+    state.running_mean = mean.astype(dtype)
+    state.running_var = var.astype(dtype)
+    return state
+
+
+def _bn_conv_tape(arrays, mode, relu, dtype, stride=1, groups=1, fused=True):
+    """A tape of the folded node, or of batch_norm then conv2d, on fresh
+    leaves (x, gamma, beta, kernel) and a fresh state; returns the tape,
+    its output, the leaves and the state."""
+    x, gamma, beta, mean, var, k = arrays
+    state = _bn_state(mean, var, dtype)
+    leaves = [Tensor(a, requires_grad=True, dtype=dtype)
+              for a in (x, gamma, beta, k)]
+    xt, gt, bt, kt = leaves
+    with Graph() as graph:
+        if fused:
+            out = conv2d(xt, kt, stride, 1, groups, gamma=gt, beta=bt,
+                         state=state, mode=mode, relu=relu)
+        else:
+            out = conv2d(batch_norm(xt, gt, bt, state, mode, relu=relu), kt,
+                         stride, 1, groups)
+    return graph, out, leaves, state
+
+
+def _bn_conv_grads(graph, out, leaves, g):
+    grads = ad.vjp(graph, {out: g.astype(out.dtype)}, wrt=leaves)
+    return [grads[t] for t in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("groups", [1, 4, 8], ids=["dense", "grouped",
+                                                   "depthwise"])
+@pytest.mark.parametrize("relu", [False, True], ids=["bn", "bn_relu"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_bn_conv_matches_loop_oracle(mode, relu, groups, dtype):
+    arrays = _bn_conv_arrays(groups=groups, seed=10 * groups + relu)
+    graph, out, leaves, _ = _bn_conv_tape(arrays, mode, relu, dtype,
+                                          groups=groups)
+    g = np.random.default_rng(groups).standard_normal(out.shape)
+    grads = _bn_conv_grads(graph, out, leaves, g)
+    x, gamma, beta, mean, var, k = (a.astype(dtype) for a in arrays)
+    stats = {} if mode == "train" else {"mean": mean, "var": var}
+    ref_out, ref_grads = oracles.bn_conv_loop(
+        x, gamma, beta, k, g.astype(dtype), relu=relu, padding=1,
+        groups=groups, **stats)
+    tol = 2 ** 6 * np.finfo(dtype).eps
+    assert graph.nodes[0].op == "conv2d" and len(graph) == 1
+    assert oracles.relative_error(out.data, ref_out) <= tol
+    for got, ref in zip(grads, ref_grads):
+        assert got.dtype == dtype
+        assert oracles.relative_error(got, ref) <= tol
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_bn_conv_multi_chunk_matches_loop_oracle(mode, stride, dtype,
+                                                 monkeypatch):
+    # a budget of two images' columns splits a batch of 5 into 2 + 2 + 1,
+    # and each chunk recomputes its own slice of the normalized input
+    arrays = _bn_conv_arrays(n=5, c=4, o=4, groups=2, seed=20 + stride)
+    graph, out, leaves, _ = _bn_conv_tape(arrays, mode, True, dtype,
+                                          stride=stride, groups=2)
+    g = np.random.default_rng(stride).standard_normal(out.shape)
+    lowered = (ad._im2col(g[:1], 3, 3, 1, 1, 2) if stride == 1 else
+               ad._im2col(arrays[0][:1], 3, 3, stride, 1, 2))
+    monkeypatch.setattr(ad, "_PULLBACK_COLUMN_BYTES",
+                        2 * lowered.astype(dtype).nbytes + 1)
+    chunks = []
+    im2col = ad._im2col
+    monkeypatch.setattr(ad, "_im2col", lambda a, *rest: chunks.append(
+        len(a)) or im2col(a, *rest))
+    grads = _bn_conv_grads(graph, out, leaves, g)
+    x, gamma, beta, mean, var, k = (a.astype(dtype) for a in arrays)
+    stats = {} if mode == "train" else {"mean": mean, "var": var}
+    _, ref_grads = oracles.bn_conv_loop(x, gamma, beta, k, g.astype(dtype),
+                                        stride=stride, padding=1, groups=2,
+                                        **stats)
+    assert chunks == [2, 2, 1]
+    tol = 2 ** 6 * np.finfo(dtype).eps
+    for got, ref in zip(grads, ref_grads):
+        assert oracles.relative_error(got, ref) <= tol
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("groups", [1, 4, 8], ids=["dense", "grouped",
+                                                   "depthwise"])
+@pytest.mark.parametrize("relu", [False, True], ids=["bn", "bn_relu"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_bn_conv_is_batch_norm_then_conv(mode, relu, groups, dtype):
+    # the recompute repeats batch_norm's arithmetic, so the output, every
+    # gradient and the running statistics match the two-node tape bit for
+    # bit; a NaN input and a channel that normalizes to exactly 0 included
+    arrays = _bn_conv_arrays(groups=groups, seed=30 + groups)
+    if mode == "eval":      # in train mode a NaN spreads over every output
+        arrays[0][0, 0, 1, 2] = np.nan
+    arrays[1][3] = arrays[2][3] = 0
+    g = np.random.default_rng(groups).standard_normal((2, 8, 6, 5))
+    results = []
+    for fused in (True, False):
+        graph, out, leaves, state = _bn_conv_tape(arrays, mode, relu, dtype,
+                                                  groups=groups, fused=fused)
+        results.append((out.data, _bn_conv_grads(graph, out, leaves, g),
+                        state))
+    (out, grads, state), (ref_out, ref_grads, ref_state) = results
+    assert np.array_equal(out, ref_out, equal_nan=True)
+    for got, ref in zip(grads, ref_grads):
+        assert got.dtype == ref.dtype == dtype
+        assert np.array_equal(got, ref, equal_nan=True)
+    for attr in ("running_mean", "running_var"):
+        got, ref = getattr(state, attr), getattr(ref_state, attr)
+        assert got.dtype == dtype
+        assert np.array_equal(got, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["bn", "bn_relu"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_gradcheck_bn_conv(mode, relu):
+    x, gamma, beta, mean, var, k = _bn_conv_arrays(n=3, c=4, o=6, groups=2,
+                                                   seed=40 + relu)
+    x, gamma, beta, k = (Tensor(a, requires_grad=True)
+                         for a in (x, gamma, beta, 0.5 * k))
+    state = _bn_state(mean, var, np.float64)
+    w = Tensor(np.random.default_rng(41).standard_normal((3, 6)))
+    labels = np.array([0, 2, 1])
+
+    def loss():
+        out = conv2d(x, k, padding=1, groups=2, gamma=gamma, beta=beta,
+                     state=state, mode=mode, relu=relu)
+        return softmax_cross_entropy(dense(global_avg_pool(out), w), labels)
+
+    _finite_difference_check(loss, [x, gamma, beta, k])
+
+
+def test_bn_conv_tape_keeps_no_normalized_input():
+    # batch_norm then conv2d would keep the normalized input besides the
+    # conv's output; the folded node keeps its output and per-channel stats
+    rng = np.random.default_rng(50)
+    x = Tensor(rng.standard_normal((2, 16, 16, 16)), requires_grad=True)
+    gamma = Tensor(rng.standard_normal(16) + 1.0, requires_grad=True)
+    beta = Tensor(rng.standard_normal(16), requires_grad=True)
+    k = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+    state = BatchNormState(16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Graph() as graph:
+            out = conv2d(x, k, padding=1, gamma=gamma, beta=beta,
+                         state=state, relu=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 1 and graph.nodes[0].inputs == (x, gamma, beta, k)
+    assert held <= 1.25 * out.data.nbytes
+
+
+def _norm_args(**changes):
+    args = {"gamma": Tensor(np.ones(4)), "beta": Tensor(np.zeros(4)),
+            "state": BatchNormState(4)}
+    args.update(changes)
+    return args
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"gamma": Tensor(np.ones(4))}, "all of gamma, beta and state"),
+    ({"relu": True}, "relu and mode only with a normalization"),
+    ({"mode": "eval"}, "relu and mode only with a normalization"),
+    (_norm_args(mode="test"), "mode must be"),
+    (_norm_args(gamma=Tensor(np.ones(3))), "gamma/beta must have shape"),
+], ids=["partial", "relu_alone", "mode_alone", "mode", "gamma_shape"])
+def test_bn_conv_rejects_malformed_normalization(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        conv2d(Tensor(np.ones((1, 4, 5, 5))), Tensor(np.ones((4, 4, 3, 3))),
+               padding=1, **kwargs)
+
+
+def test_bn_conv_mixed_dtypes_leave_state_alone():
+    state = BatchNormState(3, np.float32)
+    with pytest.raises(ValueError, match="dtype"):
+        conv2d(_f32(2, 3, 4, 4), Tensor(np.ones((3, 3, 3, 3))),
+               gamma=_f32(3), beta=_f32(3), state=state)
+    npt.assert_array_equal(state.running_mean, 0.0)
+    npt.assert_array_equal(state.running_var, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # one dtype per operation
 
 def _f32(*shape):
@@ -706,25 +909,35 @@ def test_backward_accumulates_over_fanout():
 _ACTIVITY_CASES = [("conv2d", {"stride": s, "groups": g})
                    for s in (1, 2) for g in (1, 2, 4)]
 _ACTIVITY_CASES += [("batch_norm", {"mode": m}) for m in ("train", "eval")]
+_ACTIVITY_CASES += [("conv2d", {"stride": s, "groups": g, "mode": m,
+                                "relu": True})
+                    for s in (1, 2) for g in (1, 4) for m in ("train", "eval")]
 
 
 def _one_op_tape(op, kwargs, dtype):
     """A tape of relu(op(x, params)) summed, with x and every parameter
-    requiring a gradient; 4 channels, so groups=4 is depthwise."""
+    requiring a gradient; 4 channels, so groups=4 is depthwise. A conv2d
+    given a ``mode`` folds a batch norm in, with params (gamma, beta,
+    kernel)."""
     rng = np.random.default_rng(31)
     x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True,
                dtype=dtype)
-    if op == "conv2d":
-        params = (Tensor(rng.standard_normal((4, 4 // kwargs["groups"], 3, 3)),
-                         requires_grad=True, dtype=dtype),)
-    else:
+    bn = op == "batch_norm" or "mode" in kwargs
+    params = ()
+    if bn:
         params = tuple(Tensor(rng.standard_normal(4), requires_grad=True,
                               dtype=dtype) for _ in range(2))
         state = BatchNormState(4, dtype)
         state.running_mean = rng.standard_normal(4).astype(dtype)
         state.running_var = rng.uniform(0.5, 2.0, 4).astype(dtype)
+    if op == "conv2d":
+        params += (Tensor(rng.standard_normal((4, 4 // kwargs["groups"], 3, 3)),
+                          requires_grad=True, dtype=dtype),)
     with Graph() as graph:
-        if op == "conv2d":
+        if op == "conv2d" and bn:
+            out = conv2d(x, params[2], padding=1, gamma=params[0],
+                         beta=params[1], state=state, **kwargs)
+        elif op == "conv2d":
             out = conv2d(x, *params, padding=1, **kwargs)
         else:
             out = batch_norm(x, *params, state, **kwargs)

@@ -81,40 +81,41 @@ def _block_tape(blk, x):
 @pytest.mark.parametrize("skip", [tr.make_idempotent_mr(16, 2),
                                   tr.make_identity(16)],
                          ids=["idempotent_mr", "identity"])
-def test_block_tape_keeps_four_activations(skip):
-    # bn1, conv1, the clamped bn2 and the block output, whose array the
-    # sum takes over from conv2's output F(x); a separate relu node adds
-    # the unclamped bn2 output, a separate skip mix its P x, and a sum
-    # that left F(x) its own array one more
+def test_block_tape_keeps_two_activations(skip):
+    # conv1's output and the block output, whose array the sum takes over
+    # from conv2's output F(x); each batch norm is recomputed inside the
+    # conv it feeds, so a standalone bn1 or bn2 node would add its output,
+    # a separate skip mix its P x, and a sum that left F(x) its own array
+    # one more
     rng = np.random.default_rng(12)
     blk = BuildingBlock(16, 1, skip, rng)
     x = Tensor(rng.standard_normal((4, 16, 16, 16)), requires_grad=True)
     nodes, held = _block_tape(blk, x)
-    assert nodes == 5
-    assert held <= 4.25 * x.data.nbytes
+    assert nodes == 3
+    assert held <= 2.25 * x.data.nbytes
 
 
-def test_wrapped_block_tape_keeps_six_activations():
+def test_wrapped_block_tape_keeps_four_activations():
     # the pre_mix output and conv2's output, now the post_mix input, join
-    # the four; the post_mix output F(x) gives its array to the sum
+    # the two; the post_mix output F(x) gives its array to the sum
     rng = np.random.default_rng(13)
     blk = BuildingBlock(16, 1, tr.make_identity(16), rng)
     blk.pre_mix = tr.make_orthogonal_tp(16)
     blk.post_mix = tr.make_orthogonal_tp(16).T
     x = Tensor(rng.standard_normal((4, 16, 16, 16)), requires_grad=True)
     nodes, held = _block_tape(blk, x)
-    assert nodes == 7
-    assert held <= 6.25 * x.data.nbytes
+    assert nodes == 5
+    assert held <= 4.25 * x.data.nbytes
 
 
-def test_no_skip_block_tape_keeps_four_activations():
+def test_no_skip_block_tape_keeps_two_activations():
     # with no skip there is no sum: conv2's output is the block output
     rng = np.random.default_rng(14)
     blk = BuildingBlock(16, 1, None, rng)
     x = Tensor(rng.standard_normal((4, 16, 16, 16)), requires_grad=True)
     nodes, held = _block_tape(blk, x)
-    assert nodes == 4
-    assert held <= 4.25 * x.data.nbytes
+    assert nodes == 2
+    assert held <= 2.25 * x.data.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +224,12 @@ def test_spec_rejects_unknown_keys():
 def test_spec_from_dict_rejects_non_sequences(field, value):
     with pytest.raises(ValueError, match=f"{field} must be a sequence"):
         NetworkSpec.from_dict({"blocks_per_stage": 1, field: value})
+
+
+@pytest.mark.parametrize("value", [[1], "B", 1])
+def test_spec_from_dict_rejects_non_dict_transform_params(value):
+    with pytest.raises(ValueError, match="transform_params must be a dict"):
+        NetworkSpec.from_dict({"blocks_per_stage": 1, "transform_params": value})
 
 
 def test_spec_roundtrip():
@@ -517,8 +524,12 @@ def test_load_state_copies_running_stats():
     ("stage1.block1.bn1.running_mean", np.array(["0"] * 4), "has dtype <U1"),
     ("head.bias", np.zeros(10, dtype=object), "has dtype object"),
     ("stage1.block1.pre_mix", np.eye(4, dtype=bool), "has dtype bool"),
+    # a negative variance would make every eval logit NaN
+    ("stage1.block1.bn1.running_var", np.array([1.0, -1.0, 1.0, 1.0]),
+     "has negative entries"),
 ], ids=["pre_mix_shape", "post_mix_nan", "running_mean_shape", "conv_inf",
-        "skip_complex", "running_mean_str", "head_bias_object", "pre_mix_bool"])
+        "skip_complex", "running_mean_str", "head_bias_object", "pre_mix_bool",
+        "running_var_negative"])
 def test_load_state_rejects_bad_array(key, value, reason):
     source = build_network(small_spec(), seed=6)
     for blk in source.stages[0]:

@@ -1,6 +1,7 @@
 """Checks on the repository itself: the CI workflow runs the tier-1
-command that ROADMAP.md states and fails a piped benchmark run, and the
-library keeps no dead import."""
+command that ROADMAP.md states and fails a piped benchmark run, the
+library keeps no dead import, and every callable the traced benchmark
+wraps exists."""
 
 import ast
 import importlib
@@ -25,18 +26,33 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert step.group(1).strip() == stated[0]
 
 
-def _tracer_lookups() -> dict:
-    """Module name -> the attributes that ``benchmark/tracing.py``'s
-    ``_targets()`` looks up on that module."""
+def _tracer_targets() -> list:
+    """``benchmark/tracing.py``'s ``_targets()``: (owner, attribute, span
+    name) for every callable the traced benchmark wraps."""
     spec = importlib.util.spec_from_file_location(
         "_tracing", ROOT / "benchmark" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing._targets()
+
+
+def _tracer_lookups() -> dict:
+    """Module name -> the attributes that the tracer looks up on that
+    module."""
     out = defaultdict(set)
-    for owner, attr, _ in tracing._targets():
+    for owner, attr, _ in _tracer_targets():
         if isinstance(owner, types.ModuleType):
             out[owner.__name__].add(attr)
     return out
+
+
+def test_every_tracer_target_resolves():
+    # the traced benchmark pins each attribute with a plain getattr, so one
+    # that the library drops fails every traced run with AttributeError
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in _tracer_targets()
+               if not callable(getattr(owner, attr, None))]
+    assert not missing
 
 
 def test_every_library_import_is_used():
