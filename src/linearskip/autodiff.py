@@ -20,10 +20,17 @@ the normalized input is a per-channel affine map of x, so its pullback
 recomputes it one batch chunk at a time instead of keeping it.
 ``batch_norm(..., relu=True)`` clamps in place, since ReLU's pullback
 needs only its output, and ``channel_mix(x, P, plus=y)`` adds y into the
-mix, since the sum's pullback needs nothing at all. For the same reason
-a building block's sum takes over the array of its branch output F(x),
-which the tape then keeps only as a key. A building block so keeps no
-array that only its next op reads (see ``network.BuildingBlock``).
+mix, since the sum's pullback needs nothing at all.
+
+One rule frees the rest: an array that no pullback reads is released
+once its last reader has run, so the tape keeps its tensor only as a
+key. The pullbacks of ``add``, ``channel_mix`` and ``global_avg_pool``
+read no input values, so an array that only they read is such an array.
+A released tensor (``_release``) keeps its shape and dtype, but its
+``data`` is a read-only zero-stride view of one zero: it still keys the
+tape and takes a :func:`vjp` seed, and a write to it raises. A network
+releases every such activation, so a building block keeps only the
+inputs of its two convolutions (see ``network.BuildingBlock``).
 
 A walk frees each cotangent once its node has consumed it, so it holds
 only the cotangents still live, not one per tape node. The exception is
@@ -75,6 +82,8 @@ class Tensor:
     ``data`` is a float32 or float64 numpy array: ``dtype`` must be one of
     them, other real data is promoted to float64 and complex data refused.
     Tensors hash by identity, which is what the tape and gradient maps key on.
+    A released tensor (see the module docstring) has no values left:
+    ``data`` is a read-only zero-stride view of its shape and dtype.
     """
 
     __slots__ = ("data", "requires_grad")
@@ -172,6 +181,13 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
         _ACTIVE_GRAPHS[-1].nodes.append(
             Node(op, inputs, out, lambda g: pullback(g, *wanted), wanted))
     return out
+
+
+def _release(t: Tensor) -> None:
+    """Free ``t``'s array once no pullback reads it: ``data`` becomes a
+    read-only zero-stride view of one zero, of the same shape and dtype,
+    so ``t`` still keys the tape and takes a seed, and a write raises."""
+    t.data = np.broadcast_to(np.zeros((), dtype=t.data.dtype), t.data.shape)
 
 
 def _is_int(value) -> bool:
@@ -390,19 +406,20 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
     flipped = stride == 1 and kh == kw and padding < kh
 
     def conv_input(lo: int, hi: int, xc: Optional[np.ndarray],
-                   clamp: bool) -> np.ndarray:
+                   planes: Optional[tuple], clamp: bool) -> np.ndarray:
         """A for images lo:hi, channel-major as (C, nb, H, W): a view of x,
         or with a normalization a fresh array that repeats the forward's
         arithmetic exactly, from the centred input ``xc`` when there is
-        one; unclamped unless ``clamp``, which only the kernel gradient
-        needs (the ReLU mask A > 0 is the same either way)."""
+        one and the pullback's ``planes``; unclamped unless ``clamp``,
+        which only the kernel gradient needs (the ReLU mask A > 0 is the
+        same either way)."""
         if not norm:
             return xd[lo:hi].transpose(1, 0, 2, 3)
         acm = np.empty((c, hi - lo, h, w), dtype=xd.dtype)
         view = acm.transpose(1, 0, 2, 3)
         centred = (np.subtract(xd[lo:hi], mu[None, :, None, None], out=view)
                    if xc is None else xc[lo:hi])
-        _affine(centred, scale, beta.data, relu and clamp, out=view)
+        _affine(centred, planes, relu and clamp, out=view)
         return acm
 
     def pullback(g: np.ndarray, *wanted: bool):
@@ -424,6 +441,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         # first and each chunk of A is recomputed from it
         xc = (_bn_centred(xd, mu, mode, want_x, want_gamma, want_beta)
               if norm and want_a else None)
+        planes = (_planes(xd.shape, scale, beta.data)
+                  if norm and (want_k or masked) else None)
         if by_g:
             # contiguous: a depthwise kflip left as a negative-stride view
             # makes np.matmul bypass BLAS
@@ -433,8 +452,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         for lo in range(0, n, step):
             gs = g[lo:lo + step]
             nb = len(gs)
-            acm = (conv_input(lo, lo + nb, xc, want_k) if want_k or masked
-                   else None)
+            acm = (conv_input(lo, lo + nb, xc, planes, want_k)
+                   if want_k or masked else None)
             if by_g:
                 # one column buffer of g serves both gradients: row (o, a, b)
                 # at input position (y, x) holds g[o, y + padding - (kh-1-a),
@@ -532,15 +551,26 @@ def _check_bn(xd: np.ndarray, gamma: Tensor, beta: Tensor,
         raise ValueError(f"batch norm state dtype is not {xd.dtype}")
 
 
-def _affine(centred: np.ndarray, scale: np.ndarray, shift: np.ndarray,
-            relu: bool, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``centred * scale + shift`` per channel, clamped at zero with
-    ``relu``, for the NCHW array or view ``centred`` = x - mu, written to
-    ``out`` (default: in place); returns it. Every batch-norm output, and
-    every recompute of one, is this arithmetic."""
-    out = np.multiply(centred, scale[None, :, None, None],
-                      out=centred if out is None else out)
-    out += shift[None, :, None, None]
+def _planes(shape: tuple, scale: np.ndarray, shift: np.ndarray) -> tuple:
+    """Per-channel ``scale`` and ``shift`` as contiguous (C, H, W) planes
+    for NCHW arrays of ``shape``. numpy broadcasts a plane over the batch
+    in its contiguous inner loop, where a ``[None, :, None, None]`` view
+    takes its slow stride-0 one; the values, and so the bits, are the
+    same."""
+    c, h, w = shape[1:]
+    return tuple(np.repeat(v, h * w).reshape(c, h, w) for v in (scale, shift))
+
+
+def _affine(centred: np.ndarray, planes: tuple, relu: bool,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``centred * scale + shift`` per channel, with :func:`_planes`'
+    (scale, shift), clamped at zero with ``relu``, for the NCHW array or
+    view ``centred`` = x - mu, written to ``out`` (default: in place);
+    returns it. Every batch-norm output, and every recompute of one, is
+    this arithmetic."""
+    scale, shift = planes
+    out = np.multiply(centred, scale, out=centred if out is None else out)
+    out += shift
     if relu:
         np.maximum(out, 0, out=out)
     return out
@@ -562,7 +592,8 @@ def _normalize(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         var = np.einsum("nchw,nchw->c", out, out) / m
     invstd = 1.0 / np.sqrt(var + _BN_EPS)
     scale = gamma * invstd
-    return _affine(out, scale, beta, relu), mu, var, invstd, scale
+    return (_affine(out, _planes(xd.shape, scale, beta), relu), mu, var,
+            invstd, scale)
 
 
 def _bn_centred(xd: np.ndarray, mu: np.ndarray, mode: str, want_x: bool,

@@ -53,7 +53,8 @@ def _change_basis(net: Network, stage: int, bases, inverses,
     ``bases`` and ``inverses`` hold B_1..B_{L+1} and their inverses, with
     B_{i+1} P_i B_i^-1 = ``skip`` for block i's skip P_i, so block i maps
     z_i to skip z_i + B_{i+1} F(B_i^-1 z_i). After stage 3 the head absorbs
-    B_{L+1}^-1, because global pooling commutes with a channel mix.
+    B_{L+1}^-1, because global pooling commutes with a channel mix. The
+    wraps and skips are read-only, and blocks given one array share it.
     """
     _mix_channels(net.stem if stage == 1 else net.transitions[stage - 2],
                   bases[0], axis=0)
@@ -61,6 +62,7 @@ def _change_basis(net: Network, stage: int, bases, inverses,
         blk.pre_mix = inverses[i]
         blk.post_mix = bases[i + 1]
         blk.set_skip(skip)
+    net._freeze_matrices()
     _mix_channels(net.head_weight if stage == 3 else net.transitions[stage - 1],
                   inverses[-1], axis=1)
 

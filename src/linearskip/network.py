@@ -21,8 +21,8 @@ from . import transforms
 # its batch norms and ReLU into its convolutions), but tracers that wrap
 # module attributes (the benchmark's among them) still look them up on
 # this module
-from .autodiff import (BatchNormState, Tensor, _is_int, add,  # noqa: F401
-                       batch_norm, channel_mix, conv2d, dense,
+from .autodiff import (BatchNormState, Tensor, _is_int, _release,  # noqa: F401
+                       add, batch_norm, channel_mix, conv2d, dense,
                        global_avg_pool, relu)
 
 __all__ = [
@@ -195,16 +195,19 @@ class BuildingBlock:
     (its ``gamma``/``beta``/``state`` arguments), whose pullback
     recomputes the normalized input from its own input. A non-identity
     skip and the final sum are one node (``channel_mix(x, P, plus=F(x))``),
-    because the mixed skip P x feeds only the sum, whose pullback reads
-    nothing. The pullback of ``conv2`` (or of a ``post_mix``) reads only
-    its input, so no pullback reads F(x) itself: :meth:`combine` rebinds
-    the F(x) tensor to the sum's array, and F(x)'s own buffer is freed.
-    The activation-sized arrays kept are then the outputs of ``conv1``
-    and of the block itself (plus the ``pre_mix`` output and ``conv2``'s
-    output when the wraps are set). F(x) stays a tensor of its own,
-    because ``propagation.capture_trace`` seeds its walks there; it keeps
-    its own reference to each F(x) array before the sum takes the tensor
-    over.
+    because the mixed skip P x feeds only the sum. The pullbacks of
+    ``add``, ``channel_mix`` and ``global_avg_pool`` read no input values,
+    so an array that only they read is released (``autodiff._release``)
+    once the last of them has run: F(x), by :meth:`combine`; ``conv2``'s
+    output, by :meth:`branch_output` after a ``post_mix``; a block's
+    input, by ``Network._run_stage`` after a block with a ``pre_mix``; and
+    the last block's output, by ``Network.forward`` after pooling. Each
+    block then keeps two activation-sized arrays, wrapped or not: the
+    inputs of its two convolutions, which are ``conv1``'s output and the
+    block's input (its ``pre_mix`` output when wrapped). F(x) stays a
+    tensor of its own, because ``propagation.capture_trace`` seeds its
+    walks there; it keeps its own reference to each F(x) array before
+    the release.
     """
 
     def __init__(self, width: int, groups: int, skip: Optional[np.ndarray],
@@ -240,7 +243,9 @@ class BuildingBlock:
         h = self._normalized_conv(h, self.bn1, self.conv1, mode)
         h = self._normalized_conv(h, self.bn2, self.conv2, mode, relu=True)
         if self.post_mix is not None:
-            h = channel_mix(h, self.post_mix)
+            mixed = channel_mix(h, self.post_mix)
+            _release(h)
+            h = mixed
         return h
 
     def _normalized_conv(self, h: Tensor, bn: BNLayer, kernel: Tensor,
@@ -253,16 +258,15 @@ class BuildingBlock:
     def combine(self, x: Tensor, branch: Tensor) -> Tensor:
         """The block equation ``y = P x + F(x)``, given ``branch = F(x)``.
 
-        With a skip, ``branch`` then holds y's array: read F(x) before."""
+        With a skip, ``branch`` is then released, as only the sum reads
+        it: read F(x)'s values before."""
         if self.skip is None:
             return branch
         if self._skip_is_identity:
             out = add(x, branch)
         else:
             out = channel_mix(x, self.skip, plus=branch)
-        # no pullback reads F(x)'s values, only its tensor as a tape key, so
-        # the sum takes over its array and F's own buffer is freed
-        branch.data = out.data
+        _release(branch)
         return out
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
@@ -305,14 +309,21 @@ class Network:
         return h
 
     def _run_stage(self, h: Tensor, s: int, mode: str) -> Tensor:
+        """The blocks of 0-based stage ``s``; a block input that only a
+        ``pre_mix`` and the sum read is released after its block."""
         for block in self.stages[s]:
-            h = block.forward(h, mode)
+            out = block.forward(h, mode)
+            if block.pre_mix is not None:
+                _release(h)
+            h = out
         return h
 
     def forward(self, x, mode: str = "eval") -> Tensor:
         """Logits for a batch; ``mode`` selects batch-norm behavior."""
         h = self._run_stage(self.stage_input(x, 3, mode), 2, mode)
-        return dense(global_avg_pool(h), self.head_weight, self.head_bias)
+        pooled = global_avg_pool(h)
+        _release(h)
+        return dense(pooled, self.head_weight, self.head_bias)
 
     # -- parameters and state ------------------------------------------
 
@@ -374,7 +385,7 @@ class Network:
         """Copy a checkpoint in; every array must have its slot's shape and
         only finite entries that fit its slot's dtype, no running variance
         may be negative, and every skip must meet the invariant of the
-        spec's transform kind."""
+        spec's transform kind. The loaded matrices are read-only."""
         consumed = set()
         for name, tensor, _ in self.parameters():
             if name not in state:
@@ -402,13 +413,27 @@ class Network:
                 stage_skip[stage] = arr
             store(arr)
             consumed.add(key)
+        self._freeze_matrices()
         leftover = set(state) - consumed
         if leftover:
             raise ValueError(f"checkpoint has unexpected tensors: "
                              f"{sorted(leftover)}")
 
     def copy(self) -> "Network":
-        return copy.deepcopy(self)
+        """A deep copy; blocks that share a matrix share its copy, and the
+        copied skip and wrap matrices are read-only, as built skips are."""
+        out = copy.deepcopy(self)
+        out._freeze_matrices()
+        return out
+
+    def _freeze_matrices(self) -> None:
+        """Make every skip and wrap matrix read-only in place, as built
+        skips are, for matrices the network made itself (a copy's, a
+        checkpoint's or a rewrite's); blocks that share one still do."""
+        for blk in (b for stage in self.stages for b in stage):
+            for mat in (blk.skip, blk.pre_mix, blk.post_mix):
+                if mat is not None:
+                    mat.flags.writeable = False
 
     def stage_blocks(self, stage: int) -> list:
         """The blocks of a 1-based stage; ValueError unless it is 1, 2 or 3."""

@@ -54,9 +54,10 @@ class PropagationTrace:
     ``inputs[j]`` is x_{m+j}; ``branch_outputs[j]`` is x'_{m+j+1};
     ``gradients[j]`` is dL/dx_{m+j} for the probe loss L = sum(x_n).
     ``branch_outputs`` are the trace's own references to the F(x) arrays:
-    a block's sum takes over its branch tensor's array (see
-    ``network.BuildingBlock``), so ``_branch_tensors`` serve only as the
-    tape keys that walks are seeded at.
+    a block's sum releases its branch tensor (see ``autodiff._release``
+    and ``network.BuildingBlock``), so ``_branch_tensors`` are released
+    tensors, of F(x)'s shape and dtype but no values, that serve only as
+    the tape keys that walks are seeded at.
     ``skips[j]`` is block m+j's skip P_{m+j} (zeros for a block without
     one); ``transform`` is the one skip they all share, or None when the
     span's blocks differ.
@@ -120,7 +121,7 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
         for blk in blocks[m - 1:n - 1]:
             input_tensors.append(h)
             branch_tensors.append(blk.branch_output(h, mode))
-            # combine hands F(x)'s array over to the block sum
+            # combine releases F(x)'s tensor once the block sum has read it
             branch_outputs.append(branch_tensors[-1].data)
             h = blk.combine(h, branch_tensors[-1])
         input_tensors.append(h)  # x_n

@@ -785,6 +785,31 @@ def test_vjp_rejects_seed_of_another_dtype():
     assert grads[x].dtype == np.float32
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_released_tensor_keeps_its_key_and_refuses_writes(dtype):
+    # a mix output that only a sum reads: released, it keeps its shape and
+    # dtype but no values, a write to it raises, and a walk seeded at it
+    # gives the bits it gave before the release
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((2, 4, 3, 3)), requires_grad=True,
+               dtype=dtype)
+    with Graph() as g:
+        h = channel_mix(x, rng.standard_normal((4, 4)))
+        add(h, x)
+    seed = rng.standard_normal(h.shape).astype(dtype)
+    before = ad.vjp(g, {h: seed}, wrt=[x])[x]
+    ad._release(h)
+    assert h.shape == (2, 4, 3, 3) and h.dtype == dtype
+    assert h.data.strides == (0, 0, 0, 0) and not h.data.any()
+    with pytest.raises(ValueError, match="read-only"):
+        h.data[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        h.data += 1.0
+    assert np.array_equal(ad.vjp(g, {h: seed}, wrt=[x])[x], before)
+    with pytest.raises(ValueError, match="seed shape"):
+        ad.vjp(g, {h: seed[0]})
+
+
 # ---------------------------------------------------------------------------
 # simple ops
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from linearskip import equivalence as eq
 from linearskip import transforms as tr
-from linearskip.autodiff import Graph, Tensor, backward, reduce_sum
+from linearskip.autodiff import (Graph, Tensor, backward, reduce_sum,
+                                 softmax_cross_entropy)
 from linearskip.network import NetworkSpec, build_network
 
 import oracles
@@ -345,6 +348,103 @@ def test_input_gradient_deviation_matches_full_walks(kind, params, converter,
     oracle = float(np.abs(grads[0] - grads[1]).max())
     assert oracle > 0
     assert eq.input_gradient_deviation(net, conv, num_inputs=3, seed=3) == oracle
+
+
+# ---------------------------------------------------------------------------
+# the converted net's tape: every activation that only a mix, a sum or the
+# pooling reads is released
+
+CONVERSIONS = [
+    ("orthogonal_tp", {}, {}, eq.convert_orthogonal_to_identity),
+    ("idempotent_mr", {"B": 2}, dict(branch_mode="multi", num_branches=2),
+     eq.convert_idempotent_to_diagonal),
+]
+CONVERSION_IDS = ["orthogonal_tp_single", "idempotent_mr_multi2"]
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("kind,params,branches,converter", CONVERSIONS,
+                         ids=CONVERSION_IDS)
+def test_converted_net_gradients_match_central_differences(
+        kind, params, branches, converter, mode):
+    # a pullback that read a released array would read zeros; the
+    # directional derivative of the loss along a random v, for the input
+    # and for every parameter, checks the whole gradient of each
+    net = make_net(kind, params, k=2, seed=31, **branches)
+    rng = np.random.default_rng(32)
+    for _ in range(2):   # running statistics away from 0 and 1
+        net.forward(rng.standard_normal((4, 3, 8, 8)), mode="train")
+    conv = converter(net)
+    x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
+    labels = np.array([1, 7])
+
+    def loss() -> Tensor:
+        return softmax_cross_entropy(conv.forward(x, mode=mode), labels)
+
+    tensors = [x] + [t for _, t, _ in conv.parameters()]
+    with Graph() as g:
+        out = loss()
+    grads = backward(g, out, wrt=tensors)
+    h = 1e-5
+    for t in tensors:
+        v = rng.standard_normal(t.shape)
+        base = t.data
+        t.data = base + h * v
+        up = float(loss().data)
+        t.data = base - h * v
+        down = float(loss().data)
+        t.data = base
+        numeric = (up - down) / (2 * h)
+        analytic = float(np.vdot(grads[t].data, v))
+        assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), t
+
+
+def _forward_tape_bytes(net, x, mode) -> int:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        xt = Tensor(x, requires_grad=True)
+        with Graph() as g:
+            net.forward(xt, mode=mode)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("kind,params,branches,converter", CONVERSIONS,
+                         ids=CONVERSION_IDS)
+def test_converted_net_tape_is_its_originals_size(kind, params, branches,
+                                                  converter, mode):
+    # the wraps add two mix nodes per block, but the block input and
+    # conv2's output that only they and the sum read are released, so a
+    # wrapped block keeps two activations, as a plain block does
+    spec = NetworkSpec(blocks_per_stage=3, transform_kind=kind,
+                       transform_params=params, **branches)
+    net = build_network(spec, seed=33)
+    conv = converter(net)
+    x = np.random.default_rng(34).standard_normal((4, 3, 32, 32))
+    original = _forward_tape_bytes(net, x, mode)
+    converted = _forward_tape_bytes(conv, x, mode)
+    assert converted <= 1.02 * original
+
+
+def test_rewrites_hold_read_only_matrices_shared_per_stage():
+    net = make_net("idempotent_mr", {"B": 2}, k=3, seed=35)
+    diag = eq.convert_idempotent_to_diagonal(net)
+    ident = eq.convert_orthogonal_to_identity(
+        make_net("orthogonal_tp", k=3, seed=35))
+    for conv in (diag, ident):
+        for stage in conv.stages:
+            for blk in stage:
+                for mat in (blk.skip, blk.pre_mix, blk.post_mix):
+                    assert not mat.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        mat[0, 0] = 2.0
+            assert all(blk.skip is stage[0].skip for blk in stage)
+    for stage in diag.stages:   # one U and one U_inv per stage
+        assert all(blk.pre_mix is stage[0].pre_mix for blk in stage)
+        assert all(blk.post_mix is stage[0].post_mix for blk in stage)
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,12 @@ def test_block_tape_keeps_two_activations(skip):
     assert held <= 2.25 * x.data.nbytes
 
 
-def test_wrapped_block_tape_keeps_four_activations():
-    # the pre_mix output and conv2's output, now the post_mix input, join
-    # the two; the post_mix output F(x) gives its array to the sum
+def test_wrapped_block_tape_keeps_three_activations():
+    # conv1's input is now the pre_mix output and joins the two; conv2's
+    # output, which only the post_mix reads, and the post_mix output F(x),
+    # which only the sum reads, are released. In a network the block input
+    # x, which only the pre_mix and the sum read, is released too, so a
+    # wrapped block keeps two activations there, as a plain one does
     rng = np.random.default_rng(13)
     blk = BuildingBlock(16, 1, tr.make_identity(16), rng)
     blk.pre_mix = tr.make_orthogonal_tp(16)
@@ -105,7 +108,7 @@ def test_wrapped_block_tape_keeps_four_activations():
     x = Tensor(rng.standard_normal((4, 16, 16, 16)), requires_grad=True)
     nodes, held = _block_tape(blk, x)
     assert nodes == 5
-    assert held <= 4.25 * x.data.nbytes
+    assert held <= 3.25 * x.data.nbytes
 
 
 def test_no_skip_block_tape_keeps_two_activations():
@@ -625,14 +628,38 @@ def test_load_state_rejects_skip_breaking_its_kind(kind, params):
         target.load_state(state)
 
 
+def _assert_matrices_read_only(net):
+    for stage in net.stages:
+        for blk in stage:
+            for mat in (blk.skip, blk.pre_mix, blk.post_mix):
+                if mat is not None:
+                    assert not mat.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        mat[0, 0] = 2.0
+
+
 def test_loaded_skips_are_read_only_as_built():
     spec = small_spec(transform_kind="idempotent_mr", transform_params={"B": 2})
+    source = build_network(spec, seed=6)
+    for blk in source.stages[0]:
+        blk.pre_mix = blk.post_mix = np.eye(4)
     target = build_network(spec, seed=7)
-    target.load_state(build_network(spec, seed=6).state_dict())
+    target.load_state(source.state_dict())
+    assert target.stages[0][0].pre_mix is not None
+    _assert_matrices_read_only(target)
     for stage in target.stages:
         assert all(blk.skip is stage[0].skip for blk in stage)
-        with pytest.raises(ValueError, match="read-only"):
-            stage[0].skip[0, 0] = 2.0
+
+
+def test_copied_skips_are_read_only_and_shared_per_stage():
+    spec = small_spec(transform_kind="idempotent_mr", transform_params={"B": 2})
+    net = build_network(spec, seed=7)
+    dup = net.copy()
+    _assert_matrices_read_only(dup)
+    for stage, orig in zip(dup.stages, net.stages):
+        assert all(blk.skip is stage[0].skip for blk in stage)
+        assert stage[0].skip is not orig[0].skip
+        assert np.array_equal(stage[0].skip, orig[0].skip)
 
 
 def test_load_state_no_skip_network_rejects_skip():
