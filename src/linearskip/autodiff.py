@@ -766,6 +766,24 @@ def add(a, b) -> Tensor:
     return _record("add", (a, b), out_data, pullback)
 
 
+def _mix(xd: np.ndarray, matrix) -> tuple:
+    """(matrix·xd at every spatial position, matrix in xd's dtype) for the
+    NCHW float array ``xd``, recording nothing; ValueError unless
+    ``matrix`` is a real (C, C) matrix. :func:`channel_mix` records it,
+    and ``transforms.apply_transform`` mixes plain arrays with it."""
+    if xd.ndim != 4:
+        raise ValueError(f"channel_mix expects NCHW input, got {xd.shape}")
+    n, c, h, w = xd.shape
+    mat = np.asarray(matrix)
+    if np.iscomplexobj(mat):
+        raise ValueError(f"mixing matrix must be real, got {mat.dtype}")
+    if mat.shape != (c, c):
+        raise ValueError(
+            f"mixing matrix has shape {mat.shape}, input has {c} channels")
+    mat = mat.astype(xd.dtype, copy=False)
+    return np.matmul(mat, xd.reshape(n, c, h * w)).reshape(n, c, h, w), mat
+
+
 def channel_mix(x, matrix: np.ndarray, plus=None) -> Tensor:
     """Apply a fixed channel-mixing matrix at every spatial position.
 
@@ -777,15 +795,8 @@ def channel_mix(x, matrix: np.ndarray, plus=None) -> Tensor:
     never kept; ``plus`` gets the cotangent itself, as in :func:`add`.
     """
     x = _as_tensor(x)
-    if x.data.ndim != 4:
-        raise ValueError(f"channel_mix expects NCHW input, got {x.shape}")
+    out_data, mat = _mix(x.data, matrix)
     n, c, h, w = x.data.shape
-    mat = np.asarray(matrix)
-    if np.iscomplexobj(mat):
-        raise ValueError(f"mixing matrix must be real, got {mat.dtype}")
-    if mat.shape != (c, c):
-        raise ValueError(
-            f"mixing matrix has shape {mat.shape}, input has {c} channels")
     inputs = (x,)
     if plus is not None:
         plus = _as_tensor(plus)
@@ -793,9 +804,6 @@ def channel_mix(x, matrix: np.ndarray, plus=None) -> Tensor:
             raise ValueError(f"channel_mix plus needs equal shapes, got "
                              f"{x.data.shape} and {plus.data.shape}")
         inputs += (plus,)
-    mat = mat.astype(x.dtype, copy=False)
-    out_data = np.matmul(mat, x.data.reshape(n, c, h * w)).reshape(n, c, h, w)
-    if plus is not None:
         out_data += plus.data
 
     def pullback(g: np.ndarray, want_x: bool, want_plus: bool = False):
@@ -869,6 +877,16 @@ def vjp(graph: Graph, seeds: dict,
     tensor's shape and dtype. Returns a map from tensor to gradient
     array.
 
+    A seed may also be a zero-argument callable that returns the array.
+    The walk calls it once, the first time it touches the tensor: just
+    before a walked node adds a gradient into it, or when the walk
+    reaches the node that produced it, whichever comes first. A seed
+    whose tensor the walk never touches is called after the walk, and
+    only if its tensor is returned. So each seed exists only from the
+    point where the walk needs it, and since it is still the first term
+    of its tensor's sum, the bits are those of the array seed. Its shape
+    and dtype are checked when it is called.
+
     Without ``wrt`` the walk keeps every cotangent it makes and returns
     them all, intermediate ones included. With ``wrt`` it returns only the
     ``wrt`` gradients, and frees every other cotangent once its node is
@@ -889,14 +907,8 @@ def vjp(graph: Graph, seeds: dict,
     costs nothing. No skipped gradient can add to a ``wrt`` gradient, so
     the result is the same bit for bit.
     """
-    grads = {t: np.asarray(seed) for t, seed in seeds.items()}
-    for t, seed in grads.items():
-        if seed.shape != t.data.shape:
-            raise ValueError(
-                f"seed shape {seed.shape} does not match tensor {t.data.shape}")
-        if seed.dtype != t.dtype:
-            raise ValueError(
-                f"seed dtype {seed.dtype} does not match tensor {t.dtype}")
+    lazy = {t: seed for t, seed in seeds.items() if callable(seed)}
+    grads = {t: _seed(t, seed) for t, seed in seeds.items() if t not in lazy}
     nodes = graph.nodes
     reach = keep = None
     if wrt is not None:
@@ -909,6 +921,8 @@ def vjp(graph: Graph, seeds: dict,
                 nodes.append(node)
                 reach.add(node.output)
     for node in reversed(nodes):
+        if node.output in lazy:
+            grads[node.output] = _seed(node.output, lazy.pop(node.output)())
         if keep is None or node.output in keep:
             g = grads.get(node.output)
         else:   # complete: every node that read this output came later
@@ -920,6 +934,8 @@ def vjp(graph: Graph, seeds: dict,
         for t, gi in zip(node.inputs, node.vjp_fn(g)):
             if gi is None:
                 continue
+            if t in lazy:
+                grads[t] = _seed(t, lazy.pop(t)())
             acc = grads.get(t)
             if acc is None:
                 grads[t] = gi
@@ -928,9 +944,25 @@ def vjp(graph: Graph, seeds: dict,
             else:   # fresh from the pullback: the walk owns it
                 gi += acc
                 grads[t] = gi
+    for t in (list(lazy) if wrt is None else wrt):
+        if t in lazy:   # untouched by the walk, but returned
+            grads[t] = _seed(t, lazy.pop(t)())
     if wrt is not None:
         return {t: grads[t] for t in wrt if t in grads}
     return grads
+
+
+def _seed(t: Tensor, seed) -> np.ndarray:
+    """``seed`` as an array, or ValueError unless it has ``t``'s shape and
+    dtype."""
+    seed = np.asarray(seed)
+    if seed.shape != t.data.shape:
+        raise ValueError(
+            f"seed shape {seed.shape} does not match tensor {t.data.shape}")
+    if seed.dtype != t.dtype:
+        raise ValueError(
+            f"seed dtype {seed.dtype} does not match tensor {t.dtype}")
+    return seed
 
 
 def backward(graph: Graph, loss: Tensor,

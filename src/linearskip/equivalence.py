@@ -58,6 +58,7 @@ def _change_basis(net: Network, stage: int, bases, inverses,
     """
     _mix_channels(net.stem if stage == 1 else net.transitions[stage - 2],
                   bases[0], axis=0)
+    skip.flags.writeable = False   # so set_skip shares it, not copies it
     for i, blk in enumerate(net.stages[stage - 1]):
         blk.pre_mix = inverses[i]
         blk.post_mix = bases[i + 1]

@@ -225,12 +225,19 @@ class BuildingBlock:
         self.set_skip(skip)
 
     def set_skip(self, skip: Optional[np.ndarray]) -> None:
+        """Take ``skip`` as the block's P: a read-only matrix as given, so
+        blocks handed one share it, and a writable one as a read-only
+        copy, so no later write to the caller's array changes P behind
+        the cached identity test."""
         if skip is not None:
             skip = transforms._as_matrix(skip)
             if skip.shape != (self.width, self.width):
                 raise ValueError(
                     f"skip matrix shape {skip.shape} does not match width "
                     f"{self.width}")
+            if skip.flags.writeable:
+                skip = skip.copy()
+                skip.flags.writeable = False
         self.skip = skip
         self._skip_is_identity = skip is not None and \
             np.array_equal(skip, np.eye(self.width))
@@ -518,8 +525,8 @@ def build_network(spec: NetworkSpec, seed: int = 0,
         groups = spec.resolve_branches(width)
         mats = [_make_transform(spec, width, int(seed_rng.integers(2 ** 31)))
                 for _ in range(draws)] * (k // draws)
-        # set_skip keeps the instance when the dtype already matches, so
-        # blocks built from one stage matrix share it
+        # set_skip keeps a read-only matrix as given, so blocks built from
+        # one stage matrix share it
         stages.append([BuildingBlock(width, groups, mat, rng, dtype)
                        for mat in mats])
     transitions = [_he_conv(rng, widths[1], widths[0], 3, dtype),

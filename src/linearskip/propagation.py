@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -195,12 +196,16 @@ def verify_backward_expansion(trace: PropagationTrace, m: Optional[int] = None,
     """Rebuild dL/dx_m from dL/dx_n plus branch vector-Jacobian terms.
 
     One walk seeded at every branch output sums the terms, by linearity.
+    Each seed Φ(n, i+1)^T dL/dx_n is a callable that the walk calls when
+    it first reaches that branch (see :func:`autodiff.vjp`), so the walk
+    holds one seed at a time, not one per block.
     """
     m, n, phi = _span(trace, m, n)
     g_n = trace.grad(n)
     x_m = trace._input_tensors[m - trace.m]
     seeds = {trace._branch_tensors[i - trace.m]:
-             apply_transform(phi[i - m + 1].T, g_n) for i in range(m, n)}
+             partial(apply_transform, phi[i - m + 1].T, g_n)
+             for i in range(m, n)}
     pulled = vjp(trace._graph, seeds, wrt=[x_m])[x_m]
     recon = apply_transform(phi[0].T, g_n) + pulled
     return float(np.abs(recon - trace.grad(m)).max())

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .autodiff import Tensor, _is_int, channel_mix
+from .autodiff import Tensor, _is_int, _mix, channel_mix
 
 __all__ = [
     "KINDS",
@@ -268,13 +268,14 @@ def diagonalize_idempotent(p) -> Diagonalization:
 
 def apply_transform(p, x) -> Union[Tensor, np.ndarray]:
     """Mix channels of an NCHW input by a square matrix P at every spatial
-    position, with the one op ``channel_mix``.
+    position, with ``channel_mix``'s arithmetic.
 
-    A Tensor goes straight in (pullback P^T @ g). A plain array goes in as
-    ``Tensor(x)``, so a non-float one is mixed in float64, and comes back
-    as ``.data``; under an active Graph it leaves a node no gradient reaches.
+    A Tensor goes through the op ``channel_mix`` (pullback P^T @ g). A
+    plain array is mixed by the same arithmetic and recorded on no tape;
+    it is read as ``Tensor(x)`` reads it, so a non-float one is mixed in
+    float64.
     """
     m = _as_matrix(p)
     if isinstance(x, Tensor):
         return channel_mix(x, m)
-    return channel_mix(Tensor(x), m).data
+    return _mix(Tensor(x).data, m)[0]

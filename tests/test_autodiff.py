@@ -785,6 +785,16 @@ def test_vjp_rejects_seed_of_another_dtype():
     assert grads[x].dtype == np.float32
 
 
+def test_vjp_checks_a_callable_seed_when_it_calls_it():
+    x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    with Graph() as g:
+        y = relu(x)
+    with pytest.raises(ValueError, match="seed dtype float64"):
+        ad.vjp(g, {y: lambda: np.ones((2, 3))})
+    with pytest.raises(ValueError, match=r"seed shape \(3, 2\)"):
+        ad.vjp(g, {y: lambda: np.ones((3, 2), dtype=np.float32)})
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_released_tensor_keeps_its_key_and_refuses_writes(dtype):
     # a mix output that only a sum reads: released, it keeps its shape and
@@ -1033,6 +1043,48 @@ def test_walks_leave_no_stale_wants(wrapped):
     assert np.array_equal(full[xt].data, fresh[fresh_x].data)
     assert np.array_equal(first, full[xt].data)
     assert np.array_equal(again, first)
+
+
+@pytest.mark.parametrize("case", ["fan_in", "fan_in_wrt", "leaf_in_wrt",
+                                  "unreached", "unreached_returned"])
+def test_callable_seeds_match_array_seeds(case):
+    # a callable seed is called where the walk first touches its tensor, so
+    # it is still the first term of that tensor's sum: the bits are those of
+    # the array seed. ``mid``, stage 1's first block sum, is read by block
+    # 2's conv and sum, whose pullbacks add into it before the walk reaches
+    # the node that produced it; ``stray`` is on no tape
+    spec = NetworkSpec(blocks_per_stage=2, stage_widths=(4, 4, 4),
+                       transform_kind="idempotent_mr",
+                       transform_params={"B": 2}, input_shape=(3, 8, 8))
+    x = np.random.default_rng(9).standard_normal((2, 3, 8, 8))
+    graph, loss, xt = _net_tape(build_network(spec, seed=3), x)
+    mid = next(node.output for node in graph.nodes if node.op == "channel_mix")
+    stray = Tensor(np.zeros((2, 4, 8, 8)))
+    seeded, wrt, unused = {
+        "fan_in": ([mid], None, []),
+        "fan_in_wrt": ([mid], [xt], []),
+        "leaf_in_wrt": ([xt], [xt], []),
+        # xt is before mid, and neither xt nor stray is returned
+        "unreached": ([xt, stray], [mid], [xt, stray]),
+        "unreached_returned": ([stray], None, []),
+    }[case]
+    rng = np.random.default_rng(4)
+    arrays = {loss: np.ones_like(loss.data)}
+    arrays.update((t, rng.standard_normal(t.shape)) for t in seeded)
+    expected = ad.vjp(graph, arrays, wrt=wrt)
+    calls = dict.fromkeys(arrays, 0)
+
+    def lazy(t):
+        def seed():
+            calls[t] += 1
+            return arrays[t]
+        return seed
+
+    got = ad.vjp(graph, {t: lazy(t) for t in arrays}, wrt=wrt)
+    assert got.keys() == expected.keys()
+    for t, g in expected.items():
+        assert np.array_equal(got[t], g)
+    assert calls == {t: int(t not in unused) for t in arrays}
 
 
 # ---------------------------------------------------------------------------

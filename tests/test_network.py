@@ -442,6 +442,20 @@ def test_set_skip_rejects_complex_and_misfit_matrices():
     assert blk.skip is p
 
 
+def test_set_skip_copies_a_writable_matrix():
+    # a later write through the caller's array changes neither P nor the
+    # block's output, which an identity P computes with add
+    blk = BuildingBlock(4, 1, None, np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 4, 4)))
+    p = np.eye(4)
+    blk.set_skip(p)
+    before = blk.forward(x, mode="eval").data
+    p[0, 1] = 0.5
+    npt.assert_array_equal(blk.skip, np.eye(4))
+    assert not blk.skip.flags.writeable
+    npt.assert_array_equal(blk.forward(x, mode="eval").data, before)
+
+
 def test_random_orthogonal_per_block_differs():
     spec = small_spec(blocks_per_stage=2, stage_widths=(4, 8, 8),
                       transform_kind="orthogonal_random")

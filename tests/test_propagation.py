@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -488,6 +490,30 @@ def test_flow_report_idempotent_null_fractions():
     report = prop.flow_report(trace)
     assert report.null_fraction_x_m is not None
     assert 0.0 <= report.null_fraction_x_m <= 1.0
+
+
+def _flow_report_peak(k):
+    """tracemalloc peak of ``flow_report`` above its live trace, over all of
+    stage 1 of a K-block net, and the size of one stage activation."""
+    net = stage_net("idempotent_mr", {"B": 2}, k=k, seed=3)
+    trace = prop.capture_trace(net, input_batch(5, n=16), stage=1, m=1, n=k)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prop.flow_report(trace)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, trace.x(1).nbytes
+
+
+def test_flow_report_memory_does_not_grow_with_depth():
+    # the backward-expansion walk builds each branch's seed when it reaches
+    # the branch, so it holds one seed at a time, not one per block: built
+    # up front, the 6 more seeds of K = 9 would add 6 activations
+    peak3, _ = _flow_report_peak(3)
+    peak9, activation = _flow_report_peak(9)
+    assert peak9 - peak3 < activation
 
 
 def test_no_skip_control_traces_with_zero_matrix():

@@ -1,7 +1,7 @@
 """Checks on the repository itself: the CI workflow runs the tier-1
 command that ROADMAP.md states and fails a piped benchmark run, the
-library keeps no dead import, and every callable the traced benchmark
-wraps exists."""
+library keeps no dead import, every callable the traced benchmark
+wraps exists, and a traced analysis gives the untraced one's result."""
 
 import ast
 import importlib
@@ -10,6 +10,11 @@ import re
 import types
 from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
+
+from linearskip import propagation
+from linearskip.network import NetworkSpec, build_network
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,14 +31,19 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert step.group(1).strip() == stated[0]
 
 
-def _tracer_targets() -> list:
-    """``benchmark/tracing.py``'s ``_targets()``: (owner, attribute, span
-    name) for every callable the traced benchmark wraps."""
+def _tracing() -> types.ModuleType:
+    """``benchmark/tracing.py``, loaded as it is."""
     spec = importlib.util.spec_from_file_location(
         "_tracing", ROOT / "benchmark" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing._targets()
+    return tracing
+
+
+def _tracer_targets() -> list:
+    """``benchmark/tracing.py``'s ``_targets()``: (owner, attribute, span
+    name) for every callable the traced benchmark wraps."""
+    return _tracing()._targets()
 
 
 def _tracer_lookups() -> dict:
@@ -53,6 +63,31 @@ def test_every_tracer_target_resolves():
                for owner, attr, _ in _tracer_targets()
                if not callable(getattr(owner, attr, None))]
     assert not missing
+
+
+def test_traced_flow_report_is_the_untraced_one():
+    # the tracer wraps ``vjp`` as traced(graph, *args, **kwargs), so the
+    # backward expansion's callable seeds reach the walk unchanged and are
+    # called inside it, and the report keeps its bits
+    spec = NetworkSpec(blocks_per_stage=3, stage_widths=(4, 4, 4),
+                       transform_kind="idempotent_mr",
+                       transform_params={"B": 2}, input_shape=(3, 8, 8))
+    x = np.random.default_rng(2).standard_normal((2, 3, 8, 8))
+    trace = propagation.capture_trace(build_network(spec, seed=1), x,
+                                      stage=1, m=1, n=3)
+    untraced = propagation.flow_report(trace)
+    tracer = _tracing().Tracer(input_size=8)
+    tracer.install()
+    try:
+        traced = propagation.flow_report(trace)
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    walks = {i for i, span in enumerate(tracer.spans)
+             if span[1] == "autodiff.vjp"}
+    seeds = [span for span in tracer.spans
+             if span[1] == "transforms.apply_transform" and span[5] in walks]
+    assert len(walks) == 1 and len(seeds) == 2
 
 
 def test_every_library_import_is_used():

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from linearskip.autodiff import Tensor, channel_mix
+from linearskip.autodiff import Graph, Tensor, channel_mix
 from linearskip import equivalence as eq
 from linearskip import propagation as prop
 from linearskip import transforms as tr
@@ -356,6 +356,21 @@ def test_apply_transform_array_is_channel_mix(dtype):
     p = tr.make_orthogonal_random(8, seed=1)
     npt.assert_array_equal(tr.apply_transform(p, x),
                            channel_mix(Tensor(x), p).data)
+
+
+def test_apply_transform_records_only_tensors():
+    # an analysis mix of a plain array inside a Graph leaves no node; a
+    # non-float array is still mixed in float64
+    x = np.arange(2 * 8 * 2 * 2).reshape(2, 8, 2, 2)
+    p = tr.make_orthogonal_random(8, seed=1)
+    with Graph() as graph:
+        out = tr.apply_transform(p, x)
+    assert len(graph) == 0
+    assert out.dtype == np.float64
+    npt.assert_array_equal(out, channel_mix(Tensor(x), p).data)
+    with Graph() as graph:
+        tr.apply_transform(p, Tensor(x))
+    assert [node.op for node in graph.nodes] == ["channel_mix"]
 
 
 # ---------------------------------------------------------------------------
