@@ -11,9 +11,10 @@ gradients.
 
 A tape node keeps its input and output tensors, and its VJP closure
 keeps what its pullback reads: mostly the same arrays, plus per-channel
-statistics and the like. So every array an op returns lives until the
-tape is dropped, and an array that only feeds the next op, or that is a
-cheap function of an array the tape already holds, is dead weight there.
+statistics and the like. So every array an op returns lives as long as
+the tape holds its node, and an array that only feeds the next op, or
+that is a cheap function of an array the tape already holds, is dead
+weight there.
 Three such pairs are therefore one op each. ``conv2d(x, k, gamma=...,
 beta=..., state=..., relu=...)`` convolves ``relu?(batch_norm(x))``:
 the normalized input is a per-channel affine map of x, so its pullback
@@ -37,6 +38,16 @@ only the cotangents still live, not one per tape node. The exception is
 an unrestricted :func:`vjp` (no ``wrt``), which keeps and returns every
 cotangent, intermediate ones included. :func:`backward` returns the
 gradients of leaves only: parameters and inputs, never op outputs.
+
+:func:`backward` takes the tape: its walk empties the graph as it starts
+and drops each node once it has walked it. A pullback's closure, and the
+arrays it captured, go with their node, and an activation goes once its
+last reader and its producer are walked. So the stage-1 pullbacks run
+beside stage 1's activations only, and a train step peaks in its
+forward. A graph that backward has walked raises ``ValueError`` on any
+further walk. :func:`vjp` keeps the tape, so a tape that is walked more
+than once (as the analyses in ``propagation`` walk theirs) is walked
+with it.
 
 One dtype rule holds for every operation: the tensors it takes and the
 array it records share one dtype, float32 or float64. Nothing is cast
@@ -150,11 +161,16 @@ class Graph:
     """Tape of executed operations, in recording order.
 
     Recording order is a topological order of the computation, so reverse
-    iteration is sufficient for backpropagation.
+    iteration is sufficient for backpropagation. :func:`vjp` walks leave
+    ``nodes`` as they are; a :func:`backward` walk takes them, leaving the
+    graph empty, and any later walk of it raises ``ValueError``.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        # backward sets ``_consume`` for its walk, which takes the nodes
+        # and sets ``_consumed``; a walk of a consumed graph raises
+        self._consume = self._consumed = False
 
     def __enter__(self) -> "Graph":
         _ACTIVE_GRAPHS.append(self)
@@ -905,22 +921,43 @@ def vjp(graph: Graph, seeds: dict,
     nodes with such an input are walked, and inside them no gradient is
     computed for any other input, so a kernel or batch-norm parameter
     costs nothing. No skipped gradient can add to a ``wrt`` gradient, so
-    the result is the same bit for bit.
+    the result is the same bit for bit. The flags are set in one pass
+    over the tape before the walk, whose set of reached outputs is then
+    dropped, so it keeps no activation alive.
+
+    The walk keeps the tape: ``graph`` holds every node afterwards and
+    can be walked again. Only :func:`backward`'s own walk takes it (see
+    there); a graph that one has walked raises ``ValueError`` here.
     """
+    if graph._consumed:
+        raise ValueError("the tape was freed by backward, which drops each "
+                         "node as it walks it; walk a tape with vjp to walk "
+                         "it twice")
+    nodes = graph.nodes
+    if graph._consume:   # backward's walk: the tape is this walk's alone
+        graph.nodes, graph._consumed = [], True
     lazy = {t: seed for t, seed in seeds.items() if callable(seed)}
     grads = {t: _seed(t, seed) for t, seed in seeds.items() if t not in lazy}
-    nodes = graph.nodes
-    reach = keep = None
-    if wrt is not None:
+    # (node, its walk's wanted flags), in tape order; ``reach`` holds every
+    # reached output, so it goes before the walk, which may free them
+    keep = None
+    if wrt is None:
+        walk = [(node, [t.requires_grad for t in node.inputs])
+                for node in nodes]
+    else:
         wrt = list(wrt)
         keep = set(wrt)
         reach = set(wrt)
-        nodes = []
-        for node in graph.nodes:
+        walk = []
+        for node in nodes:
             if any(t in reach for t in node.inputs):
-                nodes.append(node)
+                walk.append((node, [t.requires_grad and t in reach
+                                    for t in node.inputs]))
                 reach.add(node.output)
-    for node in reversed(nodes):
+        del reach
+    del nodes
+    while walk:
+        node, wanted = walk.pop()
         if node.output in lazy:
             grads[node.output] = _seed(node.output, lazy.pop(node.output)())
         if keep is None or node.output in keep:
@@ -929,8 +966,7 @@ def vjp(graph: Graph, seeds: dict,
             g = grads.pop(node.output, None)
         if g is None:
             continue
-        node.wanted[:] = [t.requires_grad and (reach is None or t in reach)
-                          for t in node.inputs]
+        node.wanted[:] = wanted
         for t, gi in zip(node.inputs, node.vjp_fn(g)):
             if gi is None:
                 continue
@@ -977,8 +1013,12 @@ def backward(graph: Graph, loss: Tensor,
     among them, and the walk differentiates only inputs that depend on
     them.
 
-    Fan-out accumulates; the graph itself is left untouched and can be
-    walked again (e.g. for extra vector-Jacobian probes).
+    Fan-out accumulates. The walk takes the tape: it calls the module's
+    :func:`vjp` with the whole graph, which empties the graph as it starts
+    and drops each node once walked, so its pullback closure and, once
+    its producer is walked too, each activation are freed during the
+    walk, not after it. A second walk of the graph raises ``ValueError``;
+    a tape that must be walked twice is walked with :func:`vjp`.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -986,5 +1026,7 @@ def backward(graph: Graph, loss: Tensor,
         produced = {node.output for node in graph.nodes}
         wrt = dict.fromkeys(t for node in graph.nodes for t in node.inputs
                             if t.requires_grad and t not in produced)
+        del produced   # it holds every output, which the walk frees
+    graph._consume = True
     grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=wrt)
     return {t: Tensor(g) for t, g in grads.items() if t.requires_grad}

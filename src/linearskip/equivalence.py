@@ -58,12 +58,13 @@ def _change_basis(net: Network, stage: int, bases, inverses,
     """
     _mix_channels(net.stem if stage == 1 else net.transitions[stage - 2],
                   bases[0], axis=0)
-    skip.flags.writeable = False   # so set_skip shares it, not copies it
+    # read-only, so the blocks share each matrix, not copies of it
+    for mat in (skip, *bases, *inverses):
+        mat.flags.writeable = False
     for i, blk in enumerate(net.stages[stage - 1]):
         blk.pre_mix = inverses[i]
         blk.post_mix = bases[i + 1]
         blk.set_skip(skip)
-    net._freeze_matrices()
     _mix_channels(net.head_weight if stage == 3 else net.transitions[stage - 1],
                   inverses[-1], axis=1)
 

@@ -179,7 +179,8 @@ class BuildingBlock:
     a single branch, ``groups = B`` for B parallel branches on disjoint
     channel slices, and ``groups = width`` for the depthwise extreme. The
     optional ``pre_mix``/``post_mix`` matrices wrap the whole branch
-    composite (used by the equivalence conversions).
+    composite (used by the equivalence conversions). The skip and both
+    wraps are held read-only, whoever sets them (:meth:`_held`).
 
     Parameters and batch-norm statistics are in the block's dtype. The
     skip and mix matrices stay float64 whatever that dtype is: they are
@@ -220,27 +221,50 @@ class BuildingBlock:
         self.conv1 = _he_conv(rng, width, width // groups, 3, dtype)
         self.bn2 = BNLayer(width, dtype)
         self.conv2 = _he_conv(rng, width, width // groups, 3, dtype)
-        self.pre_mix: Optional[np.ndarray] = None
-        self.post_mix: Optional[np.ndarray] = None
+        self.pre_mix = self.post_mix = None
         self.set_skip(skip)
 
     def set_skip(self, skip: Optional[np.ndarray]) -> None:
-        """Take ``skip`` as the block's P: a read-only matrix as given, so
-        blocks handed one share it, and a writable one as a read-only
-        copy, so no later write to the caller's array changes P behind
-        the cached identity test."""
-        if skip is not None:
-            skip = transforms._as_matrix(skip)
-            if skip.shape != (self.width, self.width):
-                raise ValueError(
-                    f"skip matrix shape {skip.shape} does not match width "
-                    f"{self.width}")
-            if skip.flags.writeable:
-                skip = skip.copy()
-                skip.flags.writeable = False
-        self.skip = skip
+        """Take ``skip`` as the block's P, held as :meth:`_held` holds
+        every block matrix, so no later write to the caller's array
+        changes P behind the cached identity test."""
+        self.skip = skip = self._held(skip, "skip")
         self._skip_is_identity = skip is not None and \
             np.array_equal(skip, np.eye(self.width))
+
+    @property
+    def pre_mix(self) -> Optional[np.ndarray]:
+        return self._pre_mix
+
+    @pre_mix.setter
+    def pre_mix(self, mat: Optional[np.ndarray]) -> None:
+        self._pre_mix = self._held(mat, "pre_mix")
+
+    @property
+    def post_mix(self) -> Optional[np.ndarray]:
+        return self._post_mix
+
+    @post_mix.setter
+    def post_mix(self, mat: Optional[np.ndarray]) -> None:
+        self._post_mix = self._held(mat, "post_mix")
+
+    def _held(self, mat: Optional[np.ndarray],
+              name: str) -> Optional[np.ndarray]:
+        """``mat`` as the block holds its skip or a wrap: a read-only
+        matrix as given, so blocks handed one share it, and a writable one
+        as a read-only copy, so no later write to the caller's array
+        changes the block. ValueError unless it is a real (width, width)
+        matrix."""
+        if mat is None:
+            return None
+        mat = transforms._as_matrix(mat)
+        if mat.shape != (self.width, self.width):
+            raise ValueError(f"{name} matrix shape {mat.shape} does not "
+                             f"match width {self.width}")
+        if mat.flags.writeable:
+            mat = mat.copy()
+            mat.flags.writeable = False
+        return mat
 
     def branch_output(self, x: Tensor, mode: str) -> Tensor:
         """The regular-connection term F(x) (with any conversion wraps)."""
@@ -420,7 +444,6 @@ class Network:
                 stage_skip[stage] = arr
             store(arr)
             consumed.add(key)
-        self._freeze_matrices()
         leftover = set(state) - consumed
         if leftover:
             raise ValueError(f"checkpoint has unexpected tensors: "
@@ -430,17 +453,13 @@ class Network:
         """A deep copy; blocks that share a matrix share its copy, and the
         copied skip and wrap matrices are read-only, as built skips are."""
         out = copy.deepcopy(self)
-        out._freeze_matrices()
-        return out
-
-    def _freeze_matrices(self) -> None:
-        """Make every skip and wrap matrix read-only in place, as built
-        skips are, for matrices the network made itself (a copy's, a
-        checkpoint's or a rewrite's); blocks that share one still do."""
-        for blk in (b for stage in self.stages for b in stage):
+        # deepcopy bypasses the setters and its copies are writable, so
+        # they are frozen in place, which keeps their sharing
+        for blk in (b for stage in out.stages for b in stage):
             for mat in (blk.skip, blk.pre_mix, blk.post_mix):
                 if mat is not None:
                     mat.flags.writeable = False
+        return out
 
     def stage_blocks(self, stage: int) -> list:
         """The blocks of a 1-based stage; ValueError unless it is 1, 2 or 3."""

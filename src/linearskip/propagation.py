@@ -99,8 +99,10 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
 
     The probe loss is the sum of the entries of x_n; gradients with
     respect to every recorded block input come from one reverse pass.
-    Batch-norm runs in eval mode by default so capture has no side
-    effects.
+    That pass is an ``autodiff.vjp`` walk, not ``backward``, because
+    ``backward`` frees the tape that the trace keeps for every later
+    :func:`verify_backward_expansion` walk. Batch-norm runs in eval mode
+    by default so capture has no side effects.
     """
     blocks = network.stage_blocks(stage)
     k = len(blocks)
@@ -198,7 +200,9 @@ def verify_backward_expansion(trace: PropagationTrace, m: Optional[int] = None,
     One walk seeded at every branch output sums the terms, by linearity.
     Each seed Φ(n, i+1)^T dL/dx_n is a callable that the walk calls when
     it first reaches that branch (see :func:`autodiff.vjp`), so the walk
-    holds one seed at a time, not one per block.
+    holds one seed at a time, not one per block. It walks with ``vjp``,
+    which keeps the trace's tape, so the check can run again on the same
+    trace, for any span.
     """
     m, n, phi = _span(trace, m, n)
     g_n = trace.grad(n)

@@ -456,6 +456,26 @@ def test_set_skip_copies_a_writable_matrix():
     npt.assert_array_equal(blk.forward(x, mode="eval").data, before)
 
 
+@pytest.mark.parametrize("attr", ["pre_mix", "post_mix"])
+def test_wrap_assignment_holds_a_matrix_as_set_skip_does(attr):
+    # a later write through the caller's writable array changes neither
+    # the wrap nor the block's output; a read-only one is kept as given
+    blk = BuildingBlock(4, 1, tr.make_identity(4), np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 4, 4)))
+    mat = np.array(tr.make_orthogonal_tp(4))
+    setattr(blk, attr, mat)
+    before = blk.forward(x, mode="eval").data
+    mat[0, 1] += 0.5
+    npt.assert_array_equal(getattr(blk, attr), tr.make_orthogonal_tp(4))
+    assert not getattr(blk, attr).flags.writeable
+    npt.assert_array_equal(blk.forward(x, mode="eval").data, before)
+    frozen = tr.make_orthogonal_tp(4)
+    setattr(blk, attr, frozen)
+    assert getattr(blk, attr) is frozen
+    with pytest.raises(ValueError, match=f"{attr} matrix shape .* width 4"):
+        setattr(blk, attr, np.eye(8))
+
+
 def test_random_orthogonal_per_block_differs():
     spec = small_spec(blocks_per_stage=2, stage_widths=(4, 8, 8),
                       transform_kind="orthogonal_random")

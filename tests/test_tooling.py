@@ -1,7 +1,8 @@
 """Checks on the repository itself: the CI workflow runs the tier-1
 command that ROADMAP.md states and fails a piped benchmark run, the
 library keeps no dead import, every callable the traced benchmark
-wraps exists, and a traced analysis gives the untraced one's result."""
+wraps exists, and a traced analysis or train step gives the untraced
+one's result."""
 
 import ast
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from linearskip import propagation
+from linearskip import autodiff, propagation
 from linearskip.network import NetworkSpec, build_network
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,6 +89,40 @@ def test_traced_flow_report_is_the_untraced_one():
     seeds = [span for span in tracer.spans
              if span[1] == "transforms.apply_transform" and span[5] in walks]
     assert len(walks) == 1 and len(seeds) == 2
+
+
+def test_traced_train_step_gradients_are_the_untraced_ones():
+    # the tracer wraps each node's vjp_fn when its ``vjp`` wrapper is
+    # entered, so backward must hand it the whole tape before taking it:
+    # every recorded node is counted once and every walked node timed
+    spec = NetworkSpec(blocks_per_stage=2, stage_widths=(4, 4, 4),
+                       transform_kind="idempotent_mr",
+                       transform_params={"B": 2}, input_shape=(3, 8, 8))
+    net = build_network(spec, seed=1)
+    x = autodiff.Tensor(np.random.default_rng(2).standard_normal((2, 3, 8, 8)))
+    labels = np.array([1, 7])
+
+    def step():
+        with autodiff.Graph() as graph:
+            loss = autodiff.softmax_cross_entropy(net.forward(x, mode="train"),
+                                                  labels)
+        ops = [node.op for node in graph.nodes]
+        return ops, autodiff.backward(graph, loss)
+
+    ops, untraced = step()
+    tracer = _tracing().Tracer(input_size=8)
+    tracer.install()
+    try:
+        traced_ops, traced = step()
+    finally:
+        tracer.uninstall()
+    assert traced_ops == ops
+    assert traced.keys() == untraced.keys()
+    for t, g in untraced.items():
+        assert np.array_equal(traced[t].data, g.data)
+    assert dict(tracer.tape_nodes) == {None: len(ops)}
+    walked = [span[1] for span in tracer.spans if span[1].endswith(".bwd")]
+    assert walked == [f"autodiff.{op}.bwd" for op in reversed(ops)]
 
 
 def test_every_library_import_is_used():
