@@ -15,13 +15,19 @@ statistics and the like. So every array an op returns lives as long as
 the tape holds its node, and an array that only feeds the next op, or
 that is a cheap function of an array the tape already holds, is dead
 weight there.
-Three such pairs are therefore one op each. ``conv2d(x, k, gamma=...,
-beta=..., state=..., relu=...)`` convolves ``relu?(batch_norm(x))``:
-the normalized input is a per-channel affine map of x, so its pullback
-recomputes it one batch chunk at a time instead of keeping it.
-``batch_norm(..., relu=True)`` clamps in place, since ReLU's pullback
-needs only its output, and ``channel_mix(x, P, plus=y)`` adds y into the
-mix, since the sum's pullback needs nothing at all.
+Three such pairs are therefore one op each. ``conv2d(x, k, norm=bn,
+relu=...)`` convolves ``relu?(batch_norm(x, bn))``, for one
+:class:`BatchNorm` ``bn``: the normalized input is a per-channel affine
+map of x, so its pullback recomputes it one batch chunk at a time
+instead of keeping it. ``batch_norm(x, bn, relu=True)`` clamps in place,
+since ReLU's pullback needs only its output, and ``channel_mix(x, P,
+plus=y)`` adds y into the mix, since the sum's pullback needs nothing at
+all.
+
+A pullback reads only arrays that its op captured when it was recorded,
+never a tensor's ``data`` at walk time: a later rebinding of an input's
+``data`` (as ``Network.load_state`` rebinds parameters) or a release of
+it leaves the recorded gradient as it was.
 
 One rule frees the rest: an array that no pullback reads is released
 once its last reader has run, so the tape keeps its tensor only as a
@@ -67,7 +73,7 @@ __all__ = [
     "Tensor",
     "Graph",
     "Node",
-    "BatchNormState",
+    "BatchNorm",
     "conv2d",
     "batch_norm",
     "relu",
@@ -329,22 +335,22 @@ def _col2im(gcols: np.ndarray, xp_shape: tuple, stride: int) -> np.ndarray:
 
 
 def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
-           gamma=None, beta=None, state: Optional[BatchNormState] = None,
-           mode: str = "train", relu: bool = False) -> Tensor:
+           norm: Optional[BatchNorm] = None, mode: str = "train",
+           relu: bool = False) -> Tensor:
     """2-D convolution (cross-correlation) over NCHW input, OIHW kernel.
 
     Supports grouped convolution; ``groups == channels`` gives the
     depthwise case. Linear in both input and kernel. ``stride``,
     ``padding`` and ``groups`` must be integers.
 
-    With ``gamma``, ``beta`` and ``state`` (all three or none) the op
-    convolves A = ``batch_norm(x, gamma, beta, state, mode, relu)``
-    instead of x, as one node with inputs ``(x, gamma, beta, kernel)``;
-    ``relu`` and ``mode`` need them. A is what :func:`batch_norm` would
-    return, bit for bit, and the running statistics move as its do. A is
-    lowered to columns and freed in the forward, and the pullback
-    recomputes it one batch chunk at a time, so the tape keeps no array
-    of A's size.
+    With a :class:`BatchNorm` ``norm`` the op convolves A =
+    ``batch_norm(x, norm, mode, relu)`` instead of x, as one node with
+    inputs ``(x, norm.gamma, norm.beta, kernel)``; ``relu`` and ``mode``
+    need it. A is what :func:`batch_norm` would return, bit for bit, and
+    ``norm``'s running statistics move as its do. A is lowered to columns
+    and freed in the forward, and the pullback recomputes it one batch
+    chunk at a time, from x and the per-channel scale and shift captured
+    in the forward, so the tape keeps no array of A's size.
 
     The forward sums kh GEMMs over kw-fold row columns, at every stride
     (:func:`_correlate_rows`). The VJP retains only the input and kernel
@@ -397,23 +403,18 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         raise ValueError(
             f"kernel {kh}x{kw} with stride {stride}, padding {padding} does not "
             f"fit input {h}x{w}")
-    given = [t is not None for t in (gamma, beta, state)]
-    norm = all(given)
-    if any(given) and not norm:
-        raise ValueError("conv2d normalizes its input only given all of "
-                         "gamma, beta and state")
-    if (relu or mode != "train") and not norm:
+    folded = norm is not None
+    if (relu or mode != "train") and not folded:
         raise ValueError("conv2d takes relu and mode only with a "
                          "normalization of its input")
 
     inputs = (x, kernel)
     a = xd
-    if norm:
-        gamma, beta = _as_tensor(gamma), _as_tensor(beta)
-        _check_bn(xd, gamma, beta, state, mode)
-        inputs = (x, gamma, beta, kernel)
-        a, mu, var, invstd, scale = _normalize(xd, gamma.data, beta.data,
-                                               state, mode, relu)
+    if folded:
+        _check_bn(xd, norm, mode)
+        inputs = (x, norm.gamma, norm.beta, kernel)
+        shift = norm.beta.data
+        a, mu, var, invstd, scale = _normalize(xd, norm, mode, relu)
     og = o // groups
     out_data = _correlate_rows(a, kd, stride, padding, groups)
     del a
@@ -422,24 +423,23 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
     flipped = stride == 1 and kh == kw and padding < kh
 
     def conv_input(lo: int, hi: int, xc: Optional[np.ndarray],
-                   planes: Optional[tuple], clamp: bool) -> np.ndarray:
+                   clamp: bool) -> np.ndarray:
         """A for images lo:hi, channel-major as (C, nb, H, W): a view of x,
         or with a normalization a fresh array that repeats the forward's
         arithmetic exactly, from the centred input ``xc`` when there is
-        one and the pullback's ``planes``; unclamped unless ``clamp``,
-        which only the kernel gradient needs (the ReLU mask A > 0 is the
-        same either way)."""
-        if not norm:
+        one; unclamped unless ``clamp``, which only the kernel gradient
+        needs (the ReLU mask A > 0 is the same either way)."""
+        if not folded:
             return xd[lo:hi].transpose(1, 0, 2, 3)
         acm = np.empty((c, hi - lo, h, w), dtype=xd.dtype)
         view = acm.transpose(1, 0, 2, 3)
         centred = (np.subtract(xd[lo:hi], mu[None, :, None, None], out=view)
                    if xc is None else xc[lo:hi])
-        _affine(centred, planes, relu and clamp, out=view)
+        _affine(centred, scale, shift, relu and clamp, out=view)
         return acm
 
     def pullback(g: np.ndarray, *wanted: bool):
-        if norm:
+        if folded:
             want_x, want_gamma, want_beta, want_k = wanted
             want_a = want_x or want_gamma or want_beta
         else:
@@ -456,9 +456,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         # batch norm's gradient reads the centred input, so it is made
         # first and each chunk of A is recomputed from it
         xc = (_bn_centred(xd, mu, mode, want_x, want_gamma, want_beta)
-              if norm and want_a else None)
-        planes = (_planes(xd.shape, scale, beta.data)
-                  if norm and (want_k or masked) else None)
+              if folded and want_a else None)
         if by_g:
             # contiguous: a depthwise kflip left as a negative-stride view
             # makes np.matmul bypass BLAS
@@ -468,7 +466,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         for lo in range(0, n, step):
             gs = g[lo:lo + step]
             nb = len(gs)
-            acm = (conv_input(lo, lo + nb, xc, planes, want_k)
+            acm = (conv_input(lo, lo + nb, xc, want_k)
                    if want_k or masked else None)
             if by_g:
                 # one column buffer of g serves both gradients: row (o, a, b)
@@ -523,7 +521,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
                 gk.transpose(0, 1, 4, 2, 3)).reshape(kd.shape)
         elif want_k:
             gk = gk.transpose(0, 2, 1).reshape(kd.shape)
-        if not norm:
+        if not folded:
             return ga, gk
         # ga is the pullback's own array, so batch norm's gradient is built in it
         if want_a:
@@ -532,84 +530,78 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         return None, None, None, gk
 
     out = _record("conv2d", inputs, out_data, pullback)
-    if norm and mode == "train":
-        _update_running_stats(state, mu, var)
+    if folded and mode == "train":
+        _update_running_stats(norm, mu, var)
     return out
 
 
 # ---------------------------------------------------------------------------
 # batch normalization
 
-class BatchNormState:
-    """Running mean/variance buffers for one batch-norm layer."""
+class BatchNorm:
+    """One batch-norm layer over ``channels`` channels, in ``dtype``: the
+    trainable scale ``gamma`` and shift ``beta`` (requires-grad tensors,
+    ones and zeros) and the ``running_mean``/``running_var`` buffers
+    (zeros and ones) that train mode updates and eval mode reads.
+    :func:`batch_norm` and :func:`conv2d` take it whole."""
 
-    __slots__ = ("running_mean", "running_var")
+    __slots__ = ("gamma", "beta", "running_mean", "running_var")
 
     def __init__(self, channels: int, dtype=np.float64):
+        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
 
-def _check_bn(xd: np.ndarray, gamma: Tensor, beta: Tensor,
-              state: BatchNormState, mode: str) -> None:
-    """ValueError unless a batch norm of the NCHW array ``xd`` can take
-    these parameters, this state and this mode."""
+def _check_bn(xd: np.ndarray, norm: BatchNorm, mode: str) -> None:
+    """ValueError unless ``norm`` can normalize the NCHW array ``xd`` in
+    this mode."""
     n, c = xd.shape[:2]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ValueError(
-            f"gamma/beta must have shape ({c},), got {gamma.data.shape} and "
-            f"{beta.data.shape}")
+    gamma, beta = norm.gamma.data, norm.beta.data
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ValueError(f"gamma/beta must have shape ({c},), got "
+                         f"{gamma.shape} and {beta.shape}")
     if n == 0:
         raise ValueError("batch norm requires a non-empty batch")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if {state.running_mean.dtype, state.running_var.dtype} != {xd.dtype}:
-        raise ValueError(f"batch norm state dtype is not {xd.dtype}")
+    if {norm.running_mean.dtype, norm.running_var.dtype} != {xd.dtype}:
+        raise ValueError(f"batch norm running stats dtype is not {xd.dtype}")
 
 
-def _planes(shape: tuple, scale: np.ndarray, shift: np.ndarray) -> tuple:
-    """Per-channel ``scale`` and ``shift`` as contiguous (C, H, W) planes
-    for NCHW arrays of ``shape``. numpy broadcasts a plane over the batch
-    in its contiguous inner loop, where a ``[None, :, None, None]`` view
-    takes its slow stride-0 one; the values, and so the bits, are the
-    same."""
-    c, h, w = shape[1:]
-    return tuple(np.repeat(v, h * w).reshape(c, h, w) for v in (scale, shift))
-
-
-def _affine(centred: np.ndarray, planes: tuple, relu: bool,
-            out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``centred * scale + shift`` per channel, with :func:`_planes`'
-    (scale, shift), clamped at zero with ``relu``, for the NCHW array or
-    view ``centred`` = x - mu, written to ``out`` (default: in place);
-    returns it. Every batch-norm output, and every recompute of one, is
-    this arithmetic."""
-    scale, shift = planes
-    out = np.multiply(centred, scale, out=centred if out is None else out)
-    out += shift
+def _affine(centred: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+            relu: bool, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``centred * scale + shift`` per channel, clamped at zero with
+    ``relu``, for the NCHW array or view ``centred`` = x - mu, written to
+    ``out`` (default: in place); returns it. Every batch-norm output, and
+    every recompute of one, is this arithmetic."""
+    out = np.multiply(centred, scale[None, :, None, None],
+                      out=centred if out is None else out)
+    out += shift[None, :, None, None]
     if relu:
         np.maximum(out, 0, out=out)
     return out
 
 
-def _normalize(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               state: BatchNormState, mode: str, relu: bool) -> tuple:
-    """Batch norm of the NCHW array ``xd`` as (out, mu, var, invstd,
-    scale), scale = gamma * invstd. ``train`` takes mu and the biased
-    (ddof=0) var from the batch, var from the centred values; ``eval``
-    takes the running buffers."""
+def _normalize(xd: np.ndarray, norm: BatchNorm, mode: str,
+               relu: bool) -> tuple:
+    """Batch norm of the NCHW array ``xd`` by ``norm``, as (out, mu, var,
+    invstd, scale), scale = gamma * invstd. ``train`` takes mu and the
+    biased (ddof=0) var from the batch, var from the centred values;
+    ``eval`` takes the running buffers."""
     m = xd.size // xd.shape[1]
     if mode == "train":
         mu = xd.mean(axis=(0, 2, 3))
     else:
-        mu, var = state.running_mean, state.running_var
+        mu, var = norm.running_mean, norm.running_var
     out = xd - mu[None, :, None, None]
     if mode == "train":
         var = np.einsum("nchw,nchw->c", out, out) / m
     invstd = 1.0 / np.sqrt(var + _BN_EPS)
-    scale = gamma * invstd
-    return (_affine(out, _planes(xd.shape, scale, beta), relu), mu, var,
-            invstd, scale)
+    scale = norm.gamma.data * invstd
+    return (_affine(out, scale, norm.beta.data, relu), mu, var, invstd,
+            scale)
 
 
 def _bn_centred(xd: np.ndarray, mu: np.ndarray, mode: str, want_x: bool,
@@ -648,25 +640,27 @@ def _bn_grads(g: np.ndarray, own_g: bool, xc: Optional[np.ndarray],
     return gx, ggamma, gbeta
 
 
-def _update_running_stats(state: BatchNormState, mu: np.ndarray,
+def _update_running_stats(norm: BatchNorm, mu: np.ndarray,
                           var: np.ndarray) -> None:
-    """Exponential moving average of a train batch's statistics into the
-    running buffers, rebound rather than updated in place: an eval node's
-    VJP reads the old mu."""
+    """Exponential moving average of a train batch's statistics into
+    ``norm``'s running buffers, rebound rather than updated in place: an
+    eval node's VJP reads the old mu."""
     keep = _BN_MOMENTUM
-    state.running_mean = keep * state.running_mean + (1.0 - keep) * mu
-    state.running_var = keep * state.running_var + (1.0 - keep) * var
+    norm.running_mean = keep * norm.running_mean + (1.0 - keep) * mu
+    norm.running_var = keep * norm.running_var + (1.0 - keep) * var
 
 
-def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
+def batch_norm(x, norm: BatchNorm, mode: str = "train",
                relu: bool = False) -> Tensor:
-    """Per-channel batch normalization over NCHW input.
+    """Per-channel batch normalization of NCHW input by one
+    :class:`BatchNorm`, as one node with inputs ``(x, norm.gamma,
+    norm.beta)``.
 
     Both modes compute (x - mu) * gamma / sqrt(var + _BN_EPS) + beta.
     ``train`` takes mu and the biased (ddof=0) var from the batch, var from
-    the centred values, and updates the running buffers by exponential
-    moving average; ``eval`` uses the running buffers, which must have x's
-    dtype.
+    the centred values, and updates ``norm``'s running buffers by
+    exponential moving average; ``eval`` uses the running buffers, which
+    must have x's dtype.
 
     With ``relu`` the output is clamped at zero in place, so one node
     stands for ``relu(batch_norm(...))`` and the unclamped array is never
@@ -674,16 +668,15 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
     :func:`relu`'s does, and reads nothing else of the output.
 
     A batch norm that feeds a convolution is better folded into it
-    (:func:`conv2d`'s ``gamma``, ``beta`` and ``state``), which keeps no
-    array of the output's size; this op keeps its output.
+    (:func:`conv2d`'s ``norm``), which keeps no array of the output's
+    size; this op keeps its output.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    x = _as_tensor(x)
     xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"batch_norm expects NCHW input, got shape {xd.shape}")
-    _check_bn(xd, gamma, beta, state, mode)
-    out_data, mu, var, invstd, scale = _normalize(xd, gamma.data, beta.data,
-                                                  state, mode, relu)
+    _check_bn(xd, norm, mode)
+    out_data, mu, var, invstd, scale = _normalize(xd, norm, mode, relu)
 
     def pullback(g: np.ndarray, want_x: bool, want_gamma: bool,
                  want_beta: bool):
@@ -699,9 +692,10 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train",
                                      want_beta),
                          invstd, scale, mode, want_x, want_gamma, want_beta)
 
-    out = _record("batch_norm", (x, gamma, beta), out_data, pullback)
+    out = _record("batch_norm", (x, norm.gamma, norm.beta), out_data,
+                  pullback)
     if mode == "train":
-        _update_running_stats(state, mu, var)
+        _update_running_stats(norm, mu, var)
     return out
 
 
@@ -740,28 +734,29 @@ def global_avg_pool(x) -> Tensor:
 def dense(x, weight, bias=None) -> Tensor:
     """Affine layer: (N,C) @ (K,C)^T + (K,) -> (N,K)."""
     x, weight = _as_tensor(x), _as_tensor(weight)
-    if x.data.ndim != 2 or weight.data.ndim != 2:
+    xd, wd = x.data, weight.data
+    if xd.ndim != 2 or wd.ndim != 2:
         raise ValueError(
             f"dense expects 2-D input and weight, got {x.shape} and {weight.shape}")
-    if x.data.shape[1] != weight.data.shape[1]:
+    if xd.shape[1] != wd.shape[1]:
         raise ValueError(
-            f"dense input has {x.data.shape[1]} features, weight expects "
-            f"{weight.data.shape[1]}")
+            f"dense input has {xd.shape[1]} features, weight expects "
+            f"{wd.shape[1]}")
     inputs = (x, weight)
-    out_data = x.data @ weight.data.T
+    out_data = xd @ wd.T
     if bias is not None:
         bias = _as_tensor(bias)
-        if bias.data.shape != (weight.data.shape[0],):
+        if bias.data.shape != (wd.shape[0],):
             raise ValueError(
-                f"bias must have shape ({weight.data.shape[0]},), got "
+                f"bias must have shape ({wd.shape[0]},), got "
                 f"{bias.data.shape}")
         inputs += (bias,)
         out_data = out_data + bias.data
 
     def pullback(g: np.ndarray, want_x: bool, want_w: bool,
                  want_b: bool = False):
-        gx = g @ weight.data if want_x else None
-        gw = g.T @ x.data if want_w else None
+        gx = g @ wd if want_x else None
+        gw = g.T @ xd if want_w else None
         gb = g.sum(axis=0) if want_b else None
         return gx, gw, gb
 
@@ -838,11 +833,12 @@ def reduce_sum(x) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     x = _as_tensor(x)
     out_data = np.asarray(x.data.sum())
+    shape, dtype = x.data.shape, x.dtype
 
     def pullback(g: np.ndarray, want_x: bool):
         if not want_x:
             return (None,)
-        return (np.full(x.data.shape, g, dtype=x.dtype),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return _record("reduce_sum", (x,), out_data, pullback)
 

@@ -36,6 +36,8 @@ __all__ = [
     "mixing_interaction_report",
 ]
 
+_BRANCH_TOL = 1e-12   # a wrap's branch block is zero if no entry exceeds it
+
 
 def _mix_channels(tensor, mat: np.ndarray, axis: int) -> None:
     """Fold a channel mix into a layer's weight: left-multiply its output
@@ -191,13 +193,13 @@ class MixingReport:
     post_pattern: Optional[np.ndarray]
 
 
-def _branch_pattern(mat: Optional[np.ndarray], branches: int,
-                    tol: float = 1e-12):
+def _branch_pattern(mat: Optional[np.ndarray], branches: int):
     """(is_block_diagonal, BxB nonzero-block pattern) for one wrap matrix."""
     if mat is None:
         return True, None
     w = mat.shape[0] // branches
-    pattern = np.abs(mat).reshape(branches, w, branches, w).max(axis=(1, 3)) > tol
+    blocks = np.abs(mat).reshape(branches, w, branches, w)
+    pattern = blocks.max(axis=(1, 3)) > _BRANCH_TOL
     off_diag = pattern & ~np.eye(branches, dtype=bool)
     return not off_diag.any(), pattern
 

@@ -21,13 +21,12 @@ from . import transforms
 # its batch norms and ReLU into its convolutions), but tracers that wrap
 # module attributes (the benchmark's among them) still look them up on
 # this module
-from .autodiff import (BatchNormState, Tensor, _is_int, _release,  # noqa: F401
+from .autodiff import (BatchNorm, Tensor, _is_int, _release,  # noqa: F401
                        add, batch_norm, channel_mix, conv2d, dense,
                        global_avg_pool, relu)
 
 __all__ = [
     "NetworkSpec",
-    "BNLayer",
     "BuildingBlock",
     "Network",
     "build_network",
@@ -156,15 +155,6 @@ class NetworkSpec:
         return spec
 
 
-class BNLayer:
-    """Trainable scale/shift plus running statistics for one batch norm."""
-
-    def __init__(self, channels: int, dtype=np.float64):
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.state = BatchNormState(channels, dtype)
-
-
 def _he_conv(rng: np.random.Generator, out_ch: int, in_ch: int, k: int,
              dtype) -> Tensor:
     std = np.sqrt(2.0 / (in_ch * k * k))
@@ -190,19 +180,20 @@ class BuildingBlock:
     3.4e-8, far beyond the 1e-10 of ``is_orthogonal``, so the rewrites
     would reject it.
 
-    On a tape the block keeps only arrays that some pullback reads.
-    Each batch norm is folded into the convolution it feeds: ``bn1`` ->
-    ``conv1`` and ``bn2`` + ReLU -> ``conv2`` are one ``conv2d`` node each
-    (its ``gamma``/``beta``/``state`` arguments), whose pullback
-    recomputes the normalized input from its own input. A non-identity
-    skip and the final sum are one node (``channel_mix(x, P, plus=F(x))``),
-    because the mixed skip P x feeds only the sum. The pullbacks of
-    ``add``, ``channel_mix`` and ``global_avg_pool`` read no input values,
-    so an array that only they read is released (``autodiff._release``)
-    once the last of them has run: F(x), by :meth:`combine`; ``conv2``'s
-    output, by :meth:`branch_output` after a ``post_mix``; a block's
-    input, by ``Network._run_stage`` after a block with a ``pre_mix``; and
-    the last block's output, by ``Network.forward`` after pooling. Each
+    ``bn1`` and ``bn2`` are one ``autodiff.BatchNorm`` each. On a tape
+    the block keeps only arrays that some pullback reads. Each batch norm
+    is folded into the convolution it feeds: ``bn1`` -> ``conv1`` and
+    ``bn2`` + ReLU -> ``conv2`` are one ``conv2d(..., norm=bn)`` node
+    each, whose pullback recomputes the normalized input from its own
+    input. A non-identity skip and the final sum are one node
+    (``channel_mix(x, P, plus=F(x))``), because the mixed skip P x feeds
+    only the sum. The pullbacks of ``add``, ``channel_mix`` and
+    ``global_avg_pool`` read no input values, so an array that only they
+    read is released (``autodiff._release``) once the last of them has
+    run: F(x), by :meth:`combine`; ``conv2``'s output, by
+    :meth:`branch_output` after a ``post_mix``; a block's input, by
+    ``Network._run_stage`` after a block with a ``pre_mix``; and the last
+    block's output, by ``Network.forward`` after pooling. Each
     block then keeps two activation-sized arrays, wrapped or not: the
     inputs of its two convolutions, which are ``conv1``'s output and the
     block's input (its ``pre_mix`` output when wrapped). F(x) stays a
@@ -217,9 +208,9 @@ class BuildingBlock:
             raise ValueError(f"width {width} not divisible by {groups} branches")
         self.width = width
         self.groups = groups
-        self.bn1 = BNLayer(width, dtype)
+        self.bn1 = BatchNorm(width, dtype)
         self.conv1 = _he_conv(rng, width, width // groups, 3, dtype)
-        self.bn2 = BNLayer(width, dtype)
+        self.bn2 = BatchNorm(width, dtype)
         self.conv2 = _he_conv(rng, width, width // groups, 3, dtype)
         self.pre_mix = self.post_mix = None
         self.set_skip(skip)
@@ -279,12 +270,11 @@ class BuildingBlock:
             h = mixed
         return h
 
-    def _normalized_conv(self, h: Tensor, bn: BNLayer, kernel: Tensor,
+    def _normalized_conv(self, h: Tensor, bn: BatchNorm, kernel: Tensor,
                          mode: str, relu: bool = False) -> Tensor:
         """The branch's 3x3 convolution of ``relu?(bn(h))``, as one node."""
         return conv2d(h, kernel, stride=1, padding=1, groups=self.groups,
-                      gamma=bn.gamma, beta=bn.beta, state=bn.state, mode=mode,
-                      relu=relu)
+                      norm=bn, mode=mode, relu=relu)
 
     def combine(self, x: Tensor, branch: Tensor) -> Tensor:
         """The block equation ``y = P x + F(x)``, given ``branch = F(x)``.
@@ -391,10 +381,10 @@ class Network:
             for i, blk in enumerate(stage):
                 pre = f"stage{s + 1}.block{i + 1}"
                 square = (blk.width, blk.width)
-                for bn in ("bn1", "bn2"):
-                    st = getattr(blk, bn).state
-                    out += [(f"{pre}.{bn}.{attr}", getattr(st, attr),
-                             partial(setattr, st, attr), (blk.width,),
+                for name in ("bn1", "bn2"):
+                    bn = getattr(blk, name)
+                    out += [(f"{pre}.{name}.{attr}", getattr(bn, attr),
+                             partial(setattr, bn, attr), (blk.width,),
                              self.dtype, True)
                             for attr in ("running_mean", "running_var")]
                 out.append((f"{pre}.skip", blk.skip, blk.set_skip, square,

@@ -97,8 +97,10 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
                   mode: str = "eval") -> PropagationTrace:
     """Run the network over blocks m..n of a stage and record the trace.
 
-    The probe loss is the sum of the entries of x_n; gradients with
-    respect to every recorded block input come from one reverse pass.
+    Blocks 1..m-1 run before the tape starts, since no walk from x_m..x_n
+    reaches them, so the trace keeps none of their activations. The probe
+    loss is the sum of the entries of x_n; gradients with respect to
+    every recorded block input come from one reverse pass.
     That pass is an ``autodiff.vjp`` walk, not ``backward``, because
     ``backward`` frees the tape that the trace keeps for every later
     :func:`verify_backward_expansion` walk. Batch-norm runs in eval mode
@@ -113,11 +115,11 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
              for blk in blocks[m - 1:n - 1]]
     shared = all(np.array_equal(p, skips[0]) for p in skips)
 
-    # the tape starts at the stage input: no walk from x_m reaches before it
-    h = Tensor(network.stage_input(x, stage, mode).data, requires_grad=True)
+    h = network.stage_input(x, stage, mode)
+    for blk in blocks[:m - 1]:
+        h = blk.forward(h, mode)
+    h = Tensor(h.data, requires_grad=True)  # x_m, where the tape starts
     with Graph() as graph:
-        for blk in blocks[:m - 1]:
-            h = blk.forward(h, mode)
         input_tensors = []
         branch_tensors = []
         branch_outputs = []

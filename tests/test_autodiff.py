@@ -7,7 +7,7 @@ import pytest
 
 from linearskip import autodiff as ad
 from linearskip import transforms as tr
-from linearskip.autodiff import (BatchNormState, Graph, Tensor, add, backward,
+from linearskip.autodiff import (BatchNorm, Graph, Tensor, add, backward,
                                  batch_norm, channel_mix, conv2d, dense,
                                  global_avg_pool, reduce_sum, relu,
                                  softmax_cross_entropy)
@@ -427,55 +427,60 @@ def test_conv_input_gradient_is_contiguous(stride):
 # ---------------------------------------------------------------------------
 # batch norm
 
+def _holding(gamma, beta, dtype=np.float64, mean=None, var=None):
+    """A BatchNorm in ``dtype`` that holds the tensors ``gamma`` and
+    ``beta``, and the running statistics ``mean``/``var`` if given."""
+    norm = BatchNorm(gamma.shape[0], dtype)
+    norm.gamma, norm.beta = gamma, beta
+    if mean is not None:
+        norm.running_mean = mean.astype(dtype)
+        norm.running_var = var.astype(dtype)
+    return norm
+
+
 def test_batch_norm_constant_input_centers_to_zero():
     x = np.ones((3, 2, 4, 4))
     x[:, 1] = 5.0
-    out = batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                     BatchNormState(2), mode="train")
+    out = batch_norm(Tensor(x), BatchNorm(2), mode="train")
     npt.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_batch_norm_gamma_zero_outputs_beta():
     rng = np.random.default_rng(0)
     out = batch_norm(Tensor(rng.standard_normal((2, 3, 4, 4))),
-                     Tensor(np.zeros(3)), Tensor(np.full(3, 2.5)),
-                     BatchNormState(3), mode="train")
+                     _holding(Tensor(np.zeros(3)), Tensor(np.full(3, 2.5))),
+                     mode="train")
     npt.assert_allclose(out.data, 2.5, atol=1e-12)
 
 
 def test_batch_norm_two_sample_oracle():
     # batch values 1 and 3 per channel: mean 2, biased variance 1
     x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1).repeat(2, axis=1)
-    out = batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                     BatchNormState(2), mode="train")
+    out = batch_norm(Tensor(x), BatchNorm(2), mode="train")
     expected = np.array([-1.0, 1.0]) / np.sqrt(1.0 + 1e-5)
     npt.assert_allclose(out.data[:, 0, 0, 0], expected, rtol=1e-12)
     npt.assert_allclose(out.data[:, 1, 0, 0], expected, rtol=1e-12)
 
 
 def test_batch_norm_eval_uses_running_stats():
-    state = BatchNormState(1)
-    state.running_mean[:] = 1.0
-    state.running_var[:] = 4.0
+    norm = BatchNorm(1)
+    norm.running_mean[:] = 1.0
+    norm.running_var[:] = 4.0
     x = np.full((2, 1, 1, 1), 3.0)
-    out = batch_norm(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                     state, mode="eval")
+    out = batch_norm(Tensor(x), norm, mode="eval")
     npt.assert_allclose(out.data, (3.0 - 1.0) / np.sqrt(4.0 + 1e-5), rtol=1e-12)
 
 
 def test_batch_norm_zero_batch_errors():
     with pytest.raises(ValueError, match="non-empty"):
-        batch_norm(Tensor(np.zeros((0, 2, 4, 4))), Tensor(np.ones(2)),
-                   Tensor(np.zeros(2)), BatchNormState(2), mode="train")
+        batch_norm(Tensor(np.zeros((0, 2, 4, 4))), BatchNorm(2), mode="train")
 
 
 def test_batch_norm_float32_large_mean_keeps_unit_std():
     # a mean of 1000 cancels E[x^2] - mu^2 in float32; centred values do not
     rng = np.random.default_rng(3)
     x = (1000.0 + rng.standard_normal((32, 4, 8, 8))).astype(np.float32)
-    ones, zeros = np.ones(4, np.float32), np.zeros(4, np.float32)
-    out = batch_norm(Tensor(x), Tensor(ones), Tensor(zeros),
-                     BatchNormState(4, np.float32), mode="train")
+    out = batch_norm(Tensor(x), BatchNorm(4, np.float32), mode="train")
     assert out.dtype == np.float32
     std = out.data.astype(np.float64).std(axis=(0, 2, 3))
     tol = 2 ** 6 * np.finfo(np.float32).eps
@@ -494,8 +499,7 @@ def test_batch_norm_relu_pullback_holds_two_temporaries(mode, dtype):
                    dtype=dtype)
     beta = Tensor(rng.standard_normal(16), requires_grad=True, dtype=dtype)
     with Graph() as graph:
-        out = batch_norm(x, gamma, beta, BatchNormState(16, dtype), mode,
-                         relu=True)
+        out = batch_norm(x, _holding(gamma, beta, dtype), mode, relu=True)
     g = rng.standard_normal(out.shape).astype(dtype)
     tracemalloc.start()
     try:
@@ -515,12 +519,12 @@ def test_batch_norm_eval_vjp_keeps_its_statistics():
     x = rng.standard_normal((2, 3, 4, 4))
     gamma = Tensor(np.ones(3), requires_grad=True)
     beta = Tensor(np.zeros(3))
-    state = BatchNormState(3)
+    norm = _holding(gamma, beta)
     with Graph() as g:
-        loss = reduce_sum(batch_norm(Tensor(x), gamma, beta, state, "eval"))
+        loss = reduce_sum(batch_norm(Tensor(x), norm, "eval"))
     # vjp keeps the tape for the walk after the train step
     before = ad.vjp(g, {loss: np.ones_like(loss.data)}, wrt=[gamma])[gamma]
-    batch_norm(Tensor(5.0 * x + 3.0), gamma, beta, state, "train")
+    batch_norm(Tensor(5.0 * x + 3.0), norm, "train")
     npt.assert_array_equal(backward(g, loss)[gamma].data, before)
 
 
@@ -540,30 +544,23 @@ def _bn_conv_arrays(n=2, c=8, o=8, groups=1, seed=0):
     return x, gamma, beta, mean, var, k
 
 
-def _bn_state(mean, var, dtype):
-    state = BatchNormState(len(mean), dtype)
-    state.running_mean = mean.astype(dtype)
-    state.running_var = var.astype(dtype)
-    return state
-
-
 def _bn_conv_tape(arrays, mode, relu, dtype, stride=1, groups=1, fused=True):
     """A tape of the folded node, or of batch_norm then conv2d, on fresh
-    leaves (x, gamma, beta, kernel) and a fresh state; returns the tape,
-    its output, the leaves and the state."""
+    leaves (x, gamma, beta, kernel) and a fresh BatchNorm holding gamma
+    and beta; returns the tape, its output, the leaves and the BatchNorm."""
     x, gamma, beta, mean, var, k = arrays
-    state = _bn_state(mean, var, dtype)
     leaves = [Tensor(a, requires_grad=True, dtype=dtype)
               for a in (x, gamma, beta, k)]
     xt, gt, bt, kt = leaves
+    norm = _holding(gt, bt, dtype, mean, var)
     with Graph() as graph:
         if fused:
-            out = conv2d(xt, kt, stride, 1, groups, gamma=gt, beta=bt,
-                         state=state, mode=mode, relu=relu)
+            out = conv2d(xt, kt, stride, 1, groups, norm=norm, mode=mode,
+                         relu=relu)
         else:
-            out = conv2d(batch_norm(xt, gt, bt, state, mode, relu=relu), kt,
+            out = conv2d(batch_norm(xt, norm, mode, relu=relu), kt,
                          stride, 1, groups)
-    return graph, out, leaves, state
+    return graph, out, leaves, norm
 
 
 def _bn_conv_grads(graph, out, leaves, g):
@@ -642,17 +639,17 @@ def test_bn_conv_is_batch_norm_then_conv(mode, relu, groups, dtype):
     g = np.random.default_rng(groups).standard_normal((2, 8, 6, 5))
     results = []
     for fused in (True, False):
-        graph, out, leaves, state = _bn_conv_tape(arrays, mode, relu, dtype,
-                                                  groups=groups, fused=fused)
+        graph, out, leaves, norm = _bn_conv_tape(arrays, mode, relu, dtype,
+                                                 groups=groups, fused=fused)
         results.append((out.data, _bn_conv_grads(graph, out, leaves, g),
-                        state))
-    (out, grads, state), (ref_out, ref_grads, ref_state) = results
+                        norm))
+    (out, grads, norm), (ref_out, ref_grads, ref_norm) = results
     assert np.array_equal(out, ref_out, equal_nan=True)
     for got, ref in zip(grads, ref_grads):
         assert got.dtype == ref.dtype == dtype
         assert np.array_equal(got, ref, equal_nan=True)
     for attr in ("running_mean", "running_var"):
-        got, ref = getattr(state, attr), getattr(ref_state, attr)
+        got, ref = getattr(norm, attr), getattr(ref_norm, attr)
         assert got.dtype == dtype
         assert np.array_equal(got, ref, equal_nan=True)
 
@@ -664,13 +661,13 @@ def test_gradcheck_bn_conv(mode, relu):
                                                    seed=40 + relu)
     x, gamma, beta, k = (Tensor(a, requires_grad=True)
                          for a in (x, gamma, beta, 0.5 * k))
-    state = _bn_state(mean, var, np.float64)
+    norm = _holding(gamma, beta, np.float64, mean, var)
     w = Tensor(np.random.default_rng(41).standard_normal((3, 6)))
     labels = np.array([0, 2, 1])
 
     def loss():
-        out = conv2d(x, k, padding=1, groups=2, gamma=gamma, beta=beta,
-                     state=state, mode=mode, relu=relu)
+        out = conv2d(x, k, padding=1, groups=2, norm=norm, mode=mode,
+                     relu=relu)
         return softmax_cross_entropy(dense(global_avg_pool(out), w), labels)
 
     _finite_difference_check(loss, [x, gamma, beta, k])
@@ -684,13 +681,12 @@ def test_bn_conv_tape_keeps_no_normalized_input():
     gamma = Tensor(rng.standard_normal(16) + 1.0, requires_grad=True)
     beta = Tensor(rng.standard_normal(16), requires_grad=True)
     k = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
-    state = BatchNormState(16)
+    norm = _holding(gamma, beta)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         with Graph() as graph:
-            out = conv2d(x, k, padding=1, gamma=gamma, beta=beta,
-                         state=state, relu=True)
+            out = conv2d(x, k, padding=1, norm=norm, relu=True)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -698,20 +694,13 @@ def test_bn_conv_tape_keeps_no_normalized_input():
     assert held <= 1.25 * out.data.nbytes
 
 
-def _norm_args(**changes):
-    args = {"gamma": Tensor(np.ones(4)), "beta": Tensor(np.zeros(4)),
-            "state": BatchNormState(4)}
-    args.update(changes)
-    return args
-
-
 @pytest.mark.parametrize("kwargs,message", [
-    ({"gamma": Tensor(np.ones(4))}, "all of gamma, beta and state"),
     ({"relu": True}, "relu and mode only with a normalization"),
     ({"mode": "eval"}, "relu and mode only with a normalization"),
-    (_norm_args(mode="test"), "mode must be"),
-    (_norm_args(gamma=Tensor(np.ones(3))), "gamma/beta must have shape"),
-], ids=["partial", "relu_alone", "mode_alone", "mode", "gamma_shape"])
+    ({"norm": BatchNorm(4), "mode": "test"}, "mode must be"),
+    ({"norm": _holding(Tensor(np.ones(3)), Tensor(np.zeros(4)))},
+     "gamma/beta must have shape"),
+], ids=["relu_alone", "mode_alone", "mode", "gamma_shape"])
 def test_bn_conv_rejects_malformed_normalization(kwargs, message):
     with pytest.raises(ValueError, match=message):
         conv2d(Tensor(np.ones((1, 4, 5, 5))), Tensor(np.ones((4, 4, 3, 3))),
@@ -719,12 +708,11 @@ def test_bn_conv_rejects_malformed_normalization(kwargs, message):
 
 
 def test_bn_conv_mixed_dtypes_leave_state_alone():
-    state = BatchNormState(3, np.float32)
+    norm = BatchNorm(3, np.float32)
     with pytest.raises(ValueError, match="dtype"):
-        conv2d(_f32(2, 3, 4, 4), Tensor(np.ones((3, 3, 3, 3))),
-               gamma=_f32(3), beta=_f32(3), state=state)
-    npt.assert_array_equal(state.running_mean, 0.0)
-    npt.assert_array_equal(state.running_var, 1.0)
+        conv2d(_f32(2, 3, 4, 4), Tensor(np.ones((3, 3, 3, 3))), norm=norm)
+    npt.assert_array_equal(norm.running_mean, 0.0)
+    npt.assert_array_equal(norm.running_var, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +727,10 @@ def _f32(*shape):
     lambda: add(_f32(2, 3), Tensor(np.ones((2, 3)))),
     lambda: dense(_f32(2, 3), Tensor(np.ones((4, 3)))),
     lambda: dense(_f32(2, 3), _f32(4, 3), Tensor(np.zeros(4))),
-    lambda: batch_norm(_f32(2, 3, 4, 4), _f32(3), _f32(3),
-                       BatchNormState(3, np.float64)),
-    lambda: batch_norm(_f32(2, 3, 4, 4), Tensor(np.ones(3)), _f32(3),
-                       BatchNormState(3, np.float32)),
+    lambda: batch_norm(_f32(2, 3, 4, 4),
+                       _holding(_f32(3), _f32(3), np.float64)),
+    lambda: batch_norm(_f32(2, 3, 4, 4),
+                       _holding(Tensor(np.ones(3)), _f32(3), np.float32)),
 ], ids=["conv2d_kernel", "add", "dense_weight", "dense_bias",
         "batch_norm_state", "batch_norm_gamma"])
 def test_mixed_dtypes_raise(op):
@@ -769,11 +757,11 @@ def test_tensor_promotes_real_data_to_float64():
 
 
 def test_mixed_dtype_batch_norm_leaves_state_alone():
-    state = BatchNormState(3, np.float32)
+    norm = _holding(Tensor(np.ones(3)), _f32(3), np.float32)
     with pytest.raises(ValueError, match="dtype"):
-        batch_norm(_f32(2, 3, 4, 4), Tensor(np.ones(3)), _f32(3), state)
-    npt.assert_array_equal(state.running_mean, 0.0)
-    npt.assert_array_equal(state.running_var, 1.0)
+        batch_norm(_f32(2, 3, 4, 4), norm)
+    npt.assert_array_equal(norm.running_mean, 0.0)
+    npt.assert_array_equal(norm.running_var, 1.0)
 
 
 def test_vjp_rejects_seed_of_another_dtype():
@@ -820,6 +808,54 @@ def test_released_tensor_keeps_its_key_and_refuses_writes(dtype):
     assert np.array_equal(ad.vjp(g, {h: seed}, wrt=[x])[x], before)
     with pytest.raises(ValueError, match="seed shape"):
         ad.vjp(g, {h: seed[0]})
+
+
+# every op: (the shapes of its tensor inputs, the op on those inputs)
+_RECORDED_OPS = {
+    "conv2d": ([(2, 4, 5, 5), (4, 2, 3, 3)],
+               lambda x, k: conv2d(x, k, stride=2, padding=1, groups=2)),
+    "conv2d_norm": ([(2, 4, 5, 5), (4,), (4,), (4, 4, 3, 3)],
+                    lambda x, gamma, beta, k: conv2d(
+                        x, k, padding=1, norm=_holding(gamma, beta),
+                        relu=True)),
+    "batch_norm": ([(2, 4, 5, 5), (4,), (4,)],
+                   lambda x, gamma, beta: batch_norm(
+                       x, _holding(gamma, beta), relu=True)),
+    "relu": ([(2, 3)], relu),
+    "global_avg_pool": ([(2, 4, 5, 5)], global_avg_pool),
+    "dense": ([(2, 3), (4, 3), (4,)], dense),
+    "add": ([(2, 3), (2, 3)], add),
+    "channel_mix": ([(2, 4, 5, 5), (2, 4, 5, 5)],
+                    lambda x, y: channel_mix(x, tr.make_orthogonal_tp(4),
+                                             plus=y)),
+    "reduce_sum": ([(2, 3)], reduce_sum),
+    "softmax_cross_entropy": ([(2, 4)], lambda z: softmax_cross_entropy(
+        z, np.array([1, 3]))),
+}
+
+
+@pytest.mark.parametrize("op", list(_RECORDED_OPS))
+def test_pullback_reads_the_arrays_its_forward_used(op):
+    # a node differentiates the arrays its op read: rebinding an input's
+    # data after recording (as Network.load_state rebinds parameters), and
+    # then releasing it, leaves every gradient bit-identical
+    shapes, record = _RECORDED_OPS[op]
+    rng = np.random.default_rng(72)
+    leaves = [Tensor(rng.standard_normal(shape) + 0.5, requires_grad=True)
+              for shape in shapes]
+    with Graph() as graph:
+        out = record(*leaves)
+    seed = np.asarray(rng.standard_normal(out.shape))
+    before = ad.vjp(graph, {out: seed}, wrt=leaves)
+    for t in leaves:
+        t.data = 5.0 * t.data + 1.0
+    rebound = ad.vjp(graph, {out: seed}, wrt=leaves)
+    for t in leaves:
+        ad._release(t)
+    released = ad.vjp(graph, {out: seed}, wrt=leaves)
+    for t in leaves:
+        assert np.array_equal(rebound[t], before[t])
+        assert np.array_equal(released[t], before[t])
 
 
 # ---------------------------------------------------------------------------
@@ -964,20 +1000,18 @@ def _one_op_tape(op, kwargs, dtype):
     if bn:
         params = tuple(Tensor(rng.standard_normal(4), requires_grad=True,
                               dtype=dtype) for _ in range(2))
-        state = BatchNormState(4, dtype)
-        state.running_mean = rng.standard_normal(4).astype(dtype)
-        state.running_var = rng.uniform(0.5, 2.0, 4).astype(dtype)
+        norm = _holding(*params, dtype, rng.standard_normal(4),
+                        rng.uniform(0.5, 2.0, 4))
     if op == "conv2d":
         params += (Tensor(rng.standard_normal((4, 4 // kwargs["groups"], 3, 3)),
                           requires_grad=True, dtype=dtype),)
     with Graph() as graph:
         if op == "conv2d" and bn:
-            out = conv2d(x, params[2], padding=1, gamma=params[0],
-                         beta=params[1], state=state, **kwargs)
+            out = conv2d(x, params[2], padding=1, norm=norm, **kwargs)
         elif op == "conv2d":
             out = conv2d(x, *params, padding=1, **kwargs)
         else:
-            out = batch_norm(x, *params, state, **kwargs)
+            out = batch_norm(x, norm, **kwargs)
         loss = reduce_sum(relu(out))
     return graph, loss, x, params
 
@@ -1128,13 +1162,12 @@ def _bn_arrays(dtype):
 
 def _bn_relu(mode, mean, var, fused):
     """BN + ReLU as one fused node or as batch_norm then relu, each call on
-    a fresh state holding ``mean``/``var``."""
+    a fresh BatchNorm holding ``mean``/``var``."""
     def build(x, gamma, beta):
-        state = BatchNormState(len(mean), mean.dtype)
-        state.running_mean, state.running_var = mean.copy(), var.copy()
+        norm = _holding(gamma, beta, mean.dtype, mean, var)
         if fused:
-            return batch_norm(x, gamma, beta, state, mode, relu=True)
-        return relu(batch_norm(x, gamma, beta, state, mode))
+            return batch_norm(x, norm, mode, relu=True)
+        return relu(batch_norm(x, norm, mode))
     return build
 
 
@@ -1495,10 +1528,10 @@ def test_gradcheck_batch_norm_train(seed):
     x = Tensor(rng.standard_normal((3, 2, 4, 4)), requires_grad=True)
     gamma = Tensor(rng.standard_normal(2) + 1.5, requires_grad=True)
     beta = Tensor(rng.standard_normal(2), requires_grad=True)
-    state = BatchNormState(2)
+    norm = _holding(gamma, beta)
 
     def loss():
-        out = batch_norm(x, gamma, beta, state, mode="train")
+        out = batch_norm(x, norm, mode="train")
         return reduce_sum(relu(out))
 
     _finite_difference_check(loss, [x, gamma, beta])

@@ -285,8 +285,8 @@ def test_eval_rows_independent_of_batch():
 def _oracle_forward(net, x):
     """Straight-line eval-mode forward, written against the oracles only."""
     def bn_eval(h, layer):
-        scale = layer.gamma.data / np.sqrt(layer.state.running_var + 1e-5)
-        shift = layer.beta.data - layer.state.running_mean * scale
+        scale = layer.gamma.data / np.sqrt(layer.running_var + 1e-5)
+        shift = layer.beta.data - layer.running_mean * scale
         return h * scale[None, :, None, None] + shift[None, :, None, None]
 
     h = oracles.conv2d_loop(x, net.stem.data, stride=1, padding=1)
@@ -499,8 +499,8 @@ def test_depthwise_channel_equivariance():
     for bn_a, bn_b in ((blk.bn1, permuted.bn1), (blk.bn2, permuted.bn2)):
         bn_b.gamma.data = bn_a.gamma.data[perm].copy()
         bn_b.beta.data = bn_a.beta.data[perm].copy()
-        bn_b.state.running_mean = bn_a.state.running_mean[perm].copy()
-        bn_b.state.running_var = bn_a.state.running_var[perm].copy()
+        bn_b.running_mean = bn_a.running_mean[perm].copy()
+        bn_b.running_var = bn_a.running_var[perm].copy()
 
     out = blk.forward(Tensor(x), mode="eval").data
     out_perm = permuted.forward(Tensor(x[:, perm]), mode="eval").data
@@ -605,8 +605,8 @@ def test_float32_network_keeps_float32_running_stats():
     net.forward(x, mode="train")
     for blk in (b for stage in net.stages for b in stage):
         for bn in (blk.bn1, blk.bn2):
-            assert bn.state.running_mean.dtype == np.float32
-            assert bn.state.running_var.dtype == np.float32
+            assert bn.running_mean.dtype == np.float32
+            assert bn.running_var.dtype == np.float32
     state = net.state_dict()
     for key, arr in state.items():
         if "running" in key:

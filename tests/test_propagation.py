@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from linearskip import propagation as prop
 from linearskip import transforms as tr
-from linearskip.autodiff import Tensor, vjp
+from linearskip.autodiff import Graph, Tensor, vjp
 from linearskip.network import NetworkSpec, build_network
 from linearskip.transforms import apply_transform
 
@@ -68,6 +69,40 @@ def test_trace_tapes_only_its_span():
         x_1 = trace._input_tensors[0]
         assert x_1.requires_grad
         assert all(node.output is not x_1 for node in trace._graph.nodes)
+
+
+@pytest.mark.parametrize("kind", ["idempotent_mr", "orthogonal_random"])
+def test_trace_tapes_from_x_m(kind):
+    # blocks 1..m-1 run before the tape starts, so an m = 2 trace holds
+    # the nodes of blocks m..n-1 and the loss only; cut to blocks 2..n,
+    # the m = 1 trace is what it was when they were taped, and the m = 2
+    # trace gives its gradients, expansions and flow report bit for bit
+    net = stage_net(kind, {"B": 2} if kind == "idempotent_mr" else None, k=4)
+    x = input_batch(4)
+    whole = prop.capture_trace(net, x, stage=1, m=1, n=4)
+    trace = prop.capture_trace(net, x, stage=1, m=2, n=4)
+    block_nodes = 0
+    for i, blk in enumerate(net.stages[0][1:3], start=2):
+        with Graph() as graph:
+            blk.forward(Tensor(trace.x(i), requires_grad=True), "eval")
+        block_nodes += len(graph)
+    assert len(trace._graph) == block_nodes + 1
+    x_m = trace._input_tensors[0]
+    assert all(node.output is not x_m for node in trace._graph.nodes)
+    cut = dataclasses.replace(
+        whole, m=2, skips=whole.skips[1:], inputs=whole.inputs[1:],
+        branch_outputs=whole.branch_outputs[1:],
+        gradients=whole.gradients[1:],
+        _input_tensors=whole._input_tensors[1:],
+        _branch_tensors=whole._branch_tensors[1:])
+    for name in ("inputs", "branch_outputs", "gradients"):
+        for got, ref in zip(getattr(trace, name), getattr(cut, name)):
+            assert np.array_equal(got, ref)
+    assert (prop.verify_forward_expansion(trace)
+            == prop.verify_forward_expansion(cut))
+    assert (prop.verify_backward_expansion(trace)
+            == prop.verify_backward_expansion(cut))
+    assert prop.flow_report(trace) == prop.flow_report(cut)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -279,16 +314,18 @@ def test_vjp_wrt_walks_only_dependent_nodes():
     # block 1 of stage 2 cannot reach x_2's gradient: a walk restricted to
     # x_2 skips it and gives the same bits
     net = stage_net("idempotent_mr", {"B": 2}, k=3)
-    trace = prop.capture_trace(net, input_batch(5), stage=2, m=2, n=3)
-    graph = trace._graph
+    block1, block2 = net.stages[1][:2]
+    x_1 = Tensor(net.stage_input(input_batch(5), 2).data, requires_grad=True)
+    with Graph() as graph:
+        x_m = block1.forward(x_1, "eval")
+        branch = block2.branch_output(x_m, "eval")
+        block2.combine(x_m, branch)
     calls = []
     for node in graph.nodes:
         def counted(g, inner=node.vjp_fn):
             calls.append(1)
             return inner(g)
         node.vjp_fn = counted
-    x_m = trace._input_tensors[0]
-    branch = trace._branch_tensors[0]
     seed = np.random.default_rng(6).standard_normal(branch.shape)
     full = vjp(graph, {branch: seed})
     full_calls = len(calls)
@@ -297,9 +334,10 @@ def test_vjp_wrt_walks_only_dependent_nodes():
     assert list(restricted) == [x_m]
     assert np.array_equal(restricted[x_m], full[x_m])
     assert 0 < len(calls) < full_calls
-    # the trace's own restricted walk matches an unrestricted one
-    loss = graph.nodes[-1].output
-    unrestricted = vjp(graph, {loss: np.ones_like(loss.data)})
+    # a trace's own restricted walk matches an unrestricted one
+    trace = prop.capture_trace(net, input_batch(5), stage=2, m=2, n=3)
+    loss = trace._graph.nodes[-1].output
+    unrestricted = vjp(trace._graph, {loss: np.ones_like(loss.data)})
     for t, grad in zip(trace._input_tensors, trace.gradients):
         assert np.array_equal(grad, unrestricted[t])
 
