@@ -5,6 +5,7 @@ BN -> conv3x3 -> BN -> ReLU -> conv3x3 and P is a fixed square
 channel-mixing matrix (or absent, for the no-skip control). Networks are
 a 3x3 stem, three constant-width stages of K blocks, stride-2 transition
 convolutions between stages, and a global-pool + dense head.
+``Network.forward`` runs them in order, from any block to any later one.
 """
 
 from __future__ import annotations
@@ -190,16 +191,16 @@ class BuildingBlock:
     only the sum. The pullbacks of ``add``, ``channel_mix`` and
     ``global_avg_pool`` read no input values, so an array that only they
     read is released (``autodiff._release``) once the last of them has
-    run: F(x), by :meth:`combine`; ``conv2``'s output, by
-    :meth:`branch_output` after a ``post_mix``; a block's input, by
-    ``Network._run_stage`` after a block with a ``pre_mix``; and the last
-    block's output, by ``Network.forward`` after pooling. Each
-    block then keeps two activation-sized arrays, wrapped or not: the
-    inputs of its two convolutions, which are ``conv1``'s output and the
-    block's input (its ``pre_mix`` output when wrapped). F(x) stays a
-    tensor of its own, because ``propagation.capture_trace`` seeds its
-    walks there; it keeps its own reference to each F(x) array before
-    the release.
+    run: F(x), by :meth:`forward` after the sum; ``conv2``'s output, by
+    :meth:`branch_output` after a ``post_mix``; a block's input (its
+    ``start`` input too), by ``Network.forward`` after a block with a
+    ``pre_mix``; and the last block's output, by ``Network.forward``
+    after pooling. Each block then keeps two activation-sized arrays,
+    wrapped or not: the inputs of its two convolutions, which are
+    ``conv1``'s output and the block's input (its ``pre_mix`` output when
+    wrapped). F(x) stays a tensor of its own, because
+    ``propagation.capture_trace`` seeds its walks there; its block hook
+    keeps its own reference to each x and F(x) array before the release.
     """
 
     def __init__(self, width: int, groups: int, skip: Optional[np.ndarray],
@@ -276,11 +277,13 @@ class BuildingBlock:
         return conv2d(h, kernel, stride=1, padding=1, groups=self.groups,
                       norm=bn, mode=mode, relu=relu)
 
-    def combine(self, x: Tensor, branch: Tensor) -> Tensor:
-        """The block equation ``y = P x + F(x)``, given ``branch = F(x)``.
-
-        With a skip, ``branch`` is then released, as only the sum reads
-        it: read F(x)'s values before."""
+    def forward(self, x: Tensor, mode: str, hook=None) -> Tensor:
+        """The block equation ``y = P x + F(x)``. ``hook(x, F(x))``, if
+        given, runs before the sum, which releases F(x) when there is a
+        skip: a hook that needs F(x)'s values keeps its array."""
+        branch = self.branch_output(x, mode)
+        if hook is not None:
+            hook(x, branch)
         if self.skip is None:
             return branch
         if self._skip_is_identity:
@@ -289,9 +292,6 @@ class BuildingBlock:
             out = channel_mix(x, self.skip, plus=branch)
         _release(branch)
         return out
-
-    def forward(self, x: Tensor, mode: str) -> Tensor:
-        return self.combine(x, self.branch_output(x, mode))
 
 
 class Network:
@@ -311,37 +311,48 @@ class Network:
 
     # -- forward ------------------------------------------------------
 
-    def _check_input(self, x: Tensor) -> None:
-        c, h, w = self.spec.input_shape
-        if x.data.ndim != 4 or x.data.shape[1:] != (c, h, w):
-            raise ValueError(
-                f"input shape {x.data.shape} does not match spec "
-                f"(N, {c}, {h}, {w})")
+    def _steps_before(self, pos, name: str) -> int:
+        """The blocks and transitions run from the stem to ``pos``."""
+        stage, i = pos
+        k = len(self.stage_blocks(stage))
+        if not _is_int(i) or not 1 <= i <= k + 1:
+            raise ValueError(f"{name} block must be 1..{k + 1}, got {i!r}")
+        return (stage - 1) * (k + 1) + i - 1
 
-    def stage_input(self, x, stage: int, mode: str = "eval") -> Tensor:
-        """Forward through everything before 1-based ``stage``."""
-        self.stage_blocks(stage)  # checks the index
-        x = x if isinstance(x, Tensor) else Tensor(x, dtype=self.dtype)
-        self._check_input(x)
-        h = conv2d(x, self.stem, stride=1, padding=1)
-        for s in range(stage - 1):
-            h = self._run_stage(h, s, mode)
-            h = conv2d(h, self.transitions[s], stride=2, padding=1)
-        return h
+    def forward(self, x, mode: str = "eval", start=None, stop=None,
+                hook=None) -> Tensor:
+        """x at ``stop``, or the logits if ``stop`` is None, from the
+        network's input ``x`` or, given ``start``, from x at ``start``.
 
-    def _run_stage(self, h: Tensor, s: int, mode: str) -> Tensor:
-        """The blocks of 0-based stage ``s``; a block input that only a
-        ``pre_mix`` and the sum read is released after its block."""
-        for block in self.stages[s]:
-            out = block.forward(h, mode)
+        A position (s, i) names x_i, block i's input in 1-based stage s;
+        (s, K + 1) names the stage's output. ValueError for a position
+        outside the network or a ``stop`` before ``start``. ``mode``
+        selects batch-norm behavior; ``hook`` goes to every block's
+        :meth:`BuildingBlock.forward`, whose class says what is released."""
+        k = self.spec.blocks_per_stage
+        lo = 0 if start is None else self._steps_before(start, "start")
+        hi = 3 * k + 2 if stop is None else self._steps_before(stop, "stop")
+        if hi < lo:
+            raise ValueError(f"stop {stop!r} comes before start {start!r}")
+        h = x if isinstance(x, Tensor) else Tensor(x, dtype=self.dtype)
+        if start is None:
+            c, height, width = self.spec.input_shape
+            if h.data.ndim != 4 or h.data.shape[1:] != (c, height, width):
+                raise ValueError(f"input shape {h.data.shape} does not match "
+                                 f"spec (N, {c}, {height}, {width})")
+            h = conv2d(h, self.stem, stride=1, padding=1)
+        for step in range(lo, hi):
+            s, i = divmod(step, k + 1)
+            if i == k:
+                h = conv2d(h, self.transitions[s], stride=2, padding=1)
+                continue
+            block = self.stages[s][i]
+            out = block.forward(h, mode, hook)
             if block.pre_mix is not None:
                 _release(h)
             h = out
-        return h
-
-    def forward(self, x, mode: str = "eval") -> Tensor:
-        """Logits for a batch; ``mode`` selects batch-norm behavior."""
-        h = self._run_stage(self.stage_input(x, 3, mode), 2, mode)
+        if stop is not None:
+            return h
         pooled = global_avg_pool(h)
         _release(h)
         return dense(pooled, self.head_weight, self.head_bias)

@@ -54,11 +54,9 @@ class PropagationTrace:
 
     ``inputs[j]`` is x_{m+j}; ``branch_outputs[j]`` is x'_{m+j+1};
     ``gradients[j]`` is dL/dx_{m+j} for the probe loss L = sum(x_n).
-    ``branch_outputs`` are the trace's own references to the F(x) arrays:
-    a block's sum releases its branch tensor (see ``autodiff._release``
-    and ``network.BuildingBlock``), so ``_branch_tensors`` are released
-    tensors, of F(x)'s shape and dtype but no values, that serve only as
-    the tape keys that walks are seeded at.
+    The trace keeps its own x and F(x) arrays, as blocks release their
+    tensors (``network.BuildingBlock``): ``_input_tensors`` and
+    ``_branch_tensors`` serve only as the tape keys walks start and end at.
     ``skips[j]`` is block m+j's skip P_{m+j} (zeros for a block without
     one); ``transform`` is the one skip they all share, or None when the
     span's blocks differ.
@@ -97,14 +95,15 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
                   mode: str = "eval") -> PropagationTrace:
     """Run the network over blocks m..n of a stage and record the trace.
 
-    Blocks 1..m-1 run before the tape starts, since no walk from x_m..x_n
-    reaches them, so the trace keeps none of their activations. The probe
-    loss is the sum of the entries of x_n; gradients with respect to
-    every recorded block input come from one reverse pass.
-    That pass is an ``autodiff.vjp`` walk, not ``backward``, because
-    ``backward`` frees the tape that the trace keeps for every later
-    :func:`verify_backward_expansion` walk. Batch-norm runs in eval mode
-    by default so capture has no side effects.
+    Two ``Network.forward`` runs: one untaped, from the input to x_m, and
+    one taped, from x_m to x_n, whose block hook records each x_i and
+    F(x_i). No walk from x_m..x_n reaches an earlier layer, so the trace
+    keeps none of their activations. The probe loss is the sum of the
+    entries of x_n; gradients with respect to every recorded block input
+    come from one reverse pass. That pass is an ``autodiff.vjp`` walk, not
+    ``backward``, because ``backward`` frees the tape that the trace keeps
+    for every later :func:`verify_backward_expansion` walk. Batch-norm
+    runs in eval mode by default so capture has no side effects.
     """
     blocks = network.stage_blocks(stage)
     k = len(blocks)
@@ -115,30 +114,24 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
              for blk in blocks[m - 1:n - 1]]
     shared = all(np.array_equal(p, skips[0]) for p in skips)
 
-    h = network.stage_input(x, stage, mode)
-    for blk in blocks[:m - 1]:
-        h = blk.forward(h, mode)
-    h = Tensor(h.data, requires_grad=True)  # x_m, where the tape starts
+    x_m = Tensor(network.forward(x, mode, stop=(stage, m)).data,
+                 requires_grad=True)  # where the tape starts
+    taken = []  # x_i, F(x_i) and their arrays, which their blocks release
     with Graph() as graph:
-        input_tensors = []
-        branch_tensors = []
-        branch_outputs = []
-        for blk in blocks[m - 1:n - 1]:
-            input_tensors.append(h)
-            branch_tensors.append(blk.branch_output(h, mode))
-            # combine releases F(x)'s tensor once the block sum has read it
-            branch_outputs.append(branch_tensors[-1].data)
-            h = blk.combine(h, branch_tensors[-1])
-        input_tensors.append(h)  # x_n
-        loss = reduce_sum(h)
+        x_n = network.forward(
+            x_m, mode, start=(stage, m), stop=(stage, n),
+            hook=lambda x_i, f_i: taken.append((x_i, x_i.data, f_i, f_i.data)))
+        loss = reduce_sum(x_n)
+    input_tensors, inputs, branch_tensors, branch_outputs = map(list, zip(*taken))
+    input_tensors.append(x_n)
+    inputs.append(x_n.data)
 
     grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=input_tensors)
     gradients = [np.asarray(grads[t]) for t in input_tensors]
     trace = PropagationTrace(
         stage=stage, m=m, n=n, skips=skips,
         transform=skips[0] if shared else None,
-        inputs=[t.data for t in input_tensors],
-        branch_outputs=branch_outputs,
+        inputs=inputs, branch_outputs=branch_outputs,
         gradients=gradients, _graph=graph, _input_tensors=input_tensors,
         _branch_tensors=branch_tensors)
     _check_trace(trace)

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from linearskip import equivalence
 from linearskip import transforms as tr
 from linearskip.autodiff import Graph, Tensor, conv2d, dense, global_avg_pool
 from linearskip.network import (BuildingBlock, NetworkSpec, build_network,
@@ -329,9 +330,51 @@ def test_stage_indexes_are_checked(stage):
     net = build_network(small_spec(), seed=0)
     x = np.zeros((1, 3, 8, 8))
     for call in (lambda: net.stage_blocks(stage),
-                 lambda: net.stage_input(x, stage)):
+                 lambda: net.forward(x, stop=(stage, 1))):
         with pytest.raises(ValueError, match="stage must be 1, 2, or 3"):
             call()
+
+
+@pytest.mark.parametrize("convert", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_positions_compose(dtype, convert):
+    # a run stopped at any position and started again there is the whole
+    # run, bit for bit, and its two taped halves hold the whole run's
+    # nodes; in the rewritten net every block has a pre_mix, so the second
+    # run releases the array it is started from
+    net = build_network(small_spec(transform_kind="orthogonal_tp"), seed=2,
+                        dtype=dtype)
+    if convert:
+        net = equivalence.convert_orthogonal_to_identity(net)
+    x = np.random.default_rng(5).standard_normal((2, 3, 8, 8))
+    with Graph() as whole:
+        ref = net.forward(x).data
+    positions = [(s, i) for s in (1, 2, 3) for i in (1, 2, 3)]  # K = 2
+    for p in positions:
+        with Graph() as first:
+            h = net.forward(x, stop=p)
+        assert net.forward(h, start=p, stop=p) is h
+        with Graph() as second:
+            out = net.forward(h, start=p).data
+        assert np.array_equal(out, ref), p
+        assert len(first) + len(second) == len(whole), p
+
+
+@pytest.mark.parametrize("where", ["start", "stop"])
+@pytest.mark.parametrize("pos", [(0, 1), (4, 1), (1, 0), (1, 4), (3, -1),
+                                 (1, 1.0), (1, True), (True, 1)])
+def test_forward_rejects_positions_outside_the_network(where, pos):
+    net = build_network(small_spec(), seed=0)  # K = 2
+    with pytest.raises(ValueError, match="stage must be|block must be"):
+        net.forward(np.zeros((1, 3, 8, 8)), **{where: pos})
+
+
+@pytest.mark.parametrize("start,stop", [((1, 2), (1, 1)), ((2, 1), (1, 3)),
+                                        ((3, 3), (1, 1))])
+def test_forward_rejects_stop_before_start(start, stop):
+    net = build_network(small_spec(), seed=0)
+    with pytest.raises(ValueError, match="before start"):
+        net.forward(np.zeros((1, 8, 8, 8)), start=start, stop=stop)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.complex128])

@@ -1,8 +1,8 @@
 """Checks on the repository itself: the CI workflow runs the tier-1
 command that ROADMAP.md states and fails a piped benchmark run, the
 library keeps no dead import, every callable the traced benchmark
-wraps exists, and a traced analysis or train step gives the untraced
-one's result."""
+wraps exists, a traced trace, analysis or train step gives the untraced
+one's result, and only ``network`` runs a block's branch."""
 
 import ast
 import importlib
@@ -89,6 +89,47 @@ def test_traced_flow_report_is_the_untraced_one():
     seeds = [span for span in tracer.spans
              if span[1] == "transforms.apply_transform" and span[5] in walks]
     assert len(walks) == 1 and len(seeds) == 2
+
+
+def test_traced_trace_is_the_untraced_one():
+    # the trace's blocks run through BuildingBlock.forward, which the
+    # tracer wraps: a traced capture keeps its bits, and each block run,
+    # taped or not, is one ``network.block`` span of its stage
+    spec = NetworkSpec(blocks_per_stage=3, stage_widths=(4, 4, 4),
+                       transform_kind="idempotent_mr",
+                       transform_params={"B": 2}, input_shape=(3, 8, 8))
+    net = build_network(spec, seed=1)
+    x = np.random.default_rng(2).standard_normal((2, 3, 8, 8))
+    for stage, m, n in ((1, 1, 3), (2, 2, 3)):
+        untraced = propagation.capture_trace(net, x, stage, m, n)
+        tracer = _tracing().Tracer(input_size=8)
+        tracer.install()
+        try:
+            traced = propagation.capture_trace(net, x, stage, m, n)
+        finally:
+            tracer.uninstall()
+        for name in ("inputs", "branch_outputs", "gradients"):
+            for a, b in zip(getattr(traced, name), getattr(untraced, name),
+                            strict=True):
+                assert np.array_equal(a, b)
+        blocks = [span[2] for span in tracer.spans
+                  if span[1] == "network.block"]
+        # blocks 1..m-1 untaped and m..n-1 taped, after all earlier stages
+        assert blocks == ["s1"] * 3 * (stage - 1) + [f"s{stage}"] * (n - 1)
+
+
+def test_only_the_network_runs_block_branches():
+    # ``Network.forward`` is the one runner: no other library module calls
+    # a block's ``branch_output``, so no second block loop can come back
+    callers = []
+    for path in sorted((ROOT / "src" / "linearskip").glob("*.py")):
+        if path.stem == "network":
+            continue
+        tree = ast.parse(path.read_text())
+        callers += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "branch_output"]
+    assert not callers
 
 
 def test_traced_train_step_gradients_are_the_untraced_ones():
