@@ -40,10 +40,10 @@ releases every such activation, so a building block keeps only the
 inputs of its two convolutions (see ``network.BuildingBlock``).
 
 A walk frees each cotangent once its node has consumed it, so it holds
-only the cotangents still live, not one per tape node. The exception is
-an unrestricted :func:`vjp` (no ``wrt``), which keeps and returns every
-cotangent, intermediate ones included. :func:`backward` returns the
-gradients of leaves only: parameters and inputs, never op outputs.
+only the cotangents still live, not one per tape node, and returns
+exactly the gradients it was asked for (``wrt``). :func:`backward`
+returns the gradients of leaves only: parameters and inputs, never op
+outputs.
 
 :func:`backward` takes the tape: its walk empties the graph as it starts
 and drops each node once it has walked it. A pullback's closure, and the
@@ -878,16 +878,15 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # reverse pass
 
-def vjp(graph: Graph, seeds: dict,
-        wrt: Optional[Iterable[Tensor]] = None) -> dict:
+def vjp(graph: Graph, seeds: dict, wrt: Iterable[Tensor]) -> dict:
     """Vector-Jacobian product through a recorded graph.
 
     ``seeds`` maps each tensor to the cotangent the walk starts from
     there, and gradients accumulate into every tensor reached walking the
     tape backwards; a VJP is linear in its cotangent, so several seeds
     give the sum of their single-seed products. Each seed must have its
-    tensor's shape and dtype. Returns a map from tensor to gradient
-    array.
+    tensor's shape and dtype. Returns a map from each ``wrt`` tensor the
+    walk reaches (or seeds) to its gradient array.
 
     A seed may also be a zero-argument callable that returns the array.
     The walk calls it once, the first time it touches the tensor: just
@@ -899,11 +898,9 @@ def vjp(graph: Graph, seeds: dict,
     of its tensor's sum, the bits are those of the array seed. Its shape
     and dtype are checked when it is called.
 
-    Without ``wrt`` the walk keeps every cotangent it makes and returns
-    them all, intermediate ones included. With ``wrt`` it returns only the
-    ``wrt`` gradients, and frees every other cotangent once its node is
+    The walk frees every cotangent but the ``wrt`` ones once its node is
     walked: recording order is topological, so by then it is complete.
-    The walk then holds only the cotangents still to be consumed.
+    It holds only the cotangents still to be consumed.
 
     Fan-in adds the cotangent held so far into a gradient the pullback
     has just made, in place; a gradient that shares memory with the
@@ -912,14 +909,14 @@ def vjp(graph: Graph, seeds: dict,
     ever written, and addition commutes, so the bits are those of
     ``acc + gi``.
 
-    A walk differentiates a node's input only if it ``requires_grad`` and,
-    with ``wrt``, depends on a ``wrt`` tensor (activity analysis): only
-    nodes with such an input are walked, and inside them no gradient is
-    computed for any other input, so a kernel or batch-norm parameter
-    costs nothing. No skipped gradient can add to a ``wrt`` gradient, so
-    the result is the same bit for bit. The flags are set in one pass
-    over the tape before the walk, whose set of reached outputs is then
-    dropped, so it keeps no activation alive.
+    A walk differentiates a node's input only if it ``requires_grad`` and
+    depends on a ``wrt`` tensor (activity analysis): only nodes with such
+    an input are walked, and inside them no gradient is computed for any
+    other input, so a kernel or batch-norm parameter costs nothing. No
+    skipped gradient can add to a ``wrt`` gradient, so the result is the
+    same bit for bit. The flags are set in one pass over the tape before
+    the walk, whose set of reached outputs is then dropped, so it keeps
+    no activation alive.
 
     The walk keeps the tape: ``graph`` holds every node afterwards and
     can be walked again. Only :func:`backward`'s own walk takes it (see
@@ -936,27 +933,21 @@ def vjp(graph: Graph, seeds: dict,
     grads = {t: _seed(t, seed) for t, seed in seeds.items() if t not in lazy}
     # (node, its walk's wanted flags), in tape order; ``reach`` holds every
     # reached output, so it goes before the walk, which may free them
-    keep = None
-    if wrt is None:
-        walk = [(node, [t.requires_grad for t in node.inputs])
-                for node in nodes]
-    else:
-        wrt = list(wrt)
-        keep = set(wrt)
-        reach = set(wrt)
-        walk = []
-        for node in nodes:
-            if any(t in reach for t in node.inputs):
-                walk.append((node, [t.requires_grad and t in reach
-                                    for t in node.inputs]))
-                reach.add(node.output)
-        del reach
-    del nodes
+    wrt = list(wrt)
+    keep = set(wrt)
+    reach = set(wrt)
+    walk = []
+    for node in nodes:
+        if any(t in reach for t in node.inputs):
+            walk.append((node, [t.requires_grad and t in reach
+                                for t in node.inputs]))
+            reach.add(node.output)
+    del reach, nodes
     while walk:
         node, wanted = walk.pop()
         if node.output in lazy:
             grads[node.output] = _seed(node.output, lazy.pop(node.output)())
-        if keep is None or node.output in keep:
+        if node.output in keep:
             g = grads.get(node.output)
         else:   # complete: every node that read this output came later
             g = grads.pop(node.output, None)
@@ -976,12 +967,10 @@ def vjp(graph: Graph, seeds: dict,
             else:   # fresh from the pullback: the walk owns it
                 gi += acc
                 grads[t] = gi
-    for t in (list(lazy) if wrt is None else wrt):
+    for t in wrt:
         if t in lazy:   # untouched by the walk, but returned
             grads[t] = _seed(t, lazy.pop(t)())
-    if wrt is not None:
-        return {t: grads[t] for t in wrt if t in grads}
-    return grads
+    return {t: grads[t] for t in wrt if t in grads}
 
 
 def _seed(t: Tensor, seed) -> np.ndarray:

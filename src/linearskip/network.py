@@ -335,11 +335,16 @@ class Network:
         if hi < lo:
             raise ValueError(f"stop {stop!r} comes before start {start!r}")
         h = x if isinstance(x, Tensor) else Tensor(x, dtype=self.dtype)
+        c, height, width = self.spec.input_shape
+        where = "input"
+        if start is not None:   # x_i of stage s: s - 1 transitions, ceil(d/2)
+            s = start[0]
+            where, c = f"x at {start}", self.spec.stage_widths[s - 1]
+            height, width = (-(-d // 2 ** (s - 1)) for d in (height, width))
+        if h.data.ndim != 4 or h.data.shape[1:] != (c, height, width):
+            raise ValueError(f"{where} shape {h.data.shape} does not match "
+                             f"spec (N, {c}, {height}, {width})")
         if start is None:
-            c, height, width = self.spec.input_shape
-            if h.data.ndim != 4 or h.data.shape[1:] != (c, height, width):
-                raise ValueError(f"input shape {h.data.shape} does not match "
-                                 f"spec (N, {c}, {height}, {width})")
             h = conv2d(h, self.stem, stride=1, padding=1)
         for step in range(lo, hi):
             s, i = divmod(step, k + 1)

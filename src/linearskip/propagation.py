@@ -53,7 +53,8 @@ class PropagationTrace:
     """Recorded inputs, branch outputs, and gradients for blocks m..n.
 
     ``inputs[j]`` is x_{m+j}; ``branch_outputs[j]`` is x'_{m+j+1};
-    ``gradients[j]`` is dL/dx_{m+j} for the probe loss L = sum(x_n).
+    ``gradients[j]`` is dL/dx_{m+j} for the probe loss L = sum(x_n), which
+    lives in x_n's coordinates (see :func:`capture_trace`).
     The trace keeps its own x and F(x) arrays, as blocks release their
     tensors (``network.BuildingBlock``): ``_input_tensors`` and
     ``_branch_tensors`` serve only as the tape keys walks start and end at.
@@ -93,23 +94,27 @@ class PropagationTrace:
 
 def capture_trace(network: Network, x, stage: int, m: int, n: int,
                   mode: str = "eval") -> PropagationTrace:
-    """Run the network over blocks m..n of a stage and record the trace.
+    """Run the network over blocks m..n of a stage and record the trace;
+    n = K + 1 ends it at the stage's output.
 
     Two ``Network.forward`` runs: one untaped, from the input to x_m, and
     one taped, from x_m to x_n, whose block hook records each x_i and
     F(x_i). No walk from x_m..x_n reaches an earlier layer, so the trace
     keeps none of their activations. The probe loss is the sum of the
-    entries of x_n; gradients with respect to every recorded block input
-    come from one reverse pass. That pass is an ``autodiff.vjp`` walk, not
-    ``backward``, because ``backward`` frees the tape that the trace keeps
-    for every later :func:`verify_backward_expansion` walk. Batch-norm
-    runs in eval mode by default so capture has no side effects.
+    entries of x_n, so it depends on x_n's basis: a net and its
+    function-equivalent rewrite can report different gradient gains (1.0
+    against 0.5 for multi-4 ``idempotent_mr``). Gradients with respect
+    to every recorded block input come from one reverse pass. That pass
+    is an ``autodiff.vjp`` walk, not ``backward``, because ``backward``
+    frees the tape that the trace keeps for every later
+    :func:`verify_backward_expansion` walk. Batch-norm runs in eval mode
+    by default so capture has no side effects.
     """
     blocks = network.stage_blocks(stage)
     k = len(blocks)
-    if not (1 <= m < n <= k):
-        raise ValueError(
-            f"need 1 <= m < n <= {k} blocks in stage {stage}, got m={m}, n={n}")
+    if not (1 <= m < n <= k + 1):
+        raise ValueError(f"need 1 <= m < n <= {k + 1} (K + 1) in stage "
+                         f"{stage}, got m={m}, n={n}")
     skips = [np.zeros((blk.width,) * 2) if blk.skip is None else blk.skip
              for blk in blocks[m - 1:n - 1]]
     shared = all(np.array_equal(p, skips[0]) for p in skips)

@@ -191,3 +191,10 @@ def mix_plus(mat, x, y):
     """P x + y for NCHW arrays, with the loop mix above."""
     return mix_channels(np.asarray(mat, dtype=np.float64),
                         np.asarray(x, dtype=np.float64)) + y
+
+
+def tape_tensors(graph):
+    """Every tensor on a tape, inputs and outputs, once each in tape
+    order: the ``wrt`` of a walk that returns every cotangent it makes."""
+    return list(dict.fromkeys(t for node in graph.nodes
+                              for t in (*node.inputs, node.output)))

@@ -593,6 +593,34 @@ def test_bn_conv_matches_loop_oracle(mode, relu, groups, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("relu", [False, True], ids=["bn", "bn_relu"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_bn_conv_kernel_alone_matches_loop_oracle(mode, relu, stride, groups,
+                                                  dtype):
+    # a walk for the kernel alone computes no gradient of the normalized
+    # input: at stride 1 it lowers A, not the output gradient as the full
+    # walk does, so it is checked against the oracle, not against that walk
+    arrays = _bn_conv_arrays(c=4, o=4, groups=groups, seed=60 + stride)
+    graph, out, leaves, _ = _bn_conv_tape(arrays, mode, relu, dtype,
+                                          stride=stride, groups=groups)
+    kt = leaves[3]
+    g = np.random.default_rng(stride).standard_normal(out.shape).astype(dtype)
+    grads = ad.vjp(graph, {out: g}, wrt=[kt])
+    x, gamma, beta, mean, var, k = (a.astype(dtype) for a in arrays)
+    stats = {} if mode == "train" else {"mean": mean, "var": var}
+    _, (*_, ref) = oracles.bn_conv_loop(x, gamma, beta, k, g, relu=relu,
+                                        stride=stride, padding=1,
+                                        groups=groups, **stats)
+    assert list(grads) == [kt] and grads[kt].dtype == dtype
+    assert oracles.relative_error(grads[kt], ref) <= 2 ** 6 * np.finfo(dtype).eps
+    # a walk that wants no input of the node walks it and gets nothing
+    kt.requires_grad = False
+    assert ad.vjp(graph, {out: g}, wrt=[kt]) == {}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_bn_conv_multi_chunk_matches_loop_oracle(mode, stride, dtype,
@@ -770,8 +798,8 @@ def test_vjp_rejects_seed_of_another_dtype():
     with Graph() as g:
         y = relu(x)
     with pytest.raises(ValueError, match="seed dtype float64"):
-        ad.vjp(g, {y: np.ones((2, 3))})
-    grads = ad.vjp(g, {y: np.ones((2, 3), dtype=np.float32)})
+        ad.vjp(g, {y: np.ones((2, 3))}, wrt=[x])
+    grads = ad.vjp(g, {y: np.ones((2, 3), dtype=np.float32)}, wrt=[x])
     assert grads[x].dtype == np.float32
 
 
@@ -780,9 +808,9 @@ def test_vjp_checks_a_callable_seed_when_it_calls_it():
     with Graph() as g:
         y = relu(x)
     with pytest.raises(ValueError, match="seed dtype float64"):
-        ad.vjp(g, {y: lambda: np.ones((2, 3))})
+        ad.vjp(g, {y: lambda: np.ones((2, 3))}, wrt=[x])
     with pytest.raises(ValueError, match=r"seed shape \(3, 2\)"):
-        ad.vjp(g, {y: lambda: np.ones((3, 2), dtype=np.float32)})
+        ad.vjp(g, {y: lambda: np.ones((3, 2), dtype=np.float32)}, wrt=[x])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -807,7 +835,7 @@ def test_released_tensor_keeps_its_key_and_refuses_writes(dtype):
         h.data += 1.0
     assert np.array_equal(ad.vjp(g, {h: seed}, wrt=[x])[x], before)
     with pytest.raises(ValueError, match="seed shape"):
-        ad.vjp(g, {h: seed[0]})
+        ad.vjp(g, {h: seed[0]}, wrt=[x])
 
 
 # every op: (the shapes of its tensor inputs, the op on those inputs)
@@ -908,14 +936,44 @@ def test_softmax_cross_entropy_label_range():
         softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
+def _conv_on(x_shape=(1, 4, 8, 8), k_shape=(4, 4, 3, 3), **kwargs):
+    return lambda: conv2d(Tensor(np.zeros(x_shape)),
+                          Tensor(np.zeros(k_shape)), **kwargs)
+
+
+def _dense_on(x_shape=(2, 3), w_shape=(4, 3), b_shape=None):
+    return lambda: dense(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)),
+                         None if b_shape is None else np.zeros(b_shape))
+
+
 @pytest.mark.parametrize("op,message", [
-    (lambda: conv2d(Tensor(np.zeros((1, 4, 8, 8))),
-                    Tensor(np.zeros((4, 4, 3, 3))), groups=0),
-     "groups must be positive, got 0"),
+    (_conv_on(groups=0), "groups must be positive, got 0"),
     (lambda: softmax_cross_entropy(Tensor(np.zeros((2, 3))),
                                    np.array([1.5, 0.7])),
      "labels must be integers, got dtype float64"),
-], ids=["conv2d_groups", "float_labels"])
+    (_conv_on(x_shape=(4, 8, 8)), "conv2d expects NCHW input"),
+    (_conv_on(k_shape=(4, 4, 3)), "conv2d expects OIHW kernel"),
+    (_conv_on(stride=0), "stride must be positive, got 0"),
+    (_conv_on(padding=-1), "padding must be non-negative, got -1"),
+    (lambda: batch_norm(Tensor(np.zeros((2, 4))), BatchNorm(4)),
+     "batch_norm expects NCHW input"),
+    (lambda: global_avg_pool(Tensor(np.zeros((2, 4, 3)))),
+     "global_avg_pool expects NCHW input"),
+    (lambda: channel_mix(Tensor(np.zeros((2, 4))), np.eye(4)),
+     "channel_mix expects NCHW input"),
+    (_dense_on(x_shape=(3,)), "dense expects 2-D input and weight"),
+    (_dense_on(w_shape=(4, 3, 1)), "dense expects 2-D input and weight"),
+    (_dense_on(w_shape=(4, 5)), "dense input has 3 features, weight expects 5"),
+    (_dense_on(b_shape=(3,)), r"bias must have shape \(4,\), got \(3,\)"),
+    (lambda: softmax_cross_entropy(Tensor(np.zeros(3)), np.zeros(3, int)),
+     r"logits must be \(N, K\)"),
+    (lambda: softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.zeros(3, int)),
+     r"labels must have shape \(2,\), got \(3,\)"),
+], ids=["conv2d_groups", "float_labels", "conv2d_input_ndim",
+        "conv2d_kernel_ndim", "conv2d_stride", "conv2d_padding",
+        "batch_norm_ndim", "global_avg_pool_ndim", "channel_mix_ndim",
+        "dense_input_ndim", "dense_weight_ndim", "dense_features",
+        "dense_bias", "logits_ndim", "labels_shape"])
 def test_ops_reject_malformed_arguments(op, message):
     with pytest.raises(ValueError, match=message):
         op()
@@ -1090,7 +1148,8 @@ def test_callable_seeds_match_array_seeds(case):
     # it is still the first term of that tensor's sum: the bits are those of
     # the array seed. ``mid``, stage 1's first block sum, is read by block
     # 2's conv and sum, whose pullbacks add into it before the walk reaches
-    # the node that produced it; ``stray`` is on no tape
+    # the node that produced it; ``stray`` is on no tape, and ``tape`` asks
+    # for every cotangent the walk makes
     spec = NetworkSpec(blocks_per_stage=2, stage_widths=(4, 4, 4),
                        transform_kind="idempotent_mr",
                        transform_params={"B": 2}, input_shape=(3, 8, 8))
@@ -1098,13 +1157,14 @@ def test_callable_seeds_match_array_seeds(case):
     graph, loss, xt = _net_tape(build_network(spec, seed=3), x)
     mid = next(node.output for node in graph.nodes if node.op == "channel_mix")
     stray = Tensor(np.zeros((2, 4, 8, 8)))
+    tape = oracles.tape_tensors(graph)
     seeded, wrt, unused = {
-        "fan_in": ([mid], None, []),
+        "fan_in": ([mid], tape, []),
         "fan_in_wrt": ([mid], [xt], []),
         "leaf_in_wrt": ([xt], [xt], []),
         # xt is before mid, and neither xt nor stray is returned
         "unreached": ([xt, stray], [mid], [xt, stray]),
-        "unreached_returned": ([stray], None, []),
+        "unreached_returned": ([stray], [*tape, stray], []),
     }[case]
     rng = np.random.default_rng(4)
     arrays = {loss: np.ones_like(loss.data)}
@@ -1323,9 +1383,9 @@ def test_fan_in_adds_into_fresh_gradients_in_place():
 @pytest.mark.parametrize("restricted", [False, True],
                          ids=["unrestricted", "wrt"])
 def test_fan_in_writes_no_seed_and_no_returned_cotangent(restricted):
-    # a seed on a mid add output meets the next add's pass-through, and an
-    # unrestricted walk returns cotangents that pullbacks passed on: the
-    # in-place sum must write into neither
+    # a seed on a mid add output meets the next add's pass-through, and a
+    # walk for every tensor on the tape returns cotangents that pullbacks
+    # passed on: the in-place sum must write into neither
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     graph, loss, outputs = _relu_add_chain(x, 8)
@@ -1337,7 +1397,8 @@ def test_fan_in_writes_no_seed_and_no_returned_cotangent(restricted):
         node.vjp_fn = (lambda inner, out: lambda g: (
             received.setdefault(out, g.copy()), inner(g))[1])(
                 node.vjp_fn, node.output)
-    grads = ad.vjp(graph, seeds, wrt=[x] if restricted else None)
+    grads = ad.vjp(graph, seeds,
+                   wrt=[x] if restricted else oracles.tape_tensors(graph))
     for t, s in seeds.items():
         assert np.array_equal(s, kept[t])
     if not restricted:
@@ -1355,7 +1416,8 @@ def test_backward_matches_keep_everything_walk(dtype):
     net = build_network(spec, seed=5, dtype=dtype)
     x = np.random.default_rng(8).standard_normal((2, 3, 8, 8))
     graph, loss, xt = _net_tape(net, x)
-    full = ad.vjp(graph, {loss: np.ones_like(loss.data)})
+    full = ad.vjp(graph, {loss: np.ones_like(loss.data)},
+                  wrt=oracles.tape_tensors(graph))
     # backward takes its tape, so ``mid`` is picked before the walk, and
     # the leaves come from a fresh tape of the same forward
     mid = graph.nodes[len(graph) // 2].output
@@ -1414,7 +1476,6 @@ def test_backward_empties_its_graph_and_refuses_a_second_walk():
     seed = {loss: np.ones_like(loss.data)}
     for walk in (lambda: backward(graph, loss),
                  lambda: backward(graph, loss, wrt=[xt]),
-                 lambda: ad.vjp(graph, seed),
                  lambda: ad.vjp(graph, seed, wrt=[xt])):
         with pytest.raises(ValueError, match="freed by backward.*vjp"):
             walk()
@@ -1426,7 +1487,7 @@ def test_vjp_walks_keep_the_tape(restricted):
     graph, loss, xt = _k2_tape()
     nodes = len(graph)
     seed = {loss: np.ones_like(loss.data)}
-    wrt = [xt] if restricted else None
+    wrt = [xt] if restricted else oracles.tape_tensors(graph)
     first = ad.vjp(graph, seed, wrt=wrt)
     second = ad.vjp(graph, seed, wrt=wrt)
     assert len(graph) == nodes
@@ -1651,6 +1712,18 @@ def test_sgd_rejects_a_gradient_of_another_dtype(param_dtype, grad_dtype):
         sgd_nesterov_step([net.stem], grads, state)
     assert np.array_equal(net.stem.data, before)
     assert not state.velocities
+
+
+def test_sgd_rejects_a_gradient_of_another_shape_and_skips_a_missing_one():
+    p = Tensor(np.ones(3), requires_grad=True)
+    q = Tensor(np.ones(2), requires_grad=True)
+    state = OptimState(lr=0.1)
+    with pytest.raises(ValueError, match=r"gradient shape \(2,\) does not "
+                                         r"match parameter \(3,\)"):
+        sgd_nesterov_step([p], {p: Tensor(np.ones(2))}, state)
+    sgd_nesterov_step([q, p], {p: Tensor(np.ones(3))}, state)
+    npt.assert_array_equal(q.data, [1.0, 1.0])
+    assert list(state.velocities) == [p]
 
 
 def test_sgd_weight_decay_exclusion():

@@ -218,6 +218,21 @@ def test_validate_agrees_with_build(blocks, widths, mode, kind, params):
         build_network(spec, seed=0)
 
 
+@pytest.mark.parametrize("kw,message", [
+    (dict(blocks_per_stage=0), "blocks_per_stage must be a positive"),
+    (dict(stage_widths=(4, 8)), "stage_widths must be 3 positive"),
+    (dict(branch_mode="parallel"), "branch_mode must be one of"),
+    (dict(branch_mode="multi", num_branches=1), "num_branches >= 2"),
+    (dict(num_classes=1), "num_classes must be at least 2"),
+], ids=["blocks", "widths", "branch_mode", "num_branches", "classes"])
+def test_spec_rejects_malformed_fields(kw, message):
+    spec = small_spec(**kw)
+    with pytest.raises(ValueError, match=message):
+        spec.validate()
+    with pytest.raises(ValueError, match=message):
+        build_network(spec, seed=0)
+
+
 def test_spec_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown NetworkSpec keys"):
         NetworkSpec.from_dict({"blocks_per_stage": 2, "bogus": 1})
@@ -358,6 +373,30 @@ def test_forward_positions_compose(dtype, convert):
             out = net.forward(h, start=p).data
         assert np.array_equal(out, ref), p
         assert len(first) + len(second) == len(whole), p
+
+
+def test_forward_checks_the_shape_at_its_start():
+    # equal widths: an x_1 of stage 1 fits stage 2 in all but its size
+    net = build_network(small_spec(stage_widths=(8, 8, 8)), seed=0)
+    x = np.random.default_rng(3).standard_normal((2, 3, 8, 8))
+    x_1 = net.forward(x, stop=(1, 1)).data
+    with pytest.raises(ValueError, match=re.escape(
+            "x at (2, 1) shape (2, 8, 8, 8) does not match spec "
+            "(N, 8, 4, 4)")):
+        net.forward(x_1, start=(2, 1))
+    with pytest.raises(ValueError, match="does not match spec"):
+        net.forward(x_1[:, :4], start=(1, 1))
+
+
+def test_forward_positions_compose_on_odd_sizes():
+    # 7x5 -> 4x3 -> 2x2: each transition rounds up, and every position
+    # accepts the array the run stopped there gives it
+    net = build_network(small_spec(input_shape=(3, 7, 5)), seed=4)
+    x = np.random.default_rng(6).standard_normal((2, 3, 7, 5))
+    ref = net.forward(x).data
+    for p in [(s, i) for s in (1, 2, 3) for i in (1, 2, 3)]:  # K = 2
+        h = net.forward(x, stop=p)
+        assert np.array_equal(net.forward(h, start=p).data, ref), p
 
 
 @pytest.mark.parametrize("where", ["start", "stop"])

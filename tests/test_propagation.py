@@ -178,6 +178,36 @@ def test_trace_of_rewritten_net(kind, convert, dtype):
                 2 ** 8 * eps * np.abs(trace.grad(m)).max()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind,convert", [
+    ("orthogonal_tp", equivalence.convert_orthogonal_to_identity),
+    ("idempotent_mr", equivalence.convert_idempotent_to_diagonal),
+])
+def test_whole_stage_trace_ends_at_the_stage_output(kind, convert, dtype):
+    # n = K + 1 traces every block of a stage, up to the input of the
+    # transition (or of the pooling) after it, in a net and its rewrite
+    spec = NetworkSpec(blocks_per_stage=3, stage_widths=(8,) * 3,
+                       transform_kind=kind, input_shape=(3, 8, 8),
+                       transform_params={"B": 2} if kind == "idempotent_mr"
+                       else {})
+    net = build_network(spec, seed=5, dtype=dtype)
+    x = input_batch(12)
+    eps = np.finfo(dtype).eps
+    for candidate in (net, convert(net)):
+        for stage in (1, 2, 3):
+            trace = prop.capture_trace(candidate, x, stage, 1, 4)
+            assert len(trace.skips) == 3 and trace.grad(4).dtype == dtype
+            assert np.array_equal(
+                trace.x(4), candidate.forward(x, stop=(stage, 4)).data)
+            forward = prop.verify_forward_expansion(trace)
+            bound = 2 ** 8 * eps * np.abs(trace.x(4)).max()
+            assert forward.deviation <= bound
+            if forward.collapsed_deviation is not None:
+                assert forward.collapsed_deviation <= bound
+            assert prop.verify_backward_expansion(trace) <= \
+                2 ** 8 * eps * np.abs(trace.grad(1)).max()
+
+
 def test_trace_index_validation():
     net = stage_net("identity", k=3)
     with pytest.raises(ValueError, match="1 <= m < n"):
@@ -185,7 +215,17 @@ def test_trace_index_validation():
     with pytest.raises(ValueError, match="1 <= m < n"):
         prop.capture_trace(net, input_batch(), stage=1, m=0, n=2)
     with pytest.raises(ValueError, match="1 <= m < n"):
-        prop.capture_trace(net, input_batch(), stage=1, m=1, n=4)
+        prop.capture_trace(net, input_batch(), stage=1, m=1, n=5)
+
+
+def test_trace_accessors_and_spans_stay_inside_the_trace():
+    trace = prop.capture_trace(stage_net("identity", k=3), input_batch(),
+                               stage=1, m=2, n=3)
+    with pytest.raises(IndexError, match=r"block index 1 outside trace "
+                                         r"range \[2, 3\]"):
+        trace.x(1)
+    with pytest.raises(ValueError, match="need 2 <= m < n <= 3"):
+        prop.verify_forward_expansion(trace, m=2, n=4)
 
 
 @pytest.mark.parametrize("stage", [0, 4])
@@ -376,17 +416,18 @@ def test_vjp_wrt_walks_only_dependent_nodes():
             return inner(g)
         node.vjp_fn = counted
     seed = np.random.default_rng(6).standard_normal(branch.shape)
-    full = vjp(graph, {branch: seed})
+    full = vjp(graph, {branch: seed}, wrt=oracles.tape_tensors(graph))
     full_calls = len(calls)
     calls.clear()
     restricted = vjp(graph, {branch: seed}, wrt=[x_m])
     assert list(restricted) == [x_m]
     assert np.array_equal(restricted[x_m], full[x_m])
     assert 0 < len(calls) < full_calls
-    # a trace's own restricted walk matches an unrestricted one
+    # a trace's own restricted walk matches a walk for the whole tape
     trace = prop.capture_trace(net, input_batch(5), stage=2, m=2, n=3)
     loss = trace._graph.nodes[-1].output
-    unrestricted = vjp(trace._graph, {loss: np.ones_like(loss.data)})
+    unrestricted = vjp(trace._graph, {loss: np.ones_like(loss.data)},
+                       wrt=oracles.tape_tensors(trace._graph))
     for t, grad in zip(trace._input_tensors, trace.gradients):
         assert np.array_equal(grad, unrestricted[t])
 
@@ -424,7 +465,8 @@ def test_vjp_rejects_seed_of_wrong_shape():
     trace = prop.capture_trace(net, input_batch(), stage=1, m=1, n=2)
     branch = trace._branch_tensors[0]
     with pytest.raises(ValueError, match="seed shape"):
-        vjp(trace._graph, {branch: np.ones(branch.shape[1:])})
+        vjp(trace._graph, {branch: np.ones(branch.shape[1:])},
+            wrt=trace._input_tensors[:1])
 
 
 # ---------------------------------------------------------------------------
