@@ -5,7 +5,8 @@ convolution (with an optional batch normalization and ReLU of its
 input folded in), batch normalization (with an optional fused ReLU),
 add, channel mixing, global pooling, dense, softmax cross-entropy and
 reduce_sum, plus a standalone ReLU that no block calls. Every operation
-executed while a :class:`Graph` is active is appended to the tape;
+a thread executes while it has a :class:`Graph` entered is appended to
+that graph's tape (the one the thread entered last), and to no other;
 :func:`backward` and :func:`vjp` walk the tape in reverse to produce
 gradients.
 
@@ -65,6 +66,7 @@ are cast to the input's dtype.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -160,7 +162,15 @@ class Node:
         self.wanted = wanted
 
 
-_ACTIVE_GRAPHS: list["Graph"] = []
+class _ActiveGraphs(threading.local):
+    """The stack of entered graphs, one per thread: a graph records the
+    ops of the thread that entered it, and of no other."""
+
+    def __init__(self):
+        self.stack: list[Graph] = []
+
+
+_ACTIVE_GRAPHS = _ActiveGraphs()
 
 
 class Graph:
@@ -179,11 +189,11 @@ class Graph:
         self._consume = self._consumed = False
 
     def __enter__(self) -> "Graph":
-        _ACTIVE_GRAPHS.append(self)
+        _ACTIVE_GRAPHS.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE_GRAPHS.pop()
+        _ACTIVE_GRAPHS.stack.pop()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -198,9 +208,10 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     if len(dtypes) > 1:
         raise ValueError(f"{op} mixes dtypes {sorted(map(str, dtypes))}")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    if _ACTIVE_GRAPHS:
+    active = _ACTIVE_GRAPHS.stack
+    if active:
         wanted = [t.requires_grad for t in inputs]
-        _ACTIVE_GRAPHS[-1].nodes.append(
+        active[-1].nodes.append(
             Node(op, inputs, out, lambda g: pullback(g, *wanted), wanted))
     return out
 

@@ -161,58 +161,47 @@ class ExpansionCheck:
     collapsed_deviation: Optional[float] = None
 
 
-def _span(trace: PropagationTrace, m: Optional[int],
-          n: Optional[int]) -> tuple:
-    """Blocks m..n (default: the whole trace) and the paths Φ(n, m..n)."""
-    m = trace.m if m is None else m
-    n = trace.n if n is None else n
-    if not (trace.m <= m < n <= trace.n):
-        raise ValueError(f"need {trace.m} <= m < n <= {trace.n}")
-    return m, n, skip_products(trace.skips[m - trace.m:n - trace.m])
-
-
-def verify_forward_expansion(trace: PropagationTrace, m: Optional[int] = None,
-                             n: Optional[int] = None) -> ExpansionCheck:
-    """Rebuild x_n from x_m and the branch outputs; report max deviation.
+def verify_forward_expansion(trace: PropagationTrace) -> ExpansionCheck:
+    """Rebuild x_n from x_m and the branch outputs of the trace's span
+    m..n; report max deviation.
 
     For one shared idempotent P the collapsed form (every path of one or
     more blocks replaced by P itself) is checked as well.
     """
-    m, n, phi = _span(trace, m, n)
+    phi = skip_products(trace.skips)
     p = trace.transform
 
     def deviation(paths):
-        rhs = apply_transform(paths[0], trace.x(m))
-        for i in range(m, n):
-            rhs = rhs + apply_transform(paths[i - m + 1], trace.branch(i))
-        return float(np.abs(rhs - trace.x(n)).max())
+        rhs = apply_transform(paths[0], trace.inputs[0])
+        for path, f in zip(paths[1:], trace.branch_outputs):
+            rhs = rhs + apply_transform(path, f)
+        return float(np.abs(rhs - trace.inputs[-1]).max())
 
     collapsed = None
     if p is not None and is_idempotent(p):
-        collapsed = deviation([p] * (n - m) + [phi[-1]])
+        collapsed = deviation([p] * len(trace.skips) + [phi[-1]])
     return ExpansionCheck(deviation(phi), collapsed)
 
 
-def verify_backward_expansion(trace: PropagationTrace, m: Optional[int] = None,
-                              n: Optional[int] = None) -> float:
-    """Rebuild dL/dx_m from dL/dx_n plus branch vector-Jacobian terms.
+def verify_backward_expansion(trace: PropagationTrace) -> float:
+    """Rebuild dL/dx_m from dL/dx_n plus branch vector-Jacobian terms,
+    over the trace's span m..n.
 
     One walk seeded at every branch output sums the terms, by linearity.
     Each seed Φ(n, i+1)^T dL/dx_n is a callable that the walk calls when
     it first reaches that branch (see :func:`autodiff.vjp`), so the walk
     holds one seed at a time, not one per block. It walks with ``vjp``,
     which keeps the trace's tape, so the check can run again on the same
-    trace, for any span.
+    trace.
     """
-    m, n, phi = _span(trace, m, n)
-    g_n = trace.grad(n)
-    x_m = trace._input_tensors[m - trace.m]
-    seeds = {trace._branch_tensors[i - trace.m]:
-             partial(apply_transform, phi[i - m + 1].T, g_n)
-             for i in range(m, n)}
+    phi = skip_products(trace.skips)
+    g_n = trace.gradients[-1]
+    x_m = trace._input_tensors[0]
+    seeds = {f: partial(apply_transform, path.T, g_n)
+             for f, path in zip(trace._branch_tensors, phi[1:])}
     pulled = vjp(trace._graph, seeds, wrt=[x_m])[x_m]
     recon = apply_transform(phi[0].T, g_n) + pulled
-    return float(np.abs(recon - trace.grad(m)).max())
+    return float(np.abs(recon - trace.gradients[0]).max())
 
 
 def _norm(v) -> float:
@@ -274,6 +263,7 @@ class FlowReport:
     gradient_gain: float
     term_norms: list
     forward_deviation: float
+    collapsed_deviation: Optional[float]  # one shared idempotent P only
     backward_deviation: float
     null_fraction_x_m: Optional[float]
     null_fraction_x_n: Optional[float]
@@ -284,6 +274,9 @@ class FlowReport:
         out.write(f"  skip-path gain      {self.skip_gain:.6f}\n")
         out.write(f"  gradient skip gain  {self.gradient_gain:.6f}\n")
         out.write(f"  forward expansion   max dev {self.forward_deviation:.3e}\n")
+        if self.collapsed_deviation is not None:
+            out.write(f"  collapsed expansion max dev "
+                      f"{self.collapsed_deviation:.3e}\n")
         out.write(f"  backward expansion  max dev {self.backward_deviation:.3e}\n")
         for i, nrm in enumerate(self.term_norms):
             out.write(f"  |Φ({self.n},{self.m + i + 1}) x'_{self.m + i + 1}|"
@@ -299,17 +292,16 @@ class FlowReport:
 def flow_report(trace: PropagationTrace) -> FlowReport:
     """Gains, expansion deviations, and null-space shares for one trace."""
     p = trace.transform
-    x_m = trace.x(trace.m)
-    g_n = trace.grad(trace.n)
-    _, _, phi = _span(trace, None, None)
+    x_m, x_n, g_n = trace.inputs[0], trace.inputs[-1], trace.gradients[-1]
+    phi = skip_products(trace.skips)
     forward = verify_forward_expansion(trace)
     backward = verify_backward_expansion(trace)
-    terms = [_norm(apply_transform(path, trace.branch(i)))
-             for i, path in enumerate(phi[1:], start=trace.m)]
+    terms = [_norm(apply_transform(path, f))
+             for path, f in zip(phi[1:], trace.branch_outputs)]
     nf_m = nf_n = None
     if p is not None and is_idempotent(p):
         frac_m = null_space_components(p, x_m).fractions
-        frac_n = null_space_components(p, trace.x(trace.n)).fractions
+        frac_n = null_space_components(p, x_n).fractions
         nf_m = None if frac_m is None else frac_m[1]
         nf_n = None if frac_n is None else frac_n[1]
     return FlowReport(
@@ -317,5 +309,6 @@ def flow_report(trace: PropagationTrace) -> FlowReport:
         skip_gain=skip_path_gain(phi[0], x_m) if _norm(x_m) else 0.0,
         gradient_gain=gradient_skip_gain(phi[0], g_n) if _norm(g_n) else 0.0,
         term_norms=terms, forward_deviation=forward.deviation,
+        collapsed_deviation=forward.collapsed_deviation,
         backward_deviation=backward, null_fraction_x_m=nf_m,
         null_fraction_x_n=nf_n)

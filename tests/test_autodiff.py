@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -1019,6 +1021,60 @@ def test_backward_requires_scalar_loss():
         y = relu(x)
     with pytest.raises(ValueError, match="scalar"):
         backward(g, y)
+
+
+def test_each_thread_tapes_only_its_own_ops():
+    # a graph records the ops of the thread that entered it: two threads,
+    # each held inside its graph until both have entered theirs, tape one
+    # net's forward each, and each tape and input gradient is a lone run's
+    spec = NetworkSpec(blocks_per_stage=2, stage_widths=(4, 4, 4),
+                       transform_kind="idempotent_mr",
+                       transform_params={"B": 2}, input_shape=(3, 8, 8))
+    nets = [build_network(spec, seed=s) for s in (1, 2)]
+    xs = [np.random.default_rng(s).standard_normal((2, 3, 8, 8))
+          for s in (3, 4)]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def tape_and_walk(net, x, wait):
+        x = Tensor(x, requires_grad=True)
+        with Graph() as graph:
+            if wait:
+                barrier.wait()
+            loss = reduce_sum(net.forward(x, "eval"))
+        nodes = list(graph.nodes)
+        return x, nodes, backward(graph, loss, wrt=[x])[x].data
+
+    alone = [tape_and_walk(net, x, False) for net, x in zip(nets, xs)]
+    results, errors = [None, None], []
+
+    def run(i):
+        try:
+            results[i] = tape_and_walk(nets[i], xs[i], True)
+        except Exception as exc:  # re-raised below, in the test's thread
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads between ops, not blocks
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for net, (_, ref_nodes, ref_grad), (x, nodes, grad) in zip(
+            nets, alone, results):
+        assert [n.op for n in nodes] == [n.op for n in ref_nodes]
+        produced = {n.output for n in nodes}
+        leaves = {t for n in nodes for t in n.inputs
+                  if t.requires_grad and t not in produced}
+        assert x in leaves
+        assert leaves <= {x} | {t for _, t, _ in net.parameters()}
+        assert np.array_equal(grad, ref_grad)
 
 
 def test_add_rejects_unequal_shapes():

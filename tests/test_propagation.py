@@ -224,8 +224,9 @@ def test_trace_accessors_and_spans_stay_inside_the_trace():
     with pytest.raises(IndexError, match=r"block index 1 outside trace "
                                          r"range \[2, 3\]"):
         trace.x(1)
-    with pytest.raises(ValueError, match="need 2 <= m < n <= 3"):
-        prop.verify_forward_expansion(trace, m=2, n=4)
+    with pytest.raises(IndexError, match=r"branch index 3 outside trace "
+                                         r"range \[2, 2\]"):
+        trace.branch(3)
 
 
 @pytest.mark.parametrize("stage", [0, 4])
@@ -277,12 +278,18 @@ def test_forward_expansion_orthogonal_with_power_oracle():
 
 
 def test_forward_expansion_all_m_from_one_trace():
-    # feature reuse: the expansion holds for every earlier block input
+    # feature reuse: the expansion holds for every earlier block input; a
+    # taped forward has the untaped one's bits, so each sub-trace m..n
+    # holds the x_i of the whole trace 1..5
     net = stage_net("idempotent_mr", {"B": 2}, k=5, seed=7)
-    trace = prop.capture_trace(net, input_batch(6), stage=1, m=1, n=5)
+    x = input_batch(6)
+    whole = prop.capture_trace(net, x, stage=1, m=1, n=5)
     for m in range(1, 5):
         for n in range(m + 1, 6):
-            check = prop.verify_forward_expansion(trace, m=m, n=n)
+            trace = prop.capture_trace(net, x, 1, m, n)
+            for i in range(m, n + 1):
+                assert np.array_equal(trace.x(i), whole.x(i)), (m, n, i)
+            check = prop.verify_forward_expansion(trace)
             assert check.deviation <= 1e-9, (m, n)
 
 
@@ -334,20 +341,25 @@ def test_mixed_skip_stage_traces_and_verifies():
     net = stage_net("identity", k=6, seed=12)
     for blk, p in zip(net.stages[0], skips):
         blk.set_skip(p)
-    trace = prop.capture_trace(net, input_batch(20), stage=1, m=1, n=6)
+    x = input_batch(20)
+    trace = prop.capture_trace(net, x, stage=1, m=1, n=6)
     assert trace.transform is None
     npt.assert_array_equal(trace.skips[4], np.zeros((8, 8)))
     tol = 2 ** 8 * np.finfo(np.float64).eps
     for m in range(1, 6):
         for n in range(m + 1, 7):
-            check = prop.verify_forward_expansion(trace, m=m, n=n)
-            assert check.collapsed_deviation is None
-            assert check.deviation <= tol * np.abs(trace.x(n)).max(), (m, n)
-            assert prop.verify_backward_expansion(trace, m=m, n=n) <= \
-                tol * np.abs(trace.grad(m)).max(), (m, n)
+            sub = prop.capture_trace(net, x, 1, m, n)
+            check = prop.verify_forward_expansion(sub)
+            assert check.deviation <= tol * np.abs(sub.x(n)).max(), (m, n)
+            assert prop.verify_backward_expansion(sub) <= \
+                tol * np.abs(sub.grad(m)).max(), (m, n)
+            if n - m > 1:   # blocks with different skips: no collapse
+                assert sub.transform is None
+                assert check.collapsed_deviation is None
     report = prop.flow_report(trace)
     assert report.null_fraction_x_m is None
     assert report.null_fraction_x_n is None
+    assert report.collapsed_deviation is None
     # the none block ends every path through it: only x'_6 survives
     assert report.skip_gain == report.gradient_gain == 0.0
     assert report.term_norms[:4] == [0.0] * 4
@@ -391,10 +403,11 @@ def test_backward_expansion_idempotent():
 
 def test_backward_expansion_all_pairs():
     net = stage_net("orthogonal_tp", k=4, seed=9)
-    trace = prop.capture_trace(net, input_batch(10), stage=1, m=1, n=4)
+    x = input_batch(10)
     for m in range(1, 4):
         for n in range(m + 1, 5):
-            assert prop.verify_backward_expansion(trace, m=m, n=n) <= 1e-8, (m, n)
+            trace = prop.capture_trace(net, x, 1, m, n)
+            assert prop.verify_backward_expansion(trace) <= 1e-8, (m, n)
 
 
 def test_vjp_wrt_walks_only_dependent_nodes():
@@ -449,14 +462,14 @@ def test_vjp_two_seeds_sum_single_seed_walks():
 @pytest.mark.parametrize("span", [1, 2, 3, 4])
 def test_backward_expansion_is_one_walk(span, monkeypatch):
     net = stage_net("idempotent_mr", {"B": 2}, k=5, seed=3)
-    trace = prop.capture_trace(net, input_batch(4), stage=1, m=1, n=5)
+    trace = prop.capture_trace(net, input_batch(4), stage=1, m=5 - span, n=5)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return vjp(*args, **kwargs)
     monkeypatch.setattr(prop, "vjp", counted)
-    assert prop.verify_backward_expansion(trace, m=5 - span, n=5) <= 1e-8
+    assert prop.verify_backward_expansion(trace) <= 1e-8
     assert len(calls) == 1
 
 
@@ -609,8 +622,10 @@ def test_flow_report_orthogonal_gain_and_serialization():
     assert abs(report.gradient_gain - 1.0) <= 1e-9
     assert report.forward_deviation <= 1e-9
     assert report.backward_deviation <= 1e-8
+    assert report.collapsed_deviation is None
     text = report.to_text()
     assert "skip-path gain" in text
+    assert "collapsed expansion" not in text
 
 
 def test_flow_report_idempotent_null_fractions():
@@ -619,6 +634,24 @@ def test_flow_report_idempotent_null_fractions():
     report = prop.flow_report(trace)
     assert report.null_fraction_x_m is not None
     assert 0.0 <= report.null_fraction_x_m <= 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flow_report_carries_the_idempotent_collapse(dtype):
+    # one shared idempotent P: the report keeps the collapsed form the
+    # forward check computes, every path of one or more blocks replaced by P
+    spec = NetworkSpec(blocks_per_stage=5, stage_widths=(8,) * 3,
+                       transform_kind="idempotent_mr",
+                       transform_params={"B": 2}, input_shape=(3, 8, 8))
+    net = build_network(spec, seed=2, dtype=dtype)
+    trace = prop.capture_trace(net, input_batch(21), stage=1, m=1, n=5)
+    report = prop.flow_report(trace)
+    check = prop.verify_forward_expansion(trace)
+    assert report.collapsed_deviation == check.collapsed_deviation
+    assert report.collapsed_deviation <= \
+        2 ** 8 * np.finfo(dtype).eps * np.abs(trace.x(5)).max()
+    assert (f"collapsed expansion max dev {report.collapsed_deviation:.3e}"
+            in report.to_text())
 
 
 def _flow_report_peak(k):
