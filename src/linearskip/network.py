@@ -313,7 +313,11 @@ class Network:
 
     def _steps_before(self, pos, name: str) -> int:
         """The blocks and transitions run from the stem to ``pos``."""
-        stage, i = pos
+        try:
+            stage, i = pos
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must be a (stage, block) pair, "
+                             f"got {pos!r}") from None
         k = len(self.stage_blocks(stage))
         if not _is_int(i) or not 1 <= i <= k + 1:
             raise ValueError(f"{name} block must be 1..{k + 1}, got {i!r}")

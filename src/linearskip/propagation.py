@@ -26,7 +26,8 @@ import numpy as np
 from . import transforms
 # ``add`` and ``matrix_power`` are no longer called here, but tracers that
 # wrap module attributes (the benchmark's among them) still look them up
-from .autodiff import Graph, Tensor, add, reduce_sum, vjp  # noqa: F401
+from .autodiff import (Graph, Tensor, _is_int, add,  # noqa: F401
+                       reduce_sum, vjp)
 from .network import Network
 from .transforms import (apply_transform, is_idempotent, is_symmetric,
                          matrix_power, skip_products)  # noqa: F401
@@ -39,8 +40,6 @@ __all__ = [
     "capture_trace",
     "verify_forward_expansion",
     "verify_backward_expansion",
-    "skip_path_gain",
-    "gradient_skip_gain",
     "null_space_components",
     "flow_report",
 ]
@@ -112,7 +111,7 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     """
     blocks = network.stage_blocks(stage)
     k = len(blocks)
-    if not (1 <= m < n <= k + 1):
+    if not (_is_int(m) and _is_int(n) and 1 <= m < n <= k + 1):
         raise ValueError(f"need 1 <= m < n <= {k + 1} (K + 1) in stage "
                          f"{stage}, got m={m}, n={n}")
     skips = [np.zeros((blk.width,) * 2) if blk.skip is None else blk.skip
@@ -158,12 +157,13 @@ def _check_trace(trace: PropagationTrace) -> None:
 @dataclass
 class ExpansionCheck:
     deviation: float
+    term_norms: list   # |Φ(n, m) x_m|, then each |Φ(n, i+1) x'_{i+1}|
     collapsed_deviation: Optional[float] = None
 
 
 def verify_forward_expansion(trace: PropagationTrace) -> ExpansionCheck:
     """Rebuild x_n from x_m and the branch outputs of the trace's span
-    m..n; report max deviation.
+    m..n; report max deviation and the norm of each term of the sum.
 
     For one shared idempotent P the collapsed form (every path of one or
     more blocks replaced by P itself) is checked as well.
@@ -171,16 +171,19 @@ def verify_forward_expansion(trace: PropagationTrace) -> ExpansionCheck:
     phi = skip_products(trace.skips)
     p = trace.transform
 
-    def deviation(paths):
-        rhs = apply_transform(paths[0], trace.inputs[0])
-        for path, f in zip(paths[1:], trace.branch_outputs):
-            rhs = rhs + apply_transform(path, f)
+    def deviation(paths, norms=None):
+        rhs = None
+        for path, v in zip(paths, [trace.inputs[0], *trace.branch_outputs]):
+            term = apply_transform(path, v)
+            rhs = term if rhs is None else rhs + term
+            if norms is not None:
+                norms.append(_norm(term))
         return float(np.abs(rhs - trace.inputs[-1]).max())
 
-    collapsed = None
+    norms, collapsed = [], None
     if p is not None and is_idempotent(p):
         collapsed = deviation([p] * len(trace.skips) + [phi[-1]])
-    return ExpansionCheck(deviation(phi), collapsed)
+    return ExpansionCheck(deviation(phi, norms), norms, collapsed)
 
 
 def verify_backward_expansion(trace: PropagationTrace) -> float:
@@ -206,22 +209,6 @@ def verify_backward_expansion(trace: PropagationTrace) -> float:
 
 def _norm(v) -> float:
     return float(np.linalg.norm(np.asarray(v).ravel()))
-
-
-def skip_path_gain(p, x) -> float:
-    """|| P x ||_2 / || x ||_2 for a square matrix P, such as Φ(n, m)."""
-    mat = transforms._as_matrix(p)
-    xd = np.asarray(x, dtype=np.float64)
-    base = _norm(xd)
-    if base == 0.0:
-        raise ValueError("skip_path_gain is undefined for a zero input")
-    out = apply_transform(mat, xd) if xd.ndim == 4 else mat @ xd
-    return _norm(out) / base
-
-
-def gradient_skip_gain(p, g) -> float:
-    """|| P^T g ||_2 / || g ||_2 for a square matrix P and a gradient g."""
-    return skip_path_gain(transforms._as_matrix(p).T, g)
 
 
 @dataclass
@@ -290,24 +277,27 @@ class FlowReport:
 
 
 def flow_report(trace: PropagationTrace) -> FlowReport:
-    """Gains, expansion deviations, and null-space shares for one trace."""
+    """Gains, expansion deviations, and null-space shares for one trace.
+
+    The skip gain |Φ(n, m) x_m| / |x_m| and the term norms are the forward
+    check's own; both gains are 0.0 for a zero input."""
     p = trace.transform
     x_m, x_n, g_n = trace.inputs[0], trace.inputs[-1], trace.gradients[-1]
-    phi = skip_products(trace.skips)
     forward = verify_forward_expansion(trace)
     backward = verify_backward_expansion(trace)
-    terms = [_norm(apply_transform(path, f))
-             for path, f in zip(phi[1:], trace.branch_outputs)]
+    skip_norm, *terms = forward.term_norms
+    base_x, base_g = _norm(x_m), _norm(g_n)
+    grad_norm = _norm(apply_transform(skip_products(trace.skips)[0].T, g_n))
     nf_m = nf_n = None
-    if p is not None and is_idempotent(p):
+    if forward.collapsed_deviation is not None:   # one shared idempotent P
         frac_m = null_space_components(p, x_m).fractions
         frac_n = null_space_components(p, x_n).fractions
         nf_m = None if frac_m is None else frac_m[1]
         nf_n = None if frac_n is None else frac_n[1]
     return FlowReport(
         stage=trace.stage, m=trace.m, n=trace.n,
-        skip_gain=skip_path_gain(phi[0], x_m) if _norm(x_m) else 0.0,
-        gradient_gain=gradient_skip_gain(phi[0], g_n) if _norm(g_n) else 0.0,
+        skip_gain=skip_norm / base_x if base_x else 0.0,
+        gradient_gain=grad_norm / base_g if base_g else 0.0,
         term_norms=terms, forward_deviation=forward.deviation,
         collapsed_deviation=forward.collapsed_deviation,
         backward_deviation=backward, null_fraction_x_m=nf_m,

@@ -408,6 +408,15 @@ def test_forward_rejects_positions_outside_the_network(where, pos):
         net.forward(np.zeros((1, 3, 8, 8)), **{where: pos})
 
 
+@pytest.mark.parametrize("where", ["start", "stop"])
+@pytest.mark.parametrize("pos", [5, (1,), (1, 1, 1)])
+def test_forward_rejects_a_position_that_is_not_a_pair(where, pos):
+    net = build_network(small_spec(), seed=0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{where} must be a (stage, block) pair, got {pos!r}")):
+        net.forward(np.zeros((1, 3, 8, 8)), **{where: pos})
+
+
 @pytest.mark.parametrize("start,stop", [((1, 2), (1, 1)), ((2, 1), (1, 3)),
                                         ((3, 3), (1, 1))])
 def test_forward_rejects_stop_before_start(start, stop):

@@ -216,6 +216,12 @@ def test_trace_index_validation():
         prop.capture_trace(net, input_batch(), stage=1, m=0, n=2)
     with pytest.raises(ValueError, match="1 <= m < n"):
         prop.capture_trace(net, input_batch(), stage=1, m=1, n=5)
+    with pytest.raises(ValueError, match=r"1 <= m < n .* got m=1.0, n=3"):
+        prop.capture_trace(net, input_batch(), 1, 1.0, 3)
+    with pytest.raises(ValueError, match=r"1 <= m < n .* got m=1, n=3.0"):
+        prop.capture_trace(net, input_batch(), stage=1, m=1, n=3.0)
+    with pytest.raises(ValueError, match=r"1 <= m < n .* got m=True, n=3"):
+        prop.capture_trace(net, input_batch(), stage=1, m=True, n=3)
 
 
 def test_trace_accessors_and_spans_stay_inside_the_trace():
@@ -275,6 +281,35 @@ def test_forward_expansion_orthogonal_with_power_oracle():
             oracles.matrix_power_loop(trace.transform, 5 - i - 1),
             trace.branch(i))
     npt.assert_allclose(rhs, trace.x(5), atol=1e-9)
+
+
+def test_forward_expansion_reports_each_term_norm():
+    # the skip term |P^(n-m) x_m| first, then |P^(n-i-1) x'_{i+1}|; the
+    # flow report's skip gain and branch norms are these same numbers
+    net = stage_net("periodic", {"N": 3}, k=5, seed=9)
+    trace = prop.capture_trace(net, input_batch(7), stage=1, m=2, n=6)
+    p = trace.transform
+    terms = [(oracles.matrix_power_loop(p, 4), trace.x(2))] + [
+        (oracles.matrix_power_loop(p, 5 - i), trace.branch(i))
+        for i in range(2, 6)]
+    check = prop.verify_forward_expansion(trace)
+    npt.assert_allclose(check.term_norms,
+                        [np.linalg.norm(apply_transform(mat, v))
+                         for mat, v in terms], rtol=1e-12)
+    report = prop.flow_report(trace)
+    assert report.term_norms == check.term_norms[1:]
+    assert report.skip_gain == \
+        check.term_norms[0] / np.linalg.norm(trace.x(2))
+
+
+def test_flow_report_gains_of_a_zero_input():
+    # x = 0 gives x_m = 0 (no biases before the first block, eval BN with
+    # fresh statistics), but the probe's gradient is not 0
+    net = stage_net("orthogonal_tp", k=3, seed=4)
+    report = prop.flow_report(prop.capture_trace(
+        net, np.zeros((2, 3, 8, 8)), stage=1, m=1, n=3))
+    assert report.skip_gain == 0.0
+    assert abs(report.gradient_gain - 1.0) <= 1e-9
 
 
 def test_forward_expansion_all_m_from_one_trace():
@@ -485,50 +520,7 @@ def test_vjp_rejects_seed_of_wrong_shape():
 # ---------------------------------------------------------------------------
 # gains
 
-def test_orthogonal_gains_are_one():
-    rng = np.random.default_rng(11)
-    q = tr.make_orthogonal_random(16, seed=4)
-    x = rng.standard_normal(16)
-    g = rng.standard_normal(16)
-    for k in (1, 3, 16):
-        qk = tr.matrix_power(q, k)
-        assert abs(prop.skip_path_gain(qk, x) - 1.0) <= 1e-9
-        assert abs(prop.gradient_skip_gain(qk, g) - 1.0) <= 1e-9
-
-
-def test_idempotent_column_space_gain_one():
-    p = tr.make_idempotent_mr(8, 2)
-    rng = np.random.default_rng(12)
-    v = p @ rng.standard_normal(8)
-    for k in (1, 2, 7):
-        pk = tr.matrix_power(p, k)
-        assert abs(prop.skip_path_gain(pk, v) - 1.0) <= 1e-9
-
-
-def test_idempotent_null_space_gain_zero():
-    p = tr.make_idempotent_cmr(8, 2)
-    rng = np.random.default_rng(13)
-    # null space of CMR = column space of MR
-    v = tr.make_idempotent_mr(8, 2) @ rng.standard_normal(8)
-    for k in (1, 2, 5):
-        assert prop.skip_path_gain(tr.matrix_power(p, k), v) <= 1e-9
-
-
-def test_gain_rejects_zero_vector():
-    p = tr.make_identity(4)
-    with pytest.raises(ValueError, match="zero input"):
-        prop.skip_path_gain(tr.matrix_power(p, 1), np.zeros(4))
-
-
 def test_gains_float32():
-    rng = np.random.default_rng(11)
-    q = tr.make_orthogonal_random(16, seed=4)
-    x = rng.standard_normal(16).astype(np.float32)
-    g = rng.standard_normal(16).astype(np.float32)
-    for k in (1, 3, 16):
-        qk = tr.matrix_power(q, k)
-        assert abs(prop.skip_path_gain(qk, x) - 1.0) <= 2 ** 4 * EPS32
-        assert abs(prop.gradient_skip_gain(qk, g) - 1.0) <= 2 ** 4 * EPS32
     trace = float32_trace("orthogonal_tp", k=3, seed=4, batch_seed=16)
     report = prop.flow_report(trace)
     assert abs(report.skip_gain - 1.0) <= 2 ** 4 * EPS32
@@ -652,6 +644,32 @@ def test_flow_report_carries_the_idempotent_collapse(dtype):
         2 ** 8 * np.finfo(dtype).eps * np.abs(trace.x(5)).max()
     assert (f"collapsed expansion max dev {report.collapsed_deviation:.3e}"
             in report.to_text())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind,params,branches", [
+    ("orthogonal_tp", {}, 1), ("orthogonal_random", {}, 1),
+    ("idempotent_mr", {}, 4), ("idempotent_cmr", {"B": 2}, 1),
+    ("periodic", {"N": 3}, 1)])
+def test_flow_report_float32_twin(kind, params, branches, seed):
+    # a float32 report's gains and term norms are its float64 twin's within
+    # an eps32-scaled bound, at every stage
+    spec = NetworkSpec(blocks_per_stage=3, stage_widths=(8,) * 3,
+                       branch_mode="multi" if branches > 1 else "single",
+                       num_branches=branches, transform_kind=kind,
+                       transform_params=params, input_shape=(3, 8, 8))
+    reports = {}
+    for dtype in (np.float32, np.float64):
+        net = build_network(spec, seed=seed, dtype=dtype)
+        reports[dtype] = [prop.flow_report(prop.capture_trace(
+            net, input_batch(seed), stage, m=1, n=4)) for stage in (1, 2, 3)]
+    for r32, r64 in zip(reports[np.float32], reports[np.float64]):
+        got = [r32.skip_gain, r32.gradient_gain, *r32.term_norms]
+        want = [r64.skip_gain, r64.gradient_gain, *r64.term_norms]
+        assert len(got) == len(want) == 5
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 2 ** 4 * EPS32 * max(1.0, abs(b)), \
+                (r64.stage, got, want)
 
 
 def _flow_report_peak(k):
