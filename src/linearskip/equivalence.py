@@ -6,9 +6,10 @@ feeding the stage, block i's branch composite is wrapped by fixed 1x1
 mixes (pre B_i^-1, post B_{i+1}), and the exit basis B_{L+1}^-1 is folded
 into the input channels of the layer after the stage. An orthogonal-skip
 stage with skips Q_1..Q_L becomes an identity-skip stage with
-B_i = Q_L...Q_i; an idempotent-skip stage becomes a diagonal {0,1}-skip
-stage with B_i = U for P = U^-1 diag(lam) U. Both rewrites leave the
-network's function unchanged up to floating-point accumulation.
+B_i = Q_L...Q_i; a stage that shares one P with P^(N+1) = P (N = 1: an
+idempotent) becomes a stage of skip C with B_i = V^-1 for P = V C V^-1,
+its real canonical form (diagonal {0,1} for an idempotent). Both rewrites
+leave the network's function unchanged up to floating-point accumulation.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .autodiff import Graph, backward, reduce_sum, Tensor
 from .network import Network
 # ``matrix_power`` is no longer called here, but tracers that wrap module
 # attributes (the benchmark's among them) still look it up on this module
-from .transforms import (_check_count, diagonalize_idempotent, is_idempotent,
-                         is_orthogonal, matrix_power,
+from .transforms import (_check_count, canonical_form, is_orthogonal,
+                         is_periodic, matrix_power,
                          skip_products)  # noqa: F401
 
 __all__ = [
@@ -108,16 +109,17 @@ def convert_orthogonal_to_identity(net: Network) -> Network:
 
 
 def convert_idempotent_to_diagonal(net: Network) -> Network:
-    """Rewrite every stage's idempotent skips as diagonal {0,1} skips; the
-    blocks of a stage must share one idempotent P."""
+    """Rewrite each stage's shared skip P, P^(N+1) = P (N: a periodic spec's
+    period, else 1), as its canonical form C: diagonal {0,1} if idempotent."""
+    n = net.spec.resolve_period() if net.spec.transform_kind == "periodic" else 1
+    law = "idempotent" if n == 1 else f"periodic with P^{n + 1} = P"
     out = net.copy()
     for stage in (1, 2, 3):
-        skips = _stage_skips(out, stage, "idempotent", is_idempotent,
+        skips = _stage_skips(out, stage, law, lambda q: is_periodic(q, n),
                              "convert_orthogonal_to_identity", shared=True)
-        diag = diagonalize_idempotent(skips[0])
-        n = len(skips) + 1
-        _change_basis(out, stage, [diag.U] * n, [diag.U_inv] * n,
-                      np.diag(diag.lam))
+        v, v_inv, c = canonical_form(skips[0], n)
+        k = len(skips) + 1
+        _change_basis(out, stage, [v_inv] * k, [v] * k, c)
     return out
 
 

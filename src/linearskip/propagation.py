@@ -107,7 +107,8 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     is an ``autodiff.vjp`` walk, not ``backward``, because ``backward``
     frees the tape that the trace keeps for every later
     :func:`verify_backward_expansion` walk. Batch-norm runs in eval mode
-    by default so capture has no side effects.
+    by default; in either mode capture leaves the running statistics as
+    it found them, so it has no side effects.
     """
     blocks = network.stage_blocks(stage)
     k = len(blocks)
@@ -118,14 +119,23 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
              for blk in blocks[m - 1:n - 1]]
     shared = all(np.array_equal(p, skips[0]) for p in skips)
 
-    x_m = Tensor(network.forward(x, mode, stop=(stage, m)).data,
-                 requires_grad=True)  # where the tape starts
+    # a train-mode batch norm rebinds its running statistics, so putting
+    # the old arrays back undoes both forwards' updates
+    kept = [(bn, bn.running_mean, bn.running_var)
+            for st in network.stages for blk in st for bn in (blk.bn1, blk.bn2)]
     taken = []  # x_i, F(x_i) and their arrays, which their blocks release
-    with Graph() as graph:
-        x_n = network.forward(
-            x_m, mode, start=(stage, m), stop=(stage, n),
-            hook=lambda x_i, f_i: taken.append((x_i, x_i.data, f_i, f_i.data)))
-        loss = reduce_sum(x_n)
+    try:
+        x_m = Tensor(network.forward(x, mode, stop=(stage, m)).data,
+                     requires_grad=True)  # where the tape starts
+        with Graph() as graph:
+            x_n = network.forward(
+                x_m, mode, start=(stage, m), stop=(stage, n),
+                hook=lambda x_i, f_i: taken.append((x_i, x_i.data, f_i,
+                                                    f_i.data)))
+            loss = reduce_sum(x_n)
+    finally:
+        for bn, mean, var in kept:
+            bn.running_mean, bn.running_var = mean, var
     input_tensors, inputs, branch_tensors, branch_outputs = map(list, zip(*taken))
     input_tensors.append(x_n)
     inputs.append(x_n.data)
@@ -219,7 +229,8 @@ class NullSpaceSplit:
 
 
 def null_space_components(p, v) -> NullSpaceSplit:
-    """Split v = Pv + (v - Pv) for an idempotent square matrix P.
+    """Split v = Pv + (v - Pv) for an idempotent square matrix P, in v's
+    dtype (float64 unless v is float32).
 
     For symmetric P the two parts are orthogonal and the squared-norm
     fractions sum to 1; for oblique projectors only the algebraic split
@@ -228,8 +239,9 @@ def null_space_components(p, v) -> NullSpaceSplit:
     mat = transforms._as_matrix(p)
     if not is_idempotent(mat):
         raise ValueError("null-space split requires an idempotent matrix")
-    vd = np.asarray(v, dtype=np.float64)
-    col = apply_transform(mat, vd) if vd.ndim == 4 else mat @ vd
+    vd = Tensor(v).data
+    col = (apply_transform(mat, vd) if vd.ndim == 4
+           else mat.astype(vd.dtype, copy=False) @ vd)
     null = vd - col
     fractions = None
     if is_symmetric(mat):

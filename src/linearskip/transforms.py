@@ -12,7 +12,6 @@ module; the constructors meet their invariants to within 5e-15.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Union
 
@@ -23,7 +22,6 @@ from .autodiff import Tensor, _is_int, _mix, channel_mix
 __all__ = [
     "KINDS",
     "check_kind",
-    "Diagonalization",
     "make_identity",
     "make_idempotent_mr",
     "make_idempotent_cmr",
@@ -31,12 +29,13 @@ __all__ = [
     "make_orthogonal_random",
     "make_periodic",
     "is_idempotent",
+    "is_periodic",
     "is_orthogonal",
     "is_symmetric",
     "rank",
     "matrix_power",
     "skip_products",
-    "diagonalize_idempotent",
+    "canonical_form",
     "apply_transform",
 ]
 
@@ -77,21 +76,12 @@ def check_kind(p, kind: str, n=None) -> np.ndarray:
         law, holds = "Q^T Q = I", is_orthogonal(m)
     else:
         _check_count("periodic N", n)
-        law, holds = f"P^{n + 1} = P", _within_tol(matrix_power(m, n + 1) - m)
+        law, holds = f"P^{n + 1} = P", is_periodic(m, n)
     if not holds:
         raise ValueError(f"matrix tagged {kind} violates {law} beyond "
                          f"{_INVARIANT_TOL}")
     m.flags.writeable = False
     return m
-
-
-@dataclass(frozen=True)
-class Diagonalization:
-    """P = U_inv @ diag(lambda) @ U with lambda entries in {0, 1}."""
-
-    U: np.ndarray
-    U_inv: np.ndarray
-    lam: np.ndarray
 
 
 def make_identity(r: int) -> np.ndarray:
@@ -194,9 +184,12 @@ def _within_tol(residual: np.ndarray) -> bool:
     return bool(np.abs(residual).max() <= _INVARIANT_TOL)
 
 
+def is_periodic(p, n: int) -> bool:
+    return _within_tol(matrix_power(p, n + 1) - _as_matrix(p))
+
+
 def is_idempotent(p) -> bool:
-    m = _as_matrix(p)
-    return _within_tol(m @ m - m)
+    return is_periodic(p, 1)
 
 
 def is_orthogonal(p) -> bool:
@@ -240,30 +233,40 @@ def skip_products(skips) -> list:
     return out
 
 
-def diagonalize_idempotent(p) -> Diagonalization:
-    """Factor an idempotent matrix as U_inv @ diag(lam) @ U, lam in {0,1}.
-
-    The columns of U_inv are an orthonormal basis of the range of P (from
-    its SVD) followed by one of its null space, so lam is rank(P) ones
-    followed by zeros. This serves symmetric projectors (both
-    merge-and-run constructions) and oblique idempotents alike; U_inv is
-    orthogonal when P is symmetric.
-    """
+def canonical_form(p, n: int) -> tuple:
+    """(V, V^-1, C) with P = V C V^-1 for a real P with P^(n+1) = P. C is
+    block diagonal: +1s, -1s, [[cos θ, sin θ], [-sin θ, cos θ]] per pair
+    e^{±iθ} by ascending θ, then 0s. V holds an SVD basis of null(P - λI)
+    for each root λ that P's eigenvalues round to (±1 exactly), √2 (Re v,
+    Im v) for a complex one: orthogonal when P is normal. ValueError unless
+    the bases fill the width and V C V^-1 meets P."""
     m = _as_matrix(p)
-    if not is_idempotent(m):
-        raise ValueError(f"matrix is not idempotent within {_INVARIANT_TOL}")
+    _check_count("period", n)
     r = m.shape[0]
-    u_svd, s, vt = np.linalg.svd(m)
-    k = _count_above_cutoff(s)
-    col_basis = u_svd[:, :k]            # spans range(P)
-    null_basis = vt[k:].T               # spans null(P)
-    v = np.concatenate([col_basis, null_basis], axis=1)
-    lam = np.concatenate([np.ones(k), np.zeros(r - k)])
-    w = np.diag(np.linalg.solve(v, m @ v))
-    if not _within_tol(w - lam):
-        raise ValueError(f"idempotent eigenvalues are not within "
-                         f"{_INVARIANT_TOL} of {{0, 1}}")
-    return Diagonalization(U=np.linalg.inv(v), U_inv=v, lam=lam)
+    law = "idempotent" if n == 1 else f"periodic with P^{n + 1} = P"
+    w = np.linalg.eigvals(m)
+    turns = np.rint(np.angle(w) * n / (2 * np.pi)).astype(int) % n
+    # k stands for the pair e^{±2πik/n}, and n for the eigenvalue 0
+    ks = np.where(np.abs(w) < 0.5, n, np.minimum(turns, n - turns))
+    cols, lams = [], []
+    for k in sorted(set(ks.tolist()), key=lambda k: (k == n, 0 < 2 * k < n, k)):
+        lam = (0.0 if k == n else 1.0 if k == 0 else -1.0 if 2 * k == n
+               else np.exp(2j * np.pi * k / n))
+        pair = isinstance(lam, complex)
+        _, sv, vt = np.linalg.svd(m - lam * np.eye(r))
+        for v in vt[_count_above_cutoff(sv):].conj():
+            cols += [2 ** 0.5 * v.real, 2 ** 0.5 * v.imag] if pair else [v]
+            lams += [lam, lam.conjugate()] if pair else [lam]
+    if len(cols) != r:
+        raise ValueError(f"matrix is not {law}: its eigenspaces span "
+                         f"{len(cols)} of {r} dimensions")
+    sin = np.maximum(np.imag(lams[:-1]), 0.0)   # each pair's sin θ, else 0
+    c = np.diag(np.real(lams)) + np.diag(sin, 1) - np.diag(sin, -1)
+    v = np.stack(cols, axis=1)
+    v_inv = np.linalg.inv(v)
+    if not _within_tol(v @ c @ v_inv - m):
+        raise ValueError(f"matrix is not {law} within {_INVARIANT_TOL}")
+    return v, v_inv, c
 
 
 def apply_transform(p, x) -> Union[Tensor, np.ndarray]:

@@ -183,6 +183,71 @@ def test_idempotent_converter_rejects_orthogonal_skips():
 
 
 # ---------------------------------------------------------------------------
+# periodic -> canonical form (the idempotent rewrite at period N)
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [3, 9])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_periodic_rewrite_verifies(n, k, dtype):
+    spec = NetworkSpec(blocks_per_stage=k, stage_widths=(16,) * 3,
+                       transform_kind="periodic", transform_params={"N": n},
+                       input_shape=(3, 8, 8))
+    net = build_network(spec, seed=2, dtype=dtype)
+    conv = eq.convert_idempotent_to_diagonal(net)
+    for stage, conv_stage in zip(net.stages, conv.stages):
+        _, _, c = tr.canonical_form(stage[0].skip, n)
+        assert all(np.array_equal(blk.skip, c) for blk in conv_stage)
+    report = eq.verify_equivalence(net, conv, num_inputs=8, seed=3)
+    assert report.max_deviation > 0
+    assert report.passed
+
+
+def test_oblique_periodic_skips_convert():
+    # P = W C W^-1 with W near the identity: not normal, so V is not
+    # orthogonal, and the rewrite still computes the same function
+    net = make_net("periodic", {"N": 3}, k=3, seed=6)
+    rng = np.random.default_rng(7)
+    forms = []
+    for stage in net.stages:
+        forms.append(tr.canonical_form(stage[0].skip, 3)[2])
+        w = np.eye(8) + 0.05 * rng.standard_normal((8, 8))
+        p = w @ forms[-1] @ np.linalg.inv(w)
+        assert not tr.is_symmetric(p)
+        for blk in stage:
+            blk.set_skip(p)
+    conv = eq.convert_idempotent_to_diagonal(net)
+    for stage, c in zip(conv.stages, forms):
+        assert np.array_equal(stage[0].skip, c)
+        assert 1.0 < np.linalg.cond(stage[0].pre_mix) < 2.0
+    report = eq.verify_equivalence(net, conv, num_inputs=8, seed=8)
+    assert report.max_deviation > 0
+    assert report.passed
+
+
+def test_periodic_converter_names_its_law():
+    net = make_net("periodic", {"N": 3}, k=2)
+    net.stages[2][1].set_skip(tr.make_periodic(8, 2, 0))
+    with pytest.raises(ValueError, match="stage 3 block 2 skip matrix is not "
+                                         "periodic with P\\^4 = P"):
+        eq.convert_idempotent_to_diagonal(net)
+
+
+@pytest.mark.parametrize("kind", tr.KINDS)
+def test_every_kind_has_a_rewrite(kind):
+    net = make_net(kind, k=2, seed=41)
+    rewrites = []
+    for converter in (eq.convert_orthogonal_to_identity,
+                      eq.convert_idempotent_to_diagonal):
+        try:
+            rewrites.append(converter(net))
+        except ValueError:
+            continue
+    assert rewrites
+    for conv in rewrites:
+        assert eq.verify_equivalence(net, conv, num_inputs=4, seed=9).passed
+
+
+# ---------------------------------------------------------------------------
 # verifier
 
 def test_verify_net_against_itself_is_exact():
@@ -285,6 +350,7 @@ def test_float32_rewrite_passes_verification(kind, params, converter):
 @pytest.mark.parametrize("kind,params,converter", [
     ("orthogonal_tp", {}, eq.convert_orthogonal_to_identity),
     ("idempotent_cmr", {"B": 2}, eq.convert_idempotent_to_diagonal),
+    ("periodic", {"N": 3}, eq.convert_idempotent_to_diagonal),
 ])
 def test_converted_checkpoint_roundtrip(kind, params, converter):
     source = converter(make_net(kind, params, k=2, seed=21))
@@ -292,6 +358,8 @@ def test_converted_checkpoint_roundtrip(kind, params, converter):
     state = source.state_dict()
     assert not [key for key in state if "unmix" in key]
     target.load_state(state)
+    for blk in (b for stage in target.stages for b in stage):
+        tr.check_kind(blk.skip, kind, params.get("N"))
     x = np.random.default_rng(5).standard_normal((2, 3, 8, 8))
     npt.assert_allclose(target.forward(x).data, source.forward(x).data,
                         atol=0)

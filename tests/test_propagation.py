@@ -72,6 +72,26 @@ def test_trace_tapes_only_its_span():
         assert all(node.output is not x_1 for node in trace._graph.nodes)
 
 
+def test_train_mode_capture_leaves_running_statistics_alone():
+    # a train-mode forward rebinds every block batch norm's running
+    # statistics; capture puts the old arrays back, so the checkpoint
+    # keeps its bits and a second capture sees the same net
+    net = stage_net("identity", k=2, seed=4)
+    rng = np.random.default_rng(9)
+    net.forward(rng.standard_normal((4, 3, 8, 8)), mode="train")
+    before = {key: arr.copy() for key, arr in net.state_dict().items()}
+    x = input_batch(13, n=4)
+    traces = [prop.capture_trace(net, x, stage=2, m=1, n=3, mode="train")
+              for _ in range(2)]
+    after = net.state_dict()
+    assert before.keys() == after.keys()
+    for key in before:
+        assert np.array_equal(before[key], after[key]), key
+    for field in ("inputs", "branch_outputs", "gradients"):
+        for a, b in zip(getattr(traces[0], field), getattr(traces[1], field)):
+            assert np.array_equal(a, b), field
+
+
 @pytest.mark.parametrize("kind", ["idempotent_mr", "orthogonal_random"])
 def test_trace_tapes_from_x_m(kind):
     # blocks 1..m-1 run before the tape starts, so an m = 2 trace holds
@@ -136,18 +156,20 @@ def test_trace_keeps_branch_outputs_the_sum_took_over(kind):
 @pytest.mark.parametrize("kind,convert", [
     ("orthogonal_tp", equivalence.convert_orthogonal_to_identity),
     ("idempotent_mr", equivalence.convert_idempotent_to_diagonal),
+    ("periodic", equivalence.convert_idempotent_to_diagonal),
 ])
 def test_trace_of_rewritten_net(kind, convert, dtype):
     # every block of a rewritten stage has a pre_mix, so the run releases
     # each block input inside the traced span: the trace still keeps each
     # x_i and F(x_i), its expansions hold, and its x_i is B_i x_i of the
     # original net, for the rewrite's basis B_i (Φ(L+1, i) of the
-    # orthogonal skips, U of the idempotent one). The worst B_i x_i
-    # deviation on 5 seeds was 52 eps.
+    # orthogonal skips, V^-1 of the canonical form P = V C V^-1 of the
+    # idempotent and periodic ones). The worst B_i x_i deviation on 5
+    # seeds was 52 eps.
+    params = {"idempotent_mr": {"B": 2}, "periodic": {"N": 3}}.get(kind, {})
     spec = NetworkSpec(blocks_per_stage=4, stage_widths=(8,) * 3,
                        transform_kind=kind, input_shape=(3, 8, 8),
-                       transform_params={"B": 2} if kind == "idempotent_mr"
-                       else {})
+                       transform_params=params)
     net = build_network(spec, seed=3, dtype=dtype)
     rewritten = convert(net)
     x = input_batch(11)
@@ -155,7 +177,7 @@ def test_trace_of_rewritten_net(kind, convert, dtype):
     for stage in (1, 2, 3):
         skips = [blk.skip for blk in net.stage_blocks(stage)]
         bases = (tr.skip_products(skips) if kind == "orthogonal_tp"
-                 else [tr.diagonalize_idempotent(skips[0]).U] * 5)
+                 else [tr.canonical_form(skips[0], params.get("N", 1))[1]] * 5)
         blocks = rewritten.stage_blocks(stage)
         for m in (1, 2):
             ref = prop.capture_trace(net, x, stage, m, 4)
@@ -584,6 +606,40 @@ def test_null_split_float32():
     report = prop.flow_report(trace)
     assert report.null_fraction_x_n == pytest.approx(split.fractions[1],
                                                      abs=2 ** 4 * EPS32)
+
+
+def test_null_split_keeps_the_input_dtype():
+    # the float32 split is float32 arithmetic, and its fractions stay
+    # within a few eps32 of the float64 split's (2.35 eps32 seen)
+    trace = float32_trace("idempotent_mr", {"B": 2}, k=3, seed=6,
+                          batch_seed=17)
+    x = trace.x(3)
+    split32 = prop.null_space_components(trace.transform, x)
+    split64 = prop.null_space_components(trace.transform,
+                                         x.astype(np.float64))
+    assert split32.column_part.dtype == split32.null_part.dtype == np.float32
+    assert split64.column_part.dtype == np.float64
+    for a, b in zip(split32.fractions, split64.fractions):
+        assert abs(a - b) <= 2 ** 4 * EPS32
+    vec = prop.null_space_components(trace.transform, x[0, :, 0, 0])
+    assert vec.null_part.dtype == np.float32
+
+
+def test_null_split_float32_memory():
+    # column and null parts of one (4, 16, 32, 32) float32 activation,
+    # 256 KiB each; a float64 copy of the input and float64 parts would
+    # peak near 1.5 MiB
+    p = tr.make_idempotent_mr(16, 4)
+    v = np.random.default_rng(3).standard_normal((4, 16, 32, 32)).astype(
+        np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prop.null_space_components(p, v)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 768 * 1024
 
 
 # ---------------------------------------------------------------------------

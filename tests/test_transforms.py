@@ -12,6 +12,8 @@ from linearskip.network import NetworkSpec, build_network
 
 import oracles
 
+EPS64 = float(np.finfo(np.float64).eps)
+
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -258,30 +260,30 @@ def test_constructed_matrix_is_immutable():
 
 
 # ---------------------------------------------------------------------------
-# diagonalization
+# canonical form: P = V C V^-1 for P^(N+1) = P (an idempotent is N = 1)
 
 def test_diagonalize_identity():
-    d = tr.diagonalize_idempotent(np.eye(3))
-    npt.assert_allclose(d.lam, np.ones(3), atol=0)
+    _, _, c = tr.canonical_form(np.eye(3), 1)
+    npt.assert_allclose(c, np.eye(3), atol=0)
 
 
 def test_diagonalize_mr_unit_count():
     p = tr.make_idempotent_mr(4, 2)
-    d = tr.diagonalize_idempotent(p)
-    assert int(d.lam.sum()) == 2
+    v, v_inv, c = tr.canonical_form(p, 1)
+    assert int(np.trace(c)) == 2
     # independent eigenvalue oracle
     eigvals = np.linalg.eigvals(p)
     assert int(np.isclose(eigvals, 1.0, atol=1e-10).sum()) == 2
-    npt.assert_allclose(d.U_inv @ d.U, np.eye(4), atol=1e-8)
-    npt.assert_allclose(d.U_inv @ np.diag(d.lam) @ d.U, p, atol=1e-8)
+    npt.assert_allclose(v @ v_inv, np.eye(4), atol=1e-8)
+    npt.assert_allclose(v @ c @ v_inv, p, atol=1e-8)
 
 
 def test_diagonalize_cmr_spans_complement_of_mr():
     mr = tr.make_idempotent_mr(4, 2)
     cmr = tr.make_idempotent_cmr(4, 2)
-    d = tr.diagonalize_idempotent(cmr)
-    assert int(d.lam.sum()) == 2
-    unit_vectors = d.U_inv[:, d.lam > 0.5]
+    v, _, c = tr.canonical_form(cmr, 1)
+    assert int(np.trace(c)) == 2
+    unit_vectors = v[:, np.diag(c) > 0.5]
     npt.assert_allclose(mr @ unit_vectors, np.zeros((4, 2)), atol=1e-10)
 
 
@@ -289,15 +291,67 @@ def test_diagonalize_nonsymmetric_idempotent():
     # oblique projector: idempotent but not symmetric
     p = np.array([[1.0, 1.0], [0.0, 0.0]])
     assert tr.is_idempotent(p)
-    d = tr.diagonalize_idempotent(p)
-    npt.assert_allclose(d.U_inv @ d.U, np.eye(2), atol=1e-8)
-    npt.assert_allclose(d.U_inv @ np.diag(d.lam) @ d.U, p, atol=1e-8)
-    assert int(d.lam.sum()) == 1
+    v, v_inv, c = tr.canonical_form(p, 1)
+    npt.assert_allclose(v @ v_inv, np.eye(2), atol=1e-8)
+    npt.assert_allclose(v @ c @ v_inv, p, atol=1e-8)
+    assert int(np.trace(c)) == 1
 
 
 def test_diagonalize_rejects_non_idempotent():
     with pytest.raises(ValueError, match="not idempotent"):
-        tr.diagonalize_idempotent(np.array([[0.5, 0.0], [0.0, 1.0]]))
+        tr.canonical_form(np.array([[0.5, 0.0], [0.0, 1.0]]), 1)
+
+
+def _expected_canonical(p, n):
+    """C's layout from P's eigenvalues: +1s, -1s, a rotation per conjugate
+    pair by ascending angle (at the n-th root it rounds to), then 0s."""
+    w = np.linalg.eigvals(p)
+
+    def blocks_at(z, block):
+        return [block] * int((np.abs(w - z) < 1e-8).sum())
+
+    blocks = blocks_at(1.0, [[1.0]]) + blocks_at(-1.0, [[-1.0]])
+    angles = np.angle(w[np.abs(w) > 0.5])
+    for a in sorted(a for a in angles if 1e-8 < a < np.pi - 1e-8):
+        t = 2 * np.pi * round(a * n / (2 * np.pi)) / n
+        blocks.append([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+    blocks += blocks_at(0.0, [[0.0]])
+    out = np.zeros((len(w), len(w)))
+    i = 0
+    for b in blocks:
+        out[i:i + len(b), i:i + len(b)] = b
+        i += len(b)
+    assert i == len(w)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 1000])
+@pytest.mark.parametrize("seed", range(3))
+def test_canonical_form_block_pattern(n, seed):
+    p = tr.make_periodic(16, n, seed)
+    v, v_inv, c = tr.canonical_form(p, n)
+    npt.assert_allclose(c, _expected_canonical(p, n), rtol=0, atol=1e-15)
+    assert tr.is_periodic(c, n)
+    assert np.abs(v @ c @ v_inv - p).max() <= 2 ** 8 * EPS64
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_canonical_basis_of_make_periodic_is_orthogonal(n):
+    # make_periodic conjugates by an orthogonal basis, so P is normal; the
+    # worst miss seen was 31 eps (widths 8-64, seeds 0-4)
+    for width in (8, 16, 32, 64):
+        for seed in range(5):
+            v, v_inv, _ = tr.canonical_form(tr.make_periodic(width, n, seed), n)
+            eye = np.eye(width)
+            assert np.abs(v.T @ v - eye).max() <= 2 ** 8 * EPS64
+            assert np.abs(v_inv - v.T).max() <= 2 ** 8 * EPS64
+
+
+def test_canonical_form_rejects_a_wrong_period():
+    p = tr.make_periodic(8, 3, 1)
+    assert not tr.is_periodic(p, 2)
+    with pytest.raises(ValueError, match="not periodic with P\\^3 = P"):
+        tr.canonical_form(p, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +535,7 @@ def test_nudged_idempotent_is_rejected_everywhere():
         tr.check_kind(p, "idempotent_mr")
     assert not tr.is_idempotent(p)
     with pytest.raises(ValueError, match="not idempotent"):
-        tr.diagonalize_idempotent(p)
+        tr.canonical_form(p, 1)
     with pytest.raises(ValueError, match="idempotent"):
         prop.null_space_components(p, np.ones(8))
 
