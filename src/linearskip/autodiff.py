@@ -865,7 +865,9 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
+    if n == 0:
+        raise ValueError("softmax cross-entropy requires a non-empty batch")
+    if labels.min() < 0 or labels.max() >= k:
         raise ValueError(
             f"labels must lie in [0, {k}), got range "
             f"[{labels.min()}, {labels.max()}]")

@@ -48,8 +48,15 @@ def sgd_nesterov_step(params: Iterable[Tensor], grads: Mapping[Tensor, Tensor],
     Parameters listed in ``no_decay`` skip the weight-decay term
     (batch-norm scales/shifts and biases, by convention of the caller).
     Parameters without a gradient entry are left untouched. Each gradient
-    must have its parameter's shape and dtype (ValueError otherwise).
+    must have its parameter's shape and dtype, and lr, momentum and weight
+    decay must be finite and non-negative (ValueError otherwise, before
+    any parameter is written; checked per call, as ``lr`` may change).
     """
+    for name in ("lr", "momentum", "weight_decay"):
+        value = getattr(state, name)
+        if not (np.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, "
+                             f"got {value!r}")
     skip = set(no_decay) if no_decay is not None else ()
     for p in params:
         g = grads.get(p)

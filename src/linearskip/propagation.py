@@ -11,7 +11,8 @@ for a shared P):
 
 where J_i is the Jacobian of x'_{i+1} with respect to x_m. Both are exact
 chain-rule rearrangements, so deviations measure floating-point
-accumulation only.
+accumulation only. Each check reports its terms' norms: the skip term's,
+then each branch term's (forward) or their sum's (backward).
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ __all__ = [
     "null_space_components",
     "flow_report",
 ]
-
-_TRACE_TOL = 1e-10    # block-equation replay, relative to the input's scale
-
 
 @dataclass
 class PropagationTrace:
@@ -153,12 +151,12 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
 
 
 def _check_trace(trace: PropagationTrace) -> None:
-    """Replay x_{i+1} = P_i x_i + F(x_i) from the recorded pieces."""
-    scale = max(np.abs(trace.inputs[0]).max(), 1.0)
+    """Replay x_{i+1} = P_i x_i + F(x_i) from the recorded pieces: the
+    block's own arithmetic on its own arrays, so it must be exact."""
     for i, p in enumerate(trace.skips, start=trace.m):
         recon = apply_transform(p, trace.x(i)) + trace.branch(i)
         dev = np.abs(recon - trace.x(i + 1)).max()
-        if dev > _TRACE_TOL * scale:
+        if dev > 0:   # a NaN one (non-finite activations) passes
             raise AssertionError(
                 f"trace violates the block equation at block {i}: "
                 f"deviation {dev:.3e}")
@@ -167,7 +165,7 @@ def _check_trace(trace: PropagationTrace) -> None:
 @dataclass
 class ExpansionCheck:
     deviation: float
-    term_norms: list   # |Φ(n, m) x_m|, then each |Φ(n, i+1) x'_{i+1}|
+    term_norms: list   # skip term; branch terms, or their sum (backward)
     collapsed_deviation: Optional[float] = None
 
 
@@ -196,9 +194,9 @@ def verify_forward_expansion(trace: PropagationTrace) -> ExpansionCheck:
     return ExpansionCheck(deviation(phi, norms), norms, collapsed)
 
 
-def verify_backward_expansion(trace: PropagationTrace) -> float:
-    """Rebuild dL/dx_m from dL/dx_n plus branch vector-Jacobian terms,
-    over the trace's span m..n.
+def verify_backward_expansion(trace: PropagationTrace) -> ExpansionCheck:
+    """Rebuild dL/dx_m from dL/dx_n plus branch vector-Jacobian terms over
+    the trace's span m..n; report max deviation and the two term norms.
 
     One walk seeded at every branch output sums the terms, by linearity.
     Each seed Φ(n, i+1)^T dL/dx_n is a callable that the walk calls when
@@ -213,8 +211,11 @@ def verify_backward_expansion(trace: PropagationTrace) -> float:
     seeds = {f: partial(apply_transform, path.T, g_n)
              for f, path in zip(trace._branch_tensors, phi[1:])}
     pulled = vjp(trace._graph, seeds, wrt=[x_m])[x_m]
-    recon = apply_transform(phi[0].T, g_n) + pulled
-    return float(np.abs(recon - trace.gradients[0]).max())
+    recon = apply_transform(phi[0].T, g_n)
+    norms = [_norm(recon), _norm(pulled)]
+    recon += pulled   # in place: no third activation-sized array
+    return ExpansionCheck(float(np.abs(recon - trace.gradients[0]).max()),
+                          norms)
 
 
 def _norm(v) -> float:
@@ -291,15 +292,14 @@ class FlowReport:
 def flow_report(trace: PropagationTrace) -> FlowReport:
     """Gains, expansion deviations, and null-space shares for one trace.
 
-    The skip gain |Φ(n, m) x_m| / |x_m| and the term norms are the forward
-    check's own; both gains are 0.0 for a zero input."""
+    Both gains' numerators (the skip terms) and the term norms are the
+    expansion checks' own; both gains are 0.0 for a zero input."""
     p = trace.transform
     x_m, x_n, g_n = trace.inputs[0], trace.inputs[-1], trace.gradients[-1]
     forward = verify_forward_expansion(trace)
     backward = verify_backward_expansion(trace)
     skip_norm, *terms = forward.term_norms
     base_x, base_g = _norm(x_m), _norm(g_n)
-    grad_norm = _norm(apply_transform(skip_products(trace.skips)[0].T, g_n))
     nf_m = nf_n = None
     if forward.collapsed_deviation is not None:   # one shared idempotent P
         frac_m = null_space_components(p, x_m).fractions
@@ -309,8 +309,8 @@ def flow_report(trace: PropagationTrace) -> FlowReport:
     return FlowReport(
         stage=trace.stage, m=trace.m, n=trace.n,
         skip_gain=skip_norm / base_x if base_x else 0.0,
-        gradient_gain=grad_norm / base_g if base_g else 0.0,
+        gradient_gain=backward.term_norms[0] / base_g if base_g else 0.0,
         term_norms=terms, forward_deviation=forward.deviation,
         collapsed_deviation=forward.collapsed_deviation,
-        backward_deviation=backward, null_fraction_x_m=nf_m,
+        backward_deviation=backward.deviation, null_fraction_x_m=nf_m,
         null_fraction_x_n=nf_n)

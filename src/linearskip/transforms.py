@@ -74,9 +74,8 @@ def check_kind(p, kind: str, n=None) -> np.ndarray:
         law, holds = "P @ P = P", is_idempotent(m)
     elif kind.startswith("orthogonal"):
         law, holds = "Q^T Q = I", is_orthogonal(m)
-    else:
-        _check_count("periodic N", n)
-        law, holds = f"P^{n + 1} = P", is_periodic(m, n)
+    else:   # is_periodic checks n before the law names it
+        holds, law = is_periodic(m, n), f"P^{n + 1} = P"
     if not holds:
         raise ValueError(f"matrix tagged {kind} violates {law} beyond "
                          f"{_INVARIANT_TOL}")
@@ -185,6 +184,7 @@ def _within_tol(residual: np.ndarray) -> bool:
 
 
 def is_periodic(p, n: int) -> bool:
+    _check_count("periodic N", n)
     return _within_tol(matrix_power(p, n + 1) - _as_matrix(p))
 
 
@@ -227,6 +227,9 @@ def skip_products(skips) -> list:
     with ``skips`` P_m..P_{n-1}, built as Φ(n, n) = I, Φ(n, i) = Φ(n, i+1)
     P_i: for a shared P, ``matrix_power``'s products in its order."""
     mats = [_as_matrix(p) for p in skips]
+    if not mats:
+        raise ValueError("skip_products needs at least one skip, got an "
+                         "empty span")
     out = [np.eye(mats[0].shape[0])]
     for m in reversed(mats):
         out.insert(0, out[0] @ m)

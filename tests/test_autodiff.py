@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -938,6 +939,14 @@ def test_softmax_cross_entropy_label_range():
         softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
+def test_softmax_cross_entropy_rejects_an_empty_batch():
+    # the mean over no samples would be NaN, with a "Mean of empty slice"
+    # warning
+    with pytest.raises(ValueError, match="requires a non-empty batch"):
+        softmax_cross_entropy(Tensor(np.zeros((0, 3))),
+                              np.zeros(0, dtype=int))
+
+
 def _conv_on(x_shape=(1, 4, 8, 8), k_shape=(4, 4, 3, 3), **kwargs):
     return lambda: conv2d(Tensor(np.zeros(x_shape)),
                           Tensor(np.zeros(k_shape)), **kwargs)
@@ -1780,6 +1789,26 @@ def test_sgd_rejects_a_gradient_of_another_shape_and_skips_a_missing_one():
     sgd_nesterov_step([q, p], {p: Tensor(np.ones(3))}, state)
     npt.assert_array_equal(q.data, [1.0, 1.0])
     assert list(state.velocities) == [p]
+
+
+@pytest.mark.parametrize("name,value", [
+    ("lr", float("nan")), ("lr", -0.1), ("momentum", float("inf")),
+    ("momentum", -0.9), ("weight_decay", float("nan")),
+    ("weight_decay", -1e-4)])
+def test_sgd_rejects_a_bad_hyperparameter_before_any_write(name, value):
+    # checked on every call, as a schedule may set lr between steps; one NaN
+    # lr would turn every parameter NaN
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    state = OptimState(lr=0.1, momentum=0.9, weight_decay=1e-4)
+    grads = {p: Tensor(np.array([0.5, 0.5]))}
+    sgd_nesterov_step([p], grads, state)
+    before, velocity = p.data.copy(), state.velocities[p].copy()
+    setattr(state, name, value)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be finite and non-negative, got {value!r}")):
+        sgd_nesterov_step([p], grads, state)
+    assert np.array_equal(p.data, before)
+    assert np.array_equal(state.velocities[p], velocity)
 
 
 def test_sgd_weight_decay_exclusion():

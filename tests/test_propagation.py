@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_trace_of_rewritten_net(kind, convert, dtype):
             assert forward.deviation <= bound
             if forward.collapsed_deviation is not None:
                 assert forward.collapsed_deviation <= bound
-            assert prop.verify_backward_expansion(trace) <= \
+            assert prop.verify_backward_expansion(trace).deviation <= \
                 2 ** 8 * eps * np.abs(trace.grad(m)).max()
 
 
@@ -226,7 +227,7 @@ def test_whole_stage_trace_ends_at_the_stage_output(kind, convert, dtype):
             assert forward.deviation <= bound
             if forward.collapsed_deviation is not None:
                 assert forward.collapsed_deviation <= bound
-            assert prop.verify_backward_expansion(trace) <= \
+            assert prop.verify_backward_expansion(trace).deviation <= \
                 2 ** 8 * eps * np.abs(trace.grad(1)).max()
 
 
@@ -255,6 +256,26 @@ def test_trace_accessors_and_spans_stay_inside_the_trace():
     with pytest.raises(IndexError, match=r"branch index 3 outside trace "
                                          r"range \[2, 2\]"):
         trace.branch(3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_trace_replay_is_exact(dtype):
+    # the replay repeats each block's arithmetic on its own arrays, so an
+    # x_{i+1} one ulp off fails it at that block
+    spec = NetworkSpec(blocks_per_stage=3, stage_widths=(8,) * 3,
+                       transform_kind="orthogonal_tp", input_shape=(3, 8, 8))
+    net = build_network(spec, seed=2, dtype=dtype)
+    trace = prop.capture_trace(net, input_batch(22), stage=2, m=1, n=4)
+    for i in (2, 3, 4):
+        x = trace.x(i)
+        nudged = x.copy()
+        nudged.flat[5] = np.nextafter(x.flat[5], np.inf)
+        trace.inputs[i - 1] = nudged
+        with pytest.raises(AssertionError, match=re.escape(
+                f"trace violates the block equation at block {i - 1}")):
+            prop._check_trace(trace)
+        trace.inputs[i - 1] = x
+    prop._check_trace(trace)
 
 
 @pytest.mark.parametrize("stage", [0, 4])
@@ -408,7 +429,7 @@ def test_mixed_skip_stage_traces_and_verifies():
             sub = prop.capture_trace(net, x, 1, m, n)
             check = prop.verify_forward_expansion(sub)
             assert check.deviation <= tol * np.abs(sub.x(n)).max(), (m, n)
-            assert prop.verify_backward_expansion(sub) <= \
+            assert prop.verify_backward_expansion(sub).deviation <= \
                 tol * np.abs(sub.grad(m)).max(), (m, n)
             if n - m > 1:   # blocks with different skips: no collapse
                 assert sub.transform is None
@@ -439,7 +460,7 @@ def test_backward_zeroed_branches_is_transposed_power():
 def test_backward_expansion_identity():
     net = stage_net("identity", k=4, seed=2)
     trace = prop.capture_trace(net, input_batch(8), stage=1, m=1, n=4)
-    assert prop.verify_backward_expansion(trace) <= 1e-8
+    assert prop.verify_backward_expansion(trace).deviation <= 1e-8
 
 
 def test_backward_expansion_identity_float32():
@@ -449,13 +470,13 @@ def test_backward_expansion_identity_float32():
     trace = prop.capture_trace(net, input_batch(8), stage=1, m=1, n=4)
     assert trace.grad(1).dtype == np.float32
     tol = 2 ** 8 * np.finfo(np.float32).eps * np.abs(trace.grad(1)).max()
-    assert prop.verify_backward_expansion(trace) <= tol
+    assert prop.verify_backward_expansion(trace).deviation <= tol
 
 
 def test_backward_expansion_idempotent():
     net = stage_net("idempotent_mr", {"B": 2}, k=4, seed=5)
     trace = prop.capture_trace(net, input_batch(9), stage=1, m=1, n=4)
-    assert prop.verify_backward_expansion(trace) <= 1e-8
+    assert prop.verify_backward_expansion(trace).deviation <= 1e-8
 
 
 def test_backward_expansion_all_pairs():
@@ -464,7 +485,34 @@ def test_backward_expansion_all_pairs():
     for m in range(1, 4):
         for n in range(m + 1, 5):
             trace = prop.capture_trace(net, x, 1, m, n)
-            assert prop.verify_backward_expansion(trace) <= 1e-8, (m, n)
+            check = prop.verify_backward_expansion(trace)
+            assert check.deviation <= 1e-8, (m, n)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_expansion_reports_its_two_term_norms(dtype):
+    # the skip term |P^(n-m)^T dL/dx_n| first, then the summed branch term,
+    # which is dL/dx_m less the skip term; the flow report's gradient gain
+    # is the skip term's norm over |dL/dx_n|, bit for bit
+    spec = NetworkSpec(blocks_per_stage=5, stage_widths=(8,) * 3,
+                       transform_kind="periodic", transform_params={"N": 3},
+                       input_shape=(3, 8, 8))
+    net = build_network(spec, seed=9, dtype=dtype)
+    trace = prop.capture_trace(net, input_batch(7), stage=1, m=2, n=6)
+    eps = np.finfo(dtype).eps
+    check = prop.verify_backward_expansion(trace)
+    assert len(check.term_norms) == 2 and check.collapsed_deviation is None
+    skip = apply_transform(oracles.matrix_power_loop(trace.transform, 4).T,
+                           trace.grad(6))
+    want = np.linalg.norm(skip)
+    assert abs(check.term_norms[0] - want) <= 2 ** 4 * eps * want
+    branch = np.linalg.norm(trace.grad(2) - skip)
+    assert abs(check.term_norms[1] - branch) <= \
+        2 ** 8 * eps * np.linalg.norm(trace.grad(2))
+    report = prop.flow_report(trace)
+    assert report.gradient_gain == \
+        check.term_norms[0] / np.linalg.norm(trace.grad(6))
+    assert report.backward_deviation == check.deviation
 
 
 def test_vjp_wrt_walks_only_dependent_nodes():
@@ -526,7 +574,7 @@ def test_backward_expansion_is_one_walk(span, monkeypatch):
         calls.append(1)
         return vjp(*args, **kwargs)
     monkeypatch.setattr(prop, "vjp", counted)
-    assert prop.verify_backward_expansion(trace) <= 1e-8
+    assert prop.verify_backward_expansion(trace).deviation <= 1e-8
     assert len(calls) == 1
 
 

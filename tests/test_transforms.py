@@ -88,6 +88,16 @@ def test_periodic_tag_has_no_default_period():
     npt.assert_array_equal(tr.check_kind(p, "periodic", 2), p)
 
 
+@pytest.mark.parametrize("p,n", [(np.diag([2.0, 3.0]), 0), (np.eye(2), -1),
+                                 (np.eye(2), 1.0)])
+def test_is_periodic_requires_positive_integer_n(p, n):
+    # P^1 = P holds for every P and P^0 = P tests P = I, so these periods
+    # would give vacuous verdicts
+    with pytest.raises(ValueError, match=re.escape(
+            f"periodic N must be a positive integer, got {n!r}")):
+        tr.is_periodic(p, n)
+
+
 @pytest.mark.parametrize("make,args", [
     (tr.make_identity, (0,)),
     (tr.make_identity, (1.5,)),
@@ -224,6 +234,11 @@ def test_skip_products_of_a_shared_skip_are_its_powers():
     phi = tr.skip_products([p] * 4)
     for j, path in enumerate(phi):
         npt.assert_array_equal(path, tr.matrix_power(p, 4 - j))
+
+
+def test_skip_products_rejects_an_empty_span():
+    with pytest.raises(ValueError, match="empty span"):
+        tr.skip_products([])
 
 
 def test_symmetry_predicate():
