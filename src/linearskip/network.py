@@ -426,20 +426,23 @@ class Network:
         """Copy a checkpoint in; every array must have its slot's shape and
         only finite entries that fit its slot's dtype, no running variance
         may be negative, and every skip must meet the invariant of the
-        spec's transform kind. The loaded matrices are read-only."""
+        spec's transform kind. The loaded matrices are read-only. Nothing
+        is written unless the whole checkpoint passes."""
         consumed = set()
+        writes = []   # (store, array), made once every check has passed
         for name, tensor, _ in self.parameters():
             if name not in state:
                 raise KeyError(f"checkpoint is missing parameter {name!r}")
-            tensor.data = _checked(name, state[name], tensor.dtype,
-                                   tensor.data.shape)
+            writes.append((partial(setattr, tensor, "data"),
+                           _checked(name, state[name], tensor.dtype,
+                                    tensor.data.shape)))
             consumed.add(name)
         stage_skip = {}
         for key, _, store, shape, dtype, required in self._buffers():
             if key not in state:
                 if required:
                     raise KeyError(f"checkpoint is missing buffer {key!r}")
-                store(None)
+                writes.append((store, None))
                 continue
             arr = _checked(key, state[key], dtype, shape)
             if key.endswith(".running_var") and (arr < 0).any():
@@ -452,12 +455,14 @@ class Network:
                 if stage in stage_skip and np.array_equal(stage_skip[stage], arr):
                     arr = stage_skip[stage]
                 stage_skip[stage] = arr
-            store(arr)
+            writes.append((store, arr))
             consumed.add(key)
         leftover = set(state) - consumed
         if leftover:
             raise ValueError(f"checkpoint has unexpected tensors: "
                              f"{sorted(leftover)}")
+        for store, arr in writes:
+            store(arr)
 
     def copy(self) -> "Network":
         """A deep copy; blocks that share a matrix share its copy, and the

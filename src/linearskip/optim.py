@@ -50,7 +50,8 @@ def sgd_nesterov_step(params: Iterable[Tensor], grads: Mapping[Tensor, Tensor],
     Parameters without a gradient entry are left untouched. Each gradient
     must have its parameter's shape and dtype, and lr, momentum and weight
     decay must be finite and non-negative (ValueError otherwise, before
-    any parameter is written; checked per call, as ``lr`` may change).
+    any parameter or velocity is written; checked per call, as ``lr`` may
+    change).
     """
     for name in ("lr", "momentum", "weight_decay"):
         value = getattr(state, name)
@@ -58,6 +59,7 @@ def sgd_nesterov_step(params: Iterable[Tensor], grads: Mapping[Tensor, Tensor],
             raise ValueError(f"{name} must be finite and non-negative, "
                              f"got {value!r}")
     skip = set(no_decay) if no_decay is not None else ()
+    steps = []   # (parameter, gradient array), every one checked first
     for p in params:
         g = grads.get(p)
         if g is None:
@@ -72,6 +74,8 @@ def sgd_nesterov_step(params: Iterable[Tensor], grads: Mapping[Tensor, Tensor],
             raise ValueError(
                 f"gradient dtype {gd.dtype} does not match parameter "
                 f"{p.data.dtype}")
+        steps.append((p, gd))
+    for p, gd in steps:
         d = gd if (state.weight_decay == 0.0 or p in skip) \
             else gd + state.weight_decay * p.data
         v = state.velocity(p)

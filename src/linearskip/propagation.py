@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import transforms
-# ``add`` and ``matrix_power`` are no longer called here, but tracers that
-# wrap module attributes (the benchmark's among them) still look them up
+# ``add``, ``matrix_power`` and ``reduce_sum`` are not called here, but
+# tracers that wrap module attributes (the benchmark's too) look them up
 from .autodiff import (Graph, Tensor, _is_int, add,  # noqa: F401
                        reduce_sum, vjp)
 from .network import Network
@@ -47,11 +47,11 @@ __all__ = [
 
 @dataclass
 class PropagationTrace:
-    """Recorded inputs, branch outputs, and gradients for blocks m..n.
+    """Recorded inputs, branch outputs, and end gradients for blocks m..n.
 
     ``inputs[j]`` is x_{m+j}; ``branch_outputs[j]`` is x'_{m+j+1};
-    ``gradients[j]`` is dL/dx_{m+j} for the probe loss L = sum(x_n), which
-    lives in x_n's coordinates (see :func:`capture_trace`).
+    ``gradients`` is [dL/dx_m, dL/dx_n] for the probe loss L = sum(x_n),
+    which lives in x_n's coordinates (see :func:`capture_trace`).
     The trace keeps its own x and F(x) arrays, as blocks release their
     tensors (``network.BuildingBlock``): ``_input_tensors`` and
     ``_branch_tensors`` serve only as the tape keys walks start and end at.
@@ -86,7 +86,11 @@ class PropagationTrace:
         return self._at(self.branch_outputs, i, self.n - 1, "branch")
 
     def grad(self, i: int) -> np.ndarray:
-        return self._at(self.gradients, i, self.n, "gradient")
+        """dL/dx_i for i = m or n; an interior one is a sub-trace's end."""
+        if i not in (self.m, self.n):
+            raise IndexError(f"gradient index {i} is neither end of the "
+                             f"trace, {self.m} or {self.n}")
+        return self.gradients[i == self.n]
 
 
 def capture_trace(network: Network, x, stage: int, m: int, n: int,
@@ -100,11 +104,11 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     keeps none of their activations. The probe loss is the sum of the
     entries of x_n, so it depends on x_n's basis: a net and its
     function-equivalent rewrite can report different gradient gains (1.0
-    against 0.5 for multi-4 ``idempotent_mr``). Gradients with respect
-    to every recorded block input come from one reverse pass. That pass
-    is an ``autodiff.vjp`` walk, not ``backward``, because ``backward``
-    frees the tape that the trace keeps for every later
-    :func:`verify_backward_expansion` walk. Batch-norm runs in eval mode
+    against 0.5 for multi-4 ``idempotent_mr``). The probe is not taped:
+    its cotangent dL/dx_n, all ones, seeds one reverse pass for dL/dx_m
+    alone. That pass is an ``autodiff.vjp`` walk, not ``backward``,
+    because ``backward`` frees the tape that the trace keeps for every
+    later :func:`verify_backward_expansion` walk. Batch-norm runs in eval mode
     by default; in either mode capture leaves the running statistics as
     it found them, so it has no side effects.
     """
@@ -130,7 +134,6 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
                 x_m, mode, start=(stage, m), stop=(stage, n),
                 hook=lambda x_i, f_i: taken.append((x_i, x_i.data, f_i,
                                                     f_i.data)))
-            loss = reduce_sum(x_n)
     finally:
         for bn, mean, var in kept:
             bn.running_mean, bn.running_var = mean, var
@@ -138,8 +141,8 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     input_tensors.append(x_n)
     inputs.append(x_n.data)
 
-    grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=input_tensors)
-    gradients = [np.asarray(grads[t]) for t in input_tensors]
+    g_n = np.ones_like(x_n.data)   # dL/dx_n for the probe L = sum(x_n)
+    gradients = [vjp(graph, {x_n: g_n}, wrt=[x_m])[x_m], g_n]
     trace = PropagationTrace(
         stage=stage, m=m, n=n, skips=skips,
         transform=skips[0] if shared else None,

@@ -1791,6 +1791,24 @@ def test_sgd_rejects_a_gradient_of_another_shape_and_skips_a_missing_one():
     assert list(state.velocities) == [p]
 
 
+@pytest.mark.parametrize("bad,match", [
+    (np.ones(3), r"gradient shape \(3,\) does not match parameter \(2,\)"),
+    (np.ones(2, dtype=np.float32), "gradient dtype float32 does not match")])
+def test_sgd_checks_every_gradient_before_any_write(bad, match):
+    # a bad gradient for the last parameter raises before the first one is
+    # stepped or any velocity is allocated
+    p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    q = Tensor(np.array([0.5, 0.25]), requires_grad=True)
+    before = [p.data.copy(), q.data.copy()]
+    state = OptimState(lr=0.1, momentum=0.9, weight_decay=1e-4)
+    with pytest.raises(ValueError, match=match):
+        sgd_nesterov_step([p, q], {p: Tensor(np.ones(3)), q: Tensor(bad)},
+                          state)
+    for param, kept in zip((p, q), before):
+        assert np.array_equal(param.data, kept)
+    assert not state.velocities
+
+
 @pytest.mark.parametrize("name,value", [
     ("lr", float("nan")), ("lr", -0.1), ("momentum", float("inf")),
     ("momentum", -0.9), ("weight_decay", float("nan")),

@@ -9,6 +9,7 @@ from linearskip import transforms as tr
 from linearskip.autodiff import (Graph, Tensor, backward, reduce_sum,
                                  softmax_cross_entropy)
 from linearskip.network import NetworkSpec, build_network
+from linearskip.optim import OptimState, sgd_nesterov_step
 
 import oracles
 
@@ -570,3 +571,82 @@ def test_mixing_report_requires_multibranch():
     net = make_net("identity", k=1)
     with pytest.raises(ValueError, match="multi-branch"):
         eq.mixing_interaction_report(net.stages[0][0])
+
+
+# ---------------------------------------------------------------------------
+# the rewrites commute with training
+
+def _commute_net(kind, params, branches, dtype):
+    spec = NetworkSpec(blocks_per_stage=2, stage_widths=(16, 32, 64),
+                       transform_kind=kind, transform_params=params,
+                       branch_mode="multi" if branches > 1 else "single",
+                       num_branches=branches, input_shape=(3, 16, 16))
+    return build_network(spec, seed=3, dtype=dtype)
+
+
+def _train(net, lr, steps=10):
+    """``steps`` train-mode Nesterov steps on four seeded batches in turn,
+    with weight decay wherever ``parameters()`` asks for it."""
+    rng = np.random.default_rng(8)
+    batches = [(rng.standard_normal((8, 3, 16, 16)), rng.integers(0, 10, 8))
+               for _ in range(4)]
+    params = net.parameters()
+    tensors = [t for _, t, _ in params]
+    no_decay = [t for _, t, decays in params if not decays]
+    state = OptimState(lr, momentum=0.9, weight_decay=1e-4)
+    for step in range(steps):
+        images, labels = batches[step % len(batches)]
+        with Graph() as graph:
+            loss = softmax_cross_entropy(net.forward(images, mode="train"),
+                                         labels)
+        sgd_nesterov_step(tensors, backward(graph, loss), state, no_decay)
+    return net
+
+
+def _train_then_convert_against_convert_then_train(net, convert, lr):
+    converted = _train(convert(net), lr)
+    return eq.verify_equivalence(convert(_train(net, lr)), converted,
+                                 num_inputs=4, seed=2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind,params,branches,convert", [
+    ("orthogonal_tp", {}, 1, eq.convert_orthogonal_to_identity),
+    ("orthogonal_random", {}, 1, eq.convert_orthogonal_to_identity),
+    ("idempotent_mr", {}, 4, eq.convert_idempotent_to_diagonal),
+    ("idempotent_cmr", {}, 4, eq.convert_idempotent_to_diagonal),
+    ("periodic", {"N": 3}, 1, eq.convert_idempotent_to_diagonal),
+], ids=["orthogonal_tp", "orthogonal_random", "idempotent_mr_multi4",
+        "idempotent_cmr_multi4", "periodic_n3"])
+def test_rewrite_commutes_with_training(kind, params, branches, convert,
+                                        dtype):
+    # each rewrite is an orthogonal change of basis (V is orthogonal for a
+    # normal skip), which only the stem, transitions and head absorb; their
+    # gradients rotate with them, and Nesterov SGD with L2 decay commutes
+    # with a rotation, so "train then convert" is "convert then train"
+    net = _commute_net(kind, params, branches, dtype)
+    report = _train_then_convert_against_convert_then_train(net, convert,
+                                                            lr=1e-3)
+    assert report.passed, (report.max_deviation, report.tol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_oblique_rewrite_does_not_commute_with_training(dtype):
+    # negative control: an oblique idempotent P = W D W^-1 converts to a
+    # function-equivalent net, but its basis V is not orthogonal, so the
+    # absorbed gradients do not transform as the weights do
+    net = _commute_net("idempotent_mr", {}, 4, dtype)
+    rng = np.random.default_rng(11)
+    for stage in net.stages:
+        width = stage[0].width
+        w = np.eye(width) + 0.05 * rng.standard_normal((width, width))
+        d = np.diag((np.arange(width) < width // 4).astype(float))
+        p = w @ d @ np.linalg.inv(w)
+        for blk in stage:
+            blk.set_skip(p)
+    before = eq.verify_equivalence(net, eq.convert_idempotent_to_diagonal(net),
+                                   num_inputs=4, seed=2)
+    assert before.passed
+    report = _train_then_convert_against_convert_then_train(
+        net, eq.convert_idempotent_to_diagonal, lr=1e-4)
+    assert not report.passed, (report.max_deviation, report.tol)

@@ -690,6 +690,44 @@ def test_load_state_rejects_unexpected_tensor():
         target.load_state(state)
 
 
+@pytest.mark.parametrize("case,error,match", [
+    ("head_bias_nan", ValueError, "'head.bias' has non-finite"),
+    ("skip_breaks_kind", ValueError, "'stage3.block2.skip'"),
+    ("missing_buffer", KeyError, "missing buffer"),
+    ("unexpected_key", ValueError, "unexpected tensors"),
+], ids=["head_bias_nan", "skip_breaks_kind", "missing_buffer",
+        "unexpected_key"])
+def test_load_state_writes_nothing_from_a_rejected_checkpoint(case, error,
+                                                              match):
+    # every check runs before the first write, so a fault in the last
+    # tensors leaves the network as it was, its shared skips included
+    spec = small_spec(transform_kind="idempotent_mr", transform_params={"B": 2})
+    source = build_network(spec, seed=6)
+    source.forward(np.random.default_rng(4).standard_normal((2, 3, 8, 8)),
+                   mode="train")
+    state = source.state_dict()
+    if case == "head_bias_nan":
+        state["head.bias"] = np.full(10, np.nan)
+    elif case == "skip_breaks_kind":
+        state["stage3.block2.skip"] = 2.0 * np.eye(8)
+    elif case == "missing_buffer":
+        del state["stage3.block2.bn2.running_var"]
+    else:
+        state["stage4.block1.conv1"] = np.zeros((4, 4, 3, 3))
+    target = build_network(spec, seed=7)
+    before = {key: arr.copy() for key, arr in target.state_dict().items()}
+    skips = [blk.skip for stage in target.stages for blk in stage]
+    with pytest.raises(error, match=re.escape(match)):
+        target.load_state(state)
+    after = target.state_dict()
+    assert after.keys() == before.keys()
+    for key, arr in before.items():
+        assert after[key].dtype == arr.dtype, key
+        assert np.array_equal(after[key], arr), key
+    assert all(blk.skip is skip for blk, skip in zip(
+        (blk for stage in target.stages for blk in stage), skips))
+
+
 def test_float32_network_keeps_float32_running_stats():
     net = build_network(small_spec(), seed=6, dtype=np.float32)
     x = np.random.default_rng(4).standard_normal((2, 3, 8, 8))

@@ -96,9 +96,10 @@ def test_train_mode_capture_leaves_running_statistics_alone():
 @pytest.mark.parametrize("kind", ["idempotent_mr", "orthogonal_random"])
 def test_trace_tapes_from_x_m(kind):
     # blocks 1..m-1 run before the tape starts, so an m = 2 trace holds
-    # the nodes of blocks m..n-1 and the loss only; cut to blocks 2..n,
-    # the m = 1 trace is what it was when they were taped, and the m = 2
-    # trace gives its gradients, expansions and flow report bit for bit
+    # the nodes of blocks m..n-1 only; cut to blocks 2..n, with dL/dx_2
+    # from a walk over its tape, the m = 1 trace is what it was when they
+    # were taped, and the m = 2 trace gives its gradients, expansions and
+    # flow report bit for bit
     net = stage_net(kind, {"B": 2} if kind == "idempotent_mr" else None, k=4)
     x = input_batch(4)
     whole = prop.capture_trace(net, x, stage=1, m=1, n=4)
@@ -108,13 +109,15 @@ def test_trace_tapes_from_x_m(kind):
         with Graph() as graph:
             blk.forward(Tensor(trace.x(i), requires_grad=True), "eval")
         block_nodes += len(graph)
-    assert len(trace._graph) == block_nodes + 1
+    assert len(trace._graph) == block_nodes
     x_m = trace._input_tensors[0]
     assert all(node.output is not x_m for node in trace._graph.nodes)
+    x_2, x_n = whole._input_tensors[1], whole._input_tensors[-1]
+    g_n = whole.grad(4)
+    g_2 = vjp(whole._graph, {x_n: g_n}, wrt=[x_2])[x_2]
     cut = dataclasses.replace(
         whole, m=2, skips=whole.skips[1:], inputs=whole.inputs[1:],
-        branch_outputs=whole.branch_outputs[1:],
-        gradients=whole.gradients[1:],
+        branch_outputs=whole.branch_outputs[1:], gradients=[g_2, g_n],
         _input_tensors=whole._input_tensors[1:],
         _branch_tensors=whole._branch_tensors[1:])
     for name in ("inputs", "branch_outputs", "gradients"):
@@ -125,6 +128,42 @@ def test_trace_tapes_from_x_m(kind):
     assert (prop.verify_backward_expansion(trace)
             == prop.verify_backward_expansion(cut))
     assert prop.flow_report(trace) == prop.flow_report(cut)
+
+
+def test_trace_keeps_only_its_end_gradients():
+    # the probe is a seed at x_n, and the walk asks for x_m alone; an
+    # interior gradient is the m end of a sub-trace (see above)
+    trace = prop.capture_trace(stage_net("periodic", {"N": 3}, k=4),
+                               input_batch(3), stage=2, m=1, n=4)
+    assert len(trace.gradients) == 2
+    assert trace.grad(1) is trace.gradients[0]
+    assert np.array_equal(trace.grad(4), np.ones_like(trace.x(4)))
+    for i in (2, 3):
+        with pytest.raises(IndexError, match=rf"gradient index {i} is "
+                                             r"neither end .* 1 or 4"):
+            trace.grad(i)
+    for i in (0, 5):
+        with pytest.raises(IndexError, match=rf"gradient index {i}"):
+            trace.grad(i)
+
+
+def test_trace_holds_three_activations_a_block():
+    # x_i and F(x_i) for each block, x_n, the two end gradients and one
+    # array a block keeps on the tape: 3L + 3 for L blocks with skips. A
+    # taped probe node and every interior gradient would make it 4L + 2
+    spec = NetworkSpec(blocks_per_stage=6, stage_widths=(16,) * 3,
+                       transform_kind="idempotent_mr",
+                       transform_params={"B": 2}, input_shape=(3, 16, 16))
+    net = build_network(spec, seed=3)
+    x = np.random.default_rng(5).standard_normal((8, 3, 16, 16))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = prop.capture_trace(net, x, stage=1, m=1, n=7)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= (3 * 6 + 4) * trace.x(1).nbytes
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -543,11 +582,12 @@ def test_vjp_wrt_walks_only_dependent_nodes():
     assert 0 < len(calls) < full_calls
     # a trace's own restricted walk matches a walk for the whole tape
     trace = prop.capture_trace(net, input_batch(5), stage=2, m=2, n=3)
-    loss = trace._graph.nodes[-1].output
-    unrestricted = vjp(trace._graph, {loss: np.ones_like(loss.data)},
+    x_n = trace._graph.nodes[-1].output   # the tape ends at x_n
+    assert x_n is trace._input_tensors[-1]
+    unrestricted = vjp(trace._graph, {x_n: np.ones_like(x_n.data)},
                        wrt=oracles.tape_tensors(trace._graph))
-    for t, grad in zip(trace._input_tensors, trace.gradients):
-        assert np.array_equal(grad, unrestricted[t])
+    for i, t in ((trace.m, trace._input_tensors[0]), (trace.n, x_n)):
+        assert np.array_equal(trace.grad(i), unrestricted[t])
 
 
 def test_vjp_two_seeds_sum_single_seed_walks():
