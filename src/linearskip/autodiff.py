@@ -565,6 +565,12 @@ class BatchNorm:
         self.running_var = np.ones(channels, dtype=dtype)
 
 
+def _check_mode(mode: str) -> None:
+    """ValueError unless ``mode`` names a batch-norm behavior."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+
+
 def _check_bn(xd: np.ndarray, norm: BatchNorm, mode: str) -> None:
     """ValueError unless ``norm`` can normalize the NCHW array ``xd`` in
     this mode."""
@@ -575,8 +581,7 @@ def _check_bn(xd: np.ndarray, norm: BatchNorm, mode: str) -> None:
                          f"{gamma.shape} and {beta.shape}")
     if n == 0:
         raise ValueError("batch norm requires a non-empty batch")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    _check_mode(mode)
     if {norm.running_mean.dtype, norm.running_var.dtype} != {xd.dtype}:
         raise ValueError(f"batch norm running stats dtype is not {xd.dtype}")
 

@@ -67,7 +67,7 @@ def _change_basis(net: Network, stage: int, bases, inverses,
     for i, blk in enumerate(net.stages[stage - 1]):
         blk.pre_mix = inverses[i]
         blk.post_mix = bases[i + 1]
-        blk.set_skip(skip)
+        blk.skip = skip
     _mix_channels(net.head_weight if stage == 3 else net.transitions[stage - 1],
                   inverses[-1], axis=1)
 
@@ -127,7 +127,6 @@ def convert_idempotent_to_diagonal(net: Network) -> Network:
 class EquivalenceReport:
     max_deviation: float
     tol: float
-    num_inputs: int
 
     @property
     def passed(self) -> bool:
@@ -164,8 +163,7 @@ def verify_equivalence(net_a: Network, net_b: Network, num_inputs: int = 32,
     out_b = net_b.forward(x, mode="eval").data
     eps = max(np.finfo(out.dtype).eps for out in (out_a, out_b))
     tol = 2.0 ** 12 * float(eps) * max(1.0, float(np.abs(out_a).max()))
-    return EquivalenceReport(float(np.abs(out_a - out_b).max()), tol,
-                             num_inputs)
+    return EquivalenceReport(float(np.abs(out_a - out_b).max()), tol)
 
 
 def input_gradient_deviation(net_a: Network, net_b: Network,
@@ -189,8 +187,6 @@ class MixingReport:
     """Whether a block's fixed wraps exchange information across branches."""
 
     mixing: bool
-    pre_block_diagonal: bool
-    post_block_diagonal: bool
     pre_pattern: Optional[np.ndarray]
     post_pattern: Optional[np.ndarray]
 
@@ -213,6 +209,4 @@ def mixing_interaction_report(block) -> MixingReport:
     pre_bd, pre_pat = _branch_pattern(block.pre_mix, block.groups)
     post_bd, post_pat = _branch_pattern(block.post_mix, block.groups)
     return MixingReport(mixing=not (pre_bd and post_bd),
-                        pre_block_diagonal=pre_bd,
-                        post_block_diagonal=post_bd,
                         pre_pattern=pre_pat, post_pattern=post_pat)

@@ -22,8 +22,8 @@ from . import transforms
 # its batch norms and ReLU into its convolutions), but tracers that wrap
 # module attributes (the benchmark's among them) still look them up on
 # this module
-from .autodiff import (BatchNorm, Tensor, _is_int, _release,  # noqa: F401
-                       add, batch_norm, channel_mix, conv2d, dense,
+from .autodiff import (BatchNorm, Tensor, _check_mode, _is_int,  # noqa: F401
+                       _release, add, batch_norm, channel_mix, conv2d, dense,
                        global_avg_pool, relu)
 
 __all__ = [
@@ -170,8 +170,8 @@ class BuildingBlock:
     a single branch, ``groups = B`` for B parallel branches on disjoint
     channel slices, and ``groups = width`` for the depthwise extreme. The
     optional ``pre_mix``/``post_mix`` matrices wrap the whole branch
-    composite (used by the equivalence conversions). The skip and both
-    wraps are held read-only, whoever sets them (:meth:`_held`).
+    composite (used by the equivalence conversions). However the skip or
+    a wrap is set, one rule holds it: :meth:`_held`.
 
     Parameters and batch-norm statistics are in the block's dtype. The
     skip and mix matrices stay float64 whatever that dtype is: they are
@@ -213,32 +213,12 @@ class BuildingBlock:
         self.conv1 = _he_conv(rng, width, width // groups, 3, dtype)
         self.bn2 = BatchNorm(width, dtype)
         self.conv2 = _he_conv(rng, width, width // groups, 3, dtype)
-        self.pre_mix = self.post_mix = None
-        self.set_skip(skip)
+        self.skip, self.pre_mix, self.post_mix = skip, None, None
 
-    def set_skip(self, skip: Optional[np.ndarray]) -> None:
-        """Take ``skip`` as the block's P, held as :meth:`_held` holds
-        every block matrix, so no later write to the caller's array
-        changes P behind the cached identity test."""
-        self.skip = skip = self._held(skip, "skip")
-        self._skip_is_identity = skip is not None and \
-            np.array_equal(skip, np.eye(self.width))
-
-    @property
-    def pre_mix(self) -> Optional[np.ndarray]:
-        return self._pre_mix
-
-    @pre_mix.setter
-    def pre_mix(self, mat: Optional[np.ndarray]) -> None:
-        self._pre_mix = self._held(mat, "pre_mix")
-
-    @property
-    def post_mix(self) -> Optional[np.ndarray]:
-        return self._post_mix
-
-    @post_mix.setter
-    def post_mix(self, mat: Optional[np.ndarray]) -> None:
-        self._post_mix = self._held(mat, "post_mix")
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("skip", "pre_mix", "post_mix"):
+            value = self._held(value, name)
+        super().__setattr__(name, value)
 
     def _held(self, mat: Optional[np.ndarray],
               name: str) -> Optional[np.ndarray]:
@@ -286,7 +266,7 @@ class BuildingBlock:
             hook(x, branch)
         if self.skip is None:
             return branch
-        if self._skip_is_identity:
+        if np.array_equal(self.skip, np.eye(self.width)):
             out = add(x, branch)
         else:
             out = channel_mix(x, self.skip, plus=branch)
@@ -329,10 +309,11 @@ class Network:
         network's input ``x`` or, given ``start``, from x at ``start``.
 
         A position (s, i) names x_i, block i's input in 1-based stage s;
-        (s, K + 1) names the stage's output. ValueError for a position
-        outside the network or a ``stop`` before ``start``. ``mode``
-        selects batch-norm behavior; ``hook`` goes to every block's
+        (s, K + 1) names the stage's output. ValueError, before anything
+        runs, for a bad ``mode`` or position or a ``stop`` before ``start``.
+        ``mode`` selects batch-norm behavior; ``hook`` goes to every block's
         :meth:`BuildingBlock.forward`, whose class says what is released."""
+        _check_mode(mode)
         k = self.spec.blocks_per_stage
         lo = 0 if start is None else self._steps_before(start, "start")
         hi = 3 * k + 2 if stop is None else self._steps_before(stop, "stop")
@@ -407,12 +388,10 @@ class Network:
                              partial(setattr, bn, attr), (blk.width,),
                              self.dtype, True)
                             for attr in ("running_mean", "running_var")]
-                out.append((f"{pre}.skip", blk.skip, blk.set_skip, square,
-                            np.float64, False))
                 out += [(f"{pre}.{attr}", getattr(blk, attr),
                          partial(setattr, blk, attr), square, np.float64,
                          False)
-                        for attr in ("pre_mix", "post_mix")]
+                        for attr in ("skip", "pre_mix", "post_mix")]
         return out
 
     def state_dict(self) -> dict:
@@ -468,7 +447,7 @@ class Network:
         """A deep copy; blocks that share a matrix share its copy, and the
         copied skip and wrap matrices are read-only, as built skips are."""
         out = copy.deepcopy(self)
-        # deepcopy bypasses the setters and its copies are writable, so
+        # deepcopy bypasses __setattr__ and its copies are writable, so
         # they are frozen in place, which keeps their sharing
         for blk in (b for stage in out.stages for b in stage):
             for mat in (blk.skip, blk.pre_mix, blk.post_mix):
@@ -559,8 +538,8 @@ def build_network(spec: NetworkSpec, seed: int = 0,
         groups = spec.resolve_branches(width)
         mats = [_make_transform(spec, width, int(seed_rng.integers(2 ** 31)))
                 for _ in range(draws)] * (k // draws)
-        # set_skip keeps a read-only matrix as given, so blocks built from
-        # one stage matrix share it
+        # a block holds a read-only matrix as given (BuildingBlock._held),
+        # as it holds its wraps, so blocks built from one stage matrix share it
         stages.append([BuildingBlock(width, groups, mat, rng, dtype)
                        for mat in mats])
     transitions = [_he_conv(rng, widths[1], widths[0], 3, dtype),

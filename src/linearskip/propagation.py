@@ -96,7 +96,8 @@ class PropagationTrace:
 def capture_trace(network: Network, x, stage: int, m: int, n: int,
                   mode: str = "eval") -> PropagationTrace:
     """Run the network over blocks m..n of a stage and record the trace;
-    n = K + 1 ends it at the stage's output.
+    n = K + 1 ends it at the stage's output. ValueError names the first
+    block whose replay of the trace is not finite.
 
     Two ``Network.forward`` runs: one untaped, from the input to x_m, and
     one taped, from x_m to x_n, whose block hook records each x_i and
@@ -159,7 +160,9 @@ def _check_trace(trace: PropagationTrace) -> None:
     for i, p in enumerate(trace.skips, start=trace.m):
         recon = apply_transform(p, trace.x(i)) + trace.branch(i)
         dev = np.abs(recon - trace.x(i + 1)).max()
-        if dev > 0:   # a NaN one (non-finite activations) passes
+        if not np.isfinite(dev):
+            raise ValueError(f"trace is not finite at block {i}")
+        if dev > 0:
             raise AssertionError(
                 f"trace violates the block equation at block {i}: "
                 f"deviation {dev:.3e}")

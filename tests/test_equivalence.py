@@ -21,6 +21,14 @@ def make_net(kind, params=None, k=2, width=8, seed=0, **kw):
     return build_network(spec, seed=seed)
 
 
+def last_op(blk):
+    """The op that ends a block's taped forward: its skip sum."""
+    x = Tensor(np.zeros((1, blk.width, 2, 2)), dtype=blk.conv1.dtype)
+    with Graph() as graph:
+        blk.forward(x, mode="eval")
+    return graph.nodes[-1].op
+
+
 # ---------------------------------------------------------------------------
 # orthogonal -> identity
 
@@ -50,7 +58,7 @@ def test_four_block_tp_sixteen_inputs():
     assert report.max_deviation <= 1e-8
     for stage in conv.stages:
         for blk in stage:
-            assert blk._skip_is_identity
+            assert last_op(blk) == "add"
 
 
 def test_theorem_wrap_structure():
@@ -105,7 +113,7 @@ def test_per_block_orthogonal_stage_converts(dtype):
         npt.assert_allclose(blk.post_mix, product(qs[i:][::-1]), atol=1e-12)
         npt.assert_allclose(blk.pre_mix, product(qs[i - 1:][::-1]).T,
                             atol=1e-12)
-        assert blk._skip_is_identity
+        assert last_op(blk) == "add"
     npt.assert_allclose(
         conv.stem.data,
         np.einsum("oc,cihw->oihw", product(qs[::-1]), net.stem.data),
@@ -128,7 +136,7 @@ def test_shared_q_bases_are_the_powers_of_q():
 
 def test_orthogonal_converter_names_the_non_orthogonal_block():
     net = make_net("orthogonal_tp", k=3, seed=4)
-    net.stages[1][1].set_skip(tr.make_idempotent_mr(8, 2))
+    net.stages[1][1].skip = tr.make_idempotent_mr(8, 2)
     with pytest.raises(ValueError,
                        match="stage 2 block 2 skip matrix is not orthogonal"):
         eq.convert_orthogonal_to_identity(net)
@@ -171,7 +179,7 @@ def test_idempotent_converter_names_the_block_that_differs():
     # every block is idempotent, but block 3 of stage 2 carries the
     # complement of the stage's projector
     net = make_net("idempotent_mr", {"B": 2}, k=3)
-    net.stages[1][2].set_skip(tr.make_idempotent_cmr(8, 2))
+    net.stages[1][2].skip = tr.make_idempotent_cmr(8, 2)
     with pytest.raises(ValueError, match="stage 2 block 3 skip matrix "
                                          "differs from block 1's"):
         eq.convert_idempotent_to_diagonal(net)
@@ -215,7 +223,7 @@ def test_oblique_periodic_skips_convert():
         p = w @ forms[-1] @ np.linalg.inv(w)
         assert not tr.is_symmetric(p)
         for blk in stage:
-            blk.set_skip(p)
+            blk.skip = p
     conv = eq.convert_idempotent_to_diagonal(net)
     for stage, c in zip(conv.stages, forms):
         assert np.array_equal(stage[0].skip, c)
@@ -227,7 +235,7 @@ def test_oblique_periodic_skips_convert():
 
 def test_periodic_converter_names_its_law():
     net = make_net("periodic", {"N": 3}, k=2)
-    net.stages[2][1].set_skip(tr.make_periodic(8, 2, 0))
+    net.stages[2][1].skip = tr.make_periodic(8, 2, 0)
     with pytest.raises(ValueError, match="stage 3 block 2 skip matrix is not "
                                          "periodic with P\\^4 = P"):
         eq.convert_idempotent_to_diagonal(net)
@@ -559,7 +567,7 @@ def test_branch_block_diagonal_q_does_not_mix():
             q[2 * b:2 * b + 2, 2 * b:2 * b + 2] = f
         shared = q.copy()
         for blk in stage:
-            blk.set_skip(shared)
+            blk.skip = shared
     conv = eq.convert_orthogonal_to_identity(net)
     report = eq.mixing_interaction_report(conv.stages[0][0])
     assert not report.mixing
@@ -643,7 +651,7 @@ def test_oblique_rewrite_does_not_commute_with_training(dtype):
         d = np.diag((np.arange(width) < width // 4).astype(float))
         p = w @ d @ np.linalg.inv(w)
         for blk in stage:
-            blk.set_skip(p)
+            blk.skip = p
     before = eq.verify_equivalence(net, eq.convert_idempotent_to_diagonal(net),
                                    num_inputs=4, seed=2)
     assert before.passed

@@ -526,10 +526,10 @@ def test_set_skip_rejects_complex_and_misfit_matrices():
     blk = BuildingBlock(4, 1, tr.make_identity(4), np.random.default_rng(0))
     p = tr.make_idempotent_mr(4, 2)
     with pytest.raises(ValueError, match="must be real, got complex128"):
-        blk.set_skip(p + 1j)
+        blk.skip = p + 1j
     with pytest.raises(ValueError, match="does not match width 4"):
-        blk.set_skip(np.eye(8))
-    blk.set_skip(p)
+        blk.skip = np.eye(8)
+    blk.skip = p
     assert blk.skip is p
 
 
@@ -539,7 +539,7 @@ def test_set_skip_copies_a_writable_matrix():
     blk = BuildingBlock(4, 1, None, np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 4, 4)))
     p = np.eye(4)
-    blk.set_skip(p)
+    blk.skip = p
     before = blk.forward(x, mode="eval").data
     p[0, 1] = 0.5
     npt.assert_array_equal(blk.skip, np.eye(4))
@@ -565,6 +565,70 @@ def test_wrap_assignment_holds_a_matrix_as_set_skip_does(attr):
     assert getattr(blk, attr) is frozen
     with pytest.raises(ValueError, match=f"{attr} matrix shape .* width 4"):
         setattr(blk, attr, np.eye(8))
+
+
+def _forward_ops(blk, x):
+    """A block's eval output for ``x`` and the ops its forward records."""
+    with Graph() as graph:
+        out = blk.forward(x, mode="eval")
+    return out.data, [node.op for node in graph.nodes]
+
+
+def test_skip_assignment_holds_a_matrix_as_the_wraps_are():
+    # ``blk.skip = P`` holds P by the wraps' rule: a writable P as a
+    # read-only copy, a misfit or complex one refused; the block then
+    # mixes with P exactly as a block built with P does
+    p = tr.make_idempotent_mr(4, 2)
+    built = BuildingBlock(4, 1, p, np.random.default_rng(0))
+    blk = BuildingBlock(4, 1, tr.make_identity(4), np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 4, 4)))
+    mat = np.array(p)
+    blk.skip = mat
+    mat[0, 1] += 0.5
+    npt.assert_array_equal(blk.skip, p)
+    assert not blk.skip.flags.writeable
+    out, ops = _forward_ops(blk, x)
+    want, want_ops = _forward_ops(built, x)
+    assert ops[-1] == "channel_mix" and ops == want_ops
+    npt.assert_array_equal(out, want)
+    with pytest.raises(ValueError, match="skip matrix shape .* width 4"):
+        blk.skip = np.eye(3)
+    with pytest.raises(ValueError, match="must be real, got complex128"):
+        blk.skip = p + 1j
+    npt.assert_array_equal(blk.skip, p)
+
+
+def test_skip_assignment_switches_the_forward_between_add_and_mix():
+    # the forward tests the matrix it holds: the identity assigned to a
+    # block built with P makes it add, and P assigned back makes it mix
+    p = tr.make_idempotent_mr(4, 2)
+    blk = BuildingBlock(4, 1, p, np.random.default_rng(0))
+    plain = BuildingBlock(4, 1, tr.make_identity(4), np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 4, 4)))
+    mixed, ops = _forward_ops(blk, x)
+    assert ops[-1] == "channel_mix"
+    blk.skip = np.eye(4)
+    out, ops = _forward_ops(blk, x)
+    assert ops[-1] == "add"
+    npt.assert_array_equal(out, _forward_ops(plain, x)[0])
+    blk.skip = p
+    out, ops = _forward_ops(blk, x)
+    assert ops[-1] == "channel_mix"
+    npt.assert_array_equal(out, mixed)
+
+
+@pytest.mark.parametrize("start, stop, channels",
+                         [(None, (1, 1), 3), ((1, 3), (2, 1), 4)],
+                         ids=["stem", "transition"])
+def test_forward_rejects_an_unknown_mode_before_it_runs(start, stop,
+                                                        channels):
+    # neither span meets a batch norm, and each still checks the mode
+    net = build_network(small_spec(), seed=0)
+    x = np.random.default_rng(2).standard_normal((2, channels, 8, 8))
+    with Graph() as graph, pytest.raises(
+            ValueError, match="mode must be 'train' or 'eval', got 'bogus'"):
+        net.forward(x, mode="bogus", start=start, stop=stop)
+    assert len(graph) == 0
 
 
 def test_random_orthogonal_per_block_differs():

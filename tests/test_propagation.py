@@ -317,6 +317,19 @@ def test_trace_replay_is_exact(dtype):
     prop._check_trace(trace)
 
 
+@pytest.mark.parametrize("bad, m", [(np.nan, 1), (np.inf, 2)])
+def test_capture_rejects_a_non_finite_trace(bad, m):
+    # one non-finite pixel makes every later activation non-finite; the
+    # capture names the span's first block rather than report NaN gains
+    # (numpy notes the inf - inf of the stem, which is not under test)
+    x = input_batch()
+    x[1, 0, 3, 4] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=f"trace is not finite at block {m}$"):
+        prop.capture_trace(stage_net("idempotent_mr", {"B": 2}), x,
+                           stage=1, m=m, n=4)
+
+
 @pytest.mark.parametrize("stage", [0, 4])
 def test_trace_stage_validation(stage):
     net = stage_net("identity", k=3)
@@ -350,7 +363,7 @@ def test_forward_expansion_orthogonal_with_power_oracle():
     net = stage_net("orthogonal_random", k=5, seed=3)
     q = tr.make_orthogonal_random(8, seed=3)
     for blk in net.stages[0]:
-        blk.set_skip(q)  # one P for the whole stage
+        blk.skip = q  # one P for the whole stage
     trace = prop.capture_trace(net, input_batch(5), stage=1, m=1, n=5)
     check = prop.verify_forward_expansion(trace)
     assert check.deviation <= 1e-9
@@ -457,7 +470,7 @@ def test_mixed_skip_stage_traces_and_verifies():
              tr.make_periodic(8, 3, seed=2), None]
     net = stage_net("identity", k=6, seed=12)
     for blk, p in zip(net.stages[0], skips):
-        blk.set_skip(p)
+        blk.skip = p
     x = input_batch(20)
     trace = prop.capture_trace(net, x, stage=1, m=1, n=6)
     assert trace.transform is None

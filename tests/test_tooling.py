@@ -2,7 +2,8 @@
 command that ROADMAP.md states and fails a piped benchmark run, the
 library keeps no dead import, every callable the traced benchmark
 wraps exists, a traced trace, analysis or train step gives the untraced
-one's result, and only ``network`` runs a block's branch."""
+one's result, only ``network`` runs a block's branch, and every field of
+a library dataclass is read somewhere."""
 
 import ast
 import importlib
@@ -204,3 +205,26 @@ def test_piped_benchmark_steps_fail_with_their_run():
         for line in step.splitlines():
             if "benchmark/run.py" in line:
                 assert line.rstrip().endswith('>> "$GITHUB_STEP_SUMMARY"'), line
+
+
+def test_every_result_field_is_read():
+    # a dataclass field that nothing reads is state kept for no one: each
+    # annotated field of a library dataclass is loaded as an attribute
+    # somewhere in the library, the benchmark or the tests
+    fields, loaded = [], set()
+    for path in sorted((ROOT / "src" / "linearskip").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                fields += [(f"{path.stem}.{cls.name}", node.target.id)
+                           for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)]
+    for folder in ("src", "benchmark", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            loaded |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Load)}
+    assert fields
+    unread = [f"{owner}.{name}" for owner, name in fields if name not in loaded]
+    assert not unread

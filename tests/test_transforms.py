@@ -559,7 +559,7 @@ def _nudge_skips(net, scale):
     for stage in net.stages:
         skip = (1.0 + scale) * stage[0].skip
         for blk in stage:
-            blk.set_skip(skip)
+            blk.skip = skip
 
 
 def test_nudged_orthogonal_is_rejected_everywhere():
