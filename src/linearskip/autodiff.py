@@ -30,15 +30,27 @@ never a tensor's ``data`` at walk time: a later rebinding of an input's
 ``data`` (as ``Network.load_state`` rebinds parameters) or a release of
 it leaves the recorded gradient as it was.
 
-One rule frees the rest: an array that no pullback reads is released
-once its last reader has run, so the tape keeps its tensor only as a
-key. The pullbacks of ``add``, ``channel_mix`` and ``global_avg_pool``
-read no input values, so an array that only they read is such an array.
+So one rule frees everything else: a caller may release each activation
+it made once its last forward reader has run, and the tape then keeps its
+tensor only as a key, and of its values only what some pullback captured.
 A released tensor (``_release``) keeps its shape and dtype, but its
 ``data`` is a read-only zero-stride view of one zero: it still keys the
 tape and takes a :func:`vjp` seed, and a write to it raises. A network
-releases every such activation, so a building block keeps only the
-inputs of its two convolutions (see ``network.BuildingBlock``).
+releases every activation it makes this way (see ``network._run``), never
+a tensor its caller handed it.
+
+What a pullback captures depends on which of its op's inputs are active:
+``requires_grad`` and, on a declared graph, dependent on its ``wrt``.
+``Graph(wrt=tensors)`` declares the tape's walks: each may seed and ask
+for only those tensors and tensors that depend on them, so each op learns
+at record time which inputs a walk can differentiate and captures only
+the arrays those gradients read; a walk that seeds or asks for any other
+tensor raises ``ValueError``. An eval-mode ``conv2d`` whose only active
+input is x reads only its kernel (and, with a folded ReLU, a one-byte
+``A > 0`` mask), so on a tape declared for a network's input a block
+keeps no activation. On an undeclared ``Graph()`` every requires-grad
+input is active: a train-mode tape keeps the inputs of a block's two
+convolutions, which the kernel gradients read.
 
 A walk frees each cotangent once its node has consumed it, so it holds
 only the cotangents still live, not one per tape node, and returns
@@ -145,10 +157,11 @@ class Node:
     writable slot, so a caller may wrap it, for example to time each
     node's backward step.
 
-    ``wanted`` holds one flag per input: recording sets each from the
-    input's ``requires_grad``, and every walk of :func:`vjp` rewrites the
-    list in place before calling ``vjp_fn``, so a wrapped ``vjp_fn`` reads
-    the walk's own flags.
+    ``wanted`` holds one flag per input: recording sets each to whether
+    the input is active (``requires_grad``, and on a declared
+    :class:`Graph` dependent on its ``wrt``), and every walk of
+    :func:`vjp` rewrites the list in place before calling ``vjp_fn``, so
+    a wrapped ``vjp_fn`` reads the walk's own flags.
     """
 
     __slots__ = ("op", "inputs", "output", "vjp_fn", "wanted")
@@ -180,13 +193,27 @@ class Graph:
     iteration is sufficient for backpropagation. :func:`vjp` walks leave
     ``nodes`` as they are; a :func:`backward` walk takes them, leaving the
     graph empty, and any later walk of it raises ``ValueError``.
+
+    ``Graph(wrt=tensors)`` declares the tape: each of its walks seeds and
+    differentiates only the given tensors and tensors that depend on
+    them, so its pullbacks capture only what those gradients read (see
+    the module docstring). ValueError unless each is a requires-grad
+    tensor.
     """
 
-    def __init__(self):
+    def __init__(self, wrt: Optional[Iterable[Tensor]] = None):
         self.nodes: list[Node] = []
         # backward sets ``_consume`` for its walk, which takes the nodes
         # and sets ``_consumed``; a walk of a consumed graph raises
         self._consume = self._consumed = False
+        # a declared tape's active tensors: ``wrt`` and the outputs of the
+        # nodes with an active input; None on an undeclared tape
+        self._active: Optional[set] = None
+        if wrt is not None:
+            wrt = list(wrt)
+            if not all(isinstance(t, Tensor) and t.requires_grad for t in wrt):
+                raise ValueError("a graph's wrt must be requires-grad tensors")
+            self._active = set(wrt)
 
     def __enter__(self) -> "Graph":
         _ACTIVE_GRAPHS.stack.append(self)
@@ -199,20 +226,39 @@ class Graph:
         return len(self.nodes)
 
 
+def _active(inputs: Sequence[Tensor]) -> tuple:
+    """One flag per input of an op about to be recorded: True if a walk of
+    the recording graph may differentiate it, so the op's pullback must
+    capture what that gradient reads. That is ``requires_grad``, and on a
+    declared graph dependence on its ``wrt`` as well; all False when no
+    graph is recording."""
+    graphs = _ACTIVE_GRAPHS.stack
+    if not graphs:
+        return (False,) * len(inputs)
+    declared = graphs[-1]._active
+    return tuple(t.requires_grad and (declared is None or t in declared)
+                 for t in inputs)
+
+
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-            pullback: Callable) -> Tensor:
+            pullback: Callable, active: Optional[tuple] = None) -> Tensor:
     """Append one node to the active tape; ``pullback(g, *wanted)`` gets
     the output cotangent and one flag per input, and computes a gradient
-    only for the inputs flagged True."""
+    only for the inputs flagged True. ``active`` is what :func:`_active`
+    told the op (asked here when not given): no walk flags another
+    input, so the pullback needs to have captured nothing more."""
     dtypes = {t.dtype for t in inputs} | {out_data.dtype}
     if len(dtypes) > 1:
         raise ValueError(f"{op} mixes dtypes {sorted(map(str, dtypes))}")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    active = _ACTIVE_GRAPHS.stack
-    if active:
-        wanted = [t.requires_grad for t in inputs]
-        active[-1].nodes.append(
+    graphs = _ACTIVE_GRAPHS.stack
+    if graphs:
+        graph = graphs[-1]
+        wanted = list(_active(inputs) if active is None else active)
+        graph.nodes.append(
             Node(op, inputs, out, lambda g: pullback(g, *wanted), wanted))
+        if graph._active is not None and any(wanted):
+            graph._active.add(out)
     return out
 
 
@@ -364,23 +410,29 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
     in the forward, so the tape keeps no array of A's size.
 
     The forward sums kh GEMMs over kw-fold row columns, at every stride
-    (:func:`_correlate_rows`). The VJP retains only the input and kernel
-    arrays, which the node already references, and with a normalization
-    its per-channel statistics; no columns outlive the forward call. The
-    backward runs over batch chunks, each building its columns (at most
-    ``_PULLBACK_COLUMN_BYTES``, or one image's) and using them for both
-    gradients while they are in cache; gk sums the chunks, and A's
+    (:func:`_correlate_rows`). The VJP retains, of the arrays, only what
+    its active gradients read (see the module docstring), and with a
+    normalization its per-channel statistics; no columns outlive the
+    forward call. The kernel's gradient reads x; A's reads the kernel,
+    and with a normalization batch norm's gradient reads x too, except in
+    eval mode for x alone. So an eval node whose only active input is x
+    keeps nothing of x, and with ``relu`` only the mask A > 0, one byte
+    per entry, taken in the forward.
+
+    The backward runs over batch chunks, each building its columns (at
+    most ``_PULLBACK_COLUMN_BYTES``, or one image's) and using them for
+    both gradients while they are in cache; gk sums the chunks, and A's
     gradient is written one contiguous NCHW slice per chunk. A chunk of A
     (recomputed, or x's own) feeds the kernel gradient and, with ``relu``,
-    masks A's gradient. Each gradient is computed only when the walk wants
-    it. At stride 1 (square kernel wider than the padding) A's gradient is
-    a correlation of the output gradient with the flipped, in/out
-    transposed kernel, and the kernel gradient reads the same columns of
-    the output gradient against A. Otherwise, and when only the kernel
-    gradient is wanted, the kernel gradient builds A's columns, and
-    column gradients are scattered back with ``_col2im``. With a
-    normalization, A's gradient then goes through batch norm's own
-    gradient formula (:func:`_bn_grads`).
+    masks A's gradient, unless the forward's mask does. Each gradient is
+    computed only when the walk wants it. At stride 1 (square kernel wider
+    than the padding) A's gradient is a correlation of the output gradient
+    with the flipped, in/out transposed kernel, and the kernel gradient
+    reads the same columns of the output gradient against A. Otherwise,
+    and when only the kernel gradient is wanted, the kernel gradient
+    builds A's columns, and column gradients are scattered back with
+    ``_col2im``. With a normalization, A's gradient then goes through
+    batch norm's own gradient formula (:func:`_bn_grads`).
     """
     x = _as_tensor(x)
     kernel = _as_tensor(kernel)
@@ -426,6 +478,17 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         inputs = (x, norm.gamma, norm.beta, kernel)
         shift = norm.beta.data
         a, mu, var, invstd, scale = _normalize(xd, norm, mode, relu)
+    active = _active(inputs)
+    act_a, act_k = any(active[:-1]), active[-1]
+    # the pullback captures x only for a gradient that reads it: the
+    # kernel's, and batch norm's gamma, beta and train-mode x; A's own
+    # gradient reads the kernel and, with a ReLU, A's mask, which is
+    # then all the node keeps of x
+    reads_x = act_k or (folded and (active[1] or active[2]
+                                    or (active[0] and mode == "train")))
+    x_kept = xd if reads_x else None
+    k_kept = kd if act_a else None
+    mask = a > 0 if relu and act_a and not reads_x else None
     og = o // groups
     out_data = _correlate_rows(a, kd, stride, padding, groups)
     del a
@@ -441,10 +504,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         one; unclamped unless ``clamp``, which only the kernel gradient
         needs (the ReLU mask A > 0 is the same either way)."""
         if not folded:
-            return xd[lo:hi].transpose(1, 0, 2, 3)
-        acm = np.empty((c, hi - lo, h, w), dtype=xd.dtype)
+            return x_kept[lo:hi].transpose(1, 0, 2, 3)
+        acm = np.empty((c, hi - lo, h, w), dtype=x_kept.dtype)
         view = acm.transpose(1, 0, 2, 3)
-        centred = (np.subtract(xd[lo:hi], mu[None, :, None, None], out=view)
+        centred = (np.subtract(x_kept[lo:hi], mu[None, :, None, None], out=view)
                    if xc is None else xc[lo:hi])
         _affine(centred, scale, shift, relu and clamp, out=view)
         return acm
@@ -466,19 +529,19 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         masked = relu and want_a
         # batch norm's gradient reads the centred input, so it is made
         # first and each chunk of A is recomputed from it
-        xc = (_bn_centred(xd, mu, mode, want_x, want_gamma, want_beta)
+        xc = (_bn_centred(x_kept, mu, mode, want_x, want_gamma, want_beta)
               if folded and want_a else None)
         if by_g:
             # contiguous: a depthwise kflip left as a negative-stride view
             # makes np.matmul bypass BLAS
-            kflip = kd.reshape(groups, og, cg, kh, kw)[..., ::-1, ::-1]
+            kflip = k_kept.reshape(groups, og, cg, kh, kw)[..., ::-1, ::-1]
             kflip = np.ascontiguousarray(
                 kflip.transpose(0, 2, 1, 3, 4)).reshape(groups, cg, -1)
         for lo in range(0, n, step):
             gs = g[lo:lo + step]
             nb = len(gs)
             acm = (conv_input(lo, lo + nb, xc, want_k)
-                   if want_k or masked else None)
+                   if want_k or (masked and mask is None) else None)
             if by_g:
                 # one column buffer of g serves both gradients: row (o, a, b)
                 # at input position (y, x) holds g[o, y + padding - (kh-1-a),
@@ -502,7 +565,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
                     part = np.matmul(cols, gg.transpose(0, 2, 1))
                     del cols
                 if want_a:
-                    kmat = kd.reshape(groups, og, cg * kh * kw)
+                    kmat = k_kept.reshape(groups, og, cg * kh * kw)
                     gcols = np.matmul(kmat.transpose(0, 2, 1), gg)
                     gas = _col2im(gcols.reshape(c, kh, kw, nb, ho, wo),
                                   (c, nb, h + 2 * padding, w + 2 * padding),
@@ -514,8 +577,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
                 gk = part if gk is None else np.add(gk, part, out=gk)
             if want_a:
                 if ga is None:
-                    ga = np.empty(xd.shape, dtype=xd.dtype)
-                if masked:
+                    ga = np.empty((n, c, h, w), dtype=g.dtype)
+                if masked and mask is not None:
+                    np.multiply(mask[lo:lo + nb], gas.transpose(1, 0, 2, 3),
+                                out=ga[lo:lo + nb])
+                elif masked:
                     # (A > 0) * ga, as relu's pullback: nothing reads A's
                     # chunk any more, so the comparison is written into it
                     # as 1.0 / 0.0 (a bool mask would be cast more slowly)
@@ -529,9 +595,9 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         if want_k and by_g:
             gk = gk.reshape(groups, og, kh, kw, cg)[:, :, ::-1, ::-1]
             gk = np.ascontiguousarray(
-                gk.transpose(0, 1, 4, 2, 3)).reshape(kd.shape)
+                gk.transpose(0, 1, 4, 2, 3)).reshape(o, cg, kh, kw)
         elif want_k:
-            gk = gk.transpose(0, 2, 1).reshape(kd.shape)
+            gk = gk.transpose(0, 2, 1).reshape(o, cg, kh, kw)
         if not folded:
             return ga, gk
         # ga is the pullback's own array, so batch norm's gradient is built in it
@@ -540,7 +606,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
                              want_gamma, want_beta) + (gk,)
         return None, None, None, gk
 
-    out = _record("conv2d", inputs, out_data, pullback)
+    out = _record("conv2d", inputs, out_data, pullback, active)
     if folded and mode == "train":
         _update_running_stats(norm, mu, var)
     return out
@@ -693,6 +759,13 @@ def batch_norm(x, norm: BatchNorm, mode: str = "train",
         raise ValueError(f"batch_norm expects NCHW input, got shape {xd.shape}")
     _check_bn(xd, norm, mode)
     out_data, mu, var, invstd, scale = _normalize(xd, norm, mode, relu)
+    inputs = (x, norm.gamma, norm.beta)
+    active = _active(inputs)
+    # x's values for the gradients that read the centred input, the
+    # output's for the ReLU mask of any gradient
+    reads_x = active[1] or active[2] or (active[0] and mode == "train")
+    x_kept = xd if reads_x else None
+    out_kept = out_data if relu and any(active) else None
 
     def pullback(g: np.ndarray, want_x: bool, want_gamma: bool,
                  want_beta: bool):
@@ -701,15 +774,14 @@ def batch_norm(x, norm: BatchNorm, mode: str = "train",
         if relu:
             # g * (out > 0) without a mask array: the comparison is cast
             # to 1.0 / 0.0 as it is written
-            masked = np.greater(out_data, 0, out=np.empty_like(g))
+            masked = np.greater(out_kept, 0, out=np.empty_like(g))
             g = np.multiply(masked, g, out=masked)
         return _bn_grads(g, relu,
-                         _bn_centred(xd, mu, mode, want_x, want_gamma,
+                         _bn_centred(x_kept, mu, mode, want_x, want_gamma,
                                      want_beta),
                          invstd, scale, mode, want_x, want_gamma, want_beta)
 
-    out = _record("batch_norm", (x, norm.gamma, norm.beta), out_data,
-                  pullback)
+    out = _record("batch_norm", inputs, out_data, pullback, active)
     if mode == "train":
         _update_running_stats(norm, mu, var)
     return out
@@ -722,12 +794,14 @@ def relu(x) -> Tensor:
     """Elementwise max(x, 0); the gradient at exactly zero is zero."""
     x = _as_tensor(x)
     out_data = np.maximum(x.data, 0)
+    active = _active((x,))
+    out_kept = out_data if active[0] else None
 
     # out > 0 exactly where x > 0 (NaN included), so the VJP keeps no mask
     def pullback(g: np.ndarray, want_x: bool):
-        return (g * (out_data > 0) if want_x else None,)
+        return (g * (out_kept > 0) if want_x else None,)
 
-    return _record("relu", (x,), out_data, pullback)
+    return _record("relu", (x,), out_data, pullback, active)
 
 
 def global_avg_pool(x) -> Tensor:
@@ -768,15 +842,18 @@ def dense(x, weight, bias=None) -> Tensor:
                 f"{bias.data.shape}")
         inputs += (bias,)
         out_data = out_data + bias.data
+    active = _active(inputs)
+    # x's gradient reads the weight, the weight's reads x
+    w_kept, x_kept = (wd if active[0] else None), (xd if active[1] else None)
 
     def pullback(g: np.ndarray, want_x: bool, want_w: bool,
                  want_b: bool = False):
-        gx = g @ wd if want_x else None
-        gw = g.T @ xd if want_w else None
+        gx = g @ w_kept if want_x else None
+        gw = g.T @ x_kept if want_w else None
         gb = g.sum(axis=0) if want_b else None
         return gx, gw, gb
 
-    return _record("dense", inputs, out_data, pullback)
+    return _record("dense", inputs, out_data, pullback, active)
 
 
 def add(a, b) -> Tensor:
@@ -939,19 +1016,31 @@ def vjp(graph: Graph, seeds: dict, wrt: Iterable[Tensor]) -> dict:
     The walk keeps the tape: ``graph`` holds every node afterwards and
     can be walked again. Only :func:`backward`'s own walk takes it (see
     there); a graph that one has walked raises ``ValueError`` here.
+
+    On a declared graph (``Graph(wrt=...)``) every seeded and every
+    ``wrt`` tensor must be active: one of the graph's ``wrt`` or a tensor
+    that depends on them. Otherwise the walk raises ``ValueError`` before
+    it starts, since no pullback captured what another gradient reads.
     """
     if graph._consumed:
         raise ValueError("the tape was freed by backward, which drops each "
                          "node as it walks it; walk a tape with vjp to walk "
                          "it twice")
+    wrt = list(wrt)
+    declared = graph._active
+    if declared is not None and not declared.issuperset([*seeds, *wrt]):
+        raise ValueError("a declared graph's walk may seed and ask for only "
+                         "its wrt and the tensors that depend on them; its "
+                         "pullbacks captured nothing for any other")
     nodes = graph.nodes
     if graph._consume:   # backward's walk: the tape is this walk's alone
         graph.nodes, graph._consumed = [], True
+        if declared is not None:   # it holds every active output
+            graph._active = set()
     lazy = {t: seed for t, seed in seeds.items() if callable(seed)}
     grads = {t: _seed(t, seed) for t, seed in seeds.items() if t not in lazy}
     # (node, its walk's wanted flags), in tape order; ``reach`` holds every
     # reached output, so it goes before the walk, which may free them
-    wrt = list(wrt)
     keep = set(wrt)
     reach = set(wrt)
     walk = []
@@ -1022,6 +1111,10 @@ def backward(graph: Graph, loss: Tensor,
     its producer is walked too, each activation are freed during the
     walk, not after it. A second walk of the graph raises ``ValueError``;
     a tape that must be walked twice is walked with :func:`vjp`.
+
+    On a declared graph the default leaves take in the parameters, which
+    are not active, so the walk raises ``ValueError`` (see :func:`vjp`)
+    and leaves the tape as it was; name ``wrt`` there.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -1031,5 +1124,8 @@ def backward(graph: Graph, loss: Tensor,
                             if t.requires_grad and t not in produced)
         del produced   # it holds every output, which the walk frees
     graph._consume = True
-    grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=wrt)
+    try:
+        grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=wrt)
+    finally:   # a walk that raised before taking the tape leaves it as it was
+        graph._consume = False
     return {t: Tensor(g) for t, g in grads.items() if t.requires_grad}

@@ -188,19 +188,19 @@ class BuildingBlock:
     each, whose pullback recomputes the normalized input from its own
     input. A non-identity skip and the final sum are one node
     (``channel_mix(x, P, plus=F(x))``), because the mixed skip P x feeds
-    only the sum. The pullbacks of ``add``, ``channel_mix`` and
-    ``global_avg_pool`` read no input values, so an array that only they
-    read is released (``autodiff._release``) once the last of them has
-    run: F(x), by :meth:`forward` after the sum; ``conv2``'s output, by
-    :meth:`branch_output` after a ``post_mix``; a block's input (its
-    ``start`` input too), by ``Network.forward`` after a block with a
-    ``pre_mix``; and the last block's output, by ``Network.forward``
-    after pooling. Each block then keeps two activation-sized arrays,
-    wrapped or not: the inputs of its two convolutions, which are
-    ``conv1``'s output and the block's input (its ``pre_mix`` output when
-    wrapped). F(x) stays a tensor of its own, because
-    ``propagation.capture_trace`` seeds its walks there; its block hook
-    keeps its own reference to each x and F(x) array before the release.
+    only the sum. One release rule holds for every activation the block
+    and ``Network.forward`` make (``_run``): it is released
+    (``autodiff._release``) once its last forward reader has run, since
+    every pullback captures what it reads; a tensor the caller passed in
+    is never released. So a block keeps what its convolutions' pullbacks
+    captured. On an undeclared train tape those are the inputs of its two
+    convolutions, ``conv1``'s output and the block's input (its
+    ``pre_mix`` output when wrapped): two activation-sized arrays, wrapped
+    or not. On a tape declared for the network's input (``Graph(wrt=
+    [x])``) an eval block keeps only ``conv2``'s one-byte ReLU mask. F(x)
+    stays a tensor of its own, because ``propagation.capture_trace`` seeds
+    its walks there; its block hook keeps its own reference to each x and
+    F(x) array before the release.
     """
 
     def __init__(self, width: int, groups: int, skip: Optional[np.ndarray],
@@ -240,16 +240,15 @@ class BuildingBlock:
 
     def branch_output(self, x: Tensor, mode: str) -> Tensor:
         """The regular-connection term F(x) (with any conversion wraps)."""
-        h = x
+        layers = [partial(self._normalized_conv, bn=self.bn1,
+                          kernel=self.conv1, mode=mode),
+                  partial(self._normalized_conv, bn=self.bn2,
+                          kernel=self.conv2, mode=mode, relu=True)]
         if self.pre_mix is not None:
-            h = channel_mix(h, self.pre_mix)
-        h = self._normalized_conv(h, self.bn1, self.conv1, mode)
-        h = self._normalized_conv(h, self.bn2, self.conv2, mode, relu=True)
+            layers.insert(0, partial(channel_mix, matrix=self.pre_mix))
         if self.post_mix is not None:
-            mixed = channel_mix(h, self.post_mix)
-            _release(h)
-            h = mixed
-        return h
+            layers.append(partial(channel_mix, matrix=self.post_mix))
+        return _run(x, layers)
 
     def _normalized_conv(self, h: Tensor, bn: BatchNorm, kernel: Tensor,
                          mode: str, relu: bool = False) -> Tensor:
@@ -270,8 +269,22 @@ class BuildingBlock:
             out = add(x, branch)
         else:
             out = channel_mix(x, self.skip, plus=branch)
-        _release(branch)
+        _release(branch)   # the sum was its last reader
         return out
+
+
+def _run(x: Tensor, layers) -> Tensor:
+    """``layers`` applied in turn from ``x``, releasing each activation
+    made on the way once the next layer, its last reader, has run; ``x``
+    is the caller's, and is kept. A pullback captures what it reads (see
+    ``autodiff``), so a release frees exactly what no pullback kept."""
+    h = x
+    for layer in layers:
+        out = layer(h)
+        if h is not x:
+            _release(h)
+        h = out
+    return h
 
 
 class Network:
@@ -312,7 +325,9 @@ class Network:
         (s, K + 1) names the stage's output. ValueError, before anything
         runs, for a bad ``mode`` or position or a ``stop`` before ``start``.
         ``mode`` selects batch-norm behavior; ``hook`` goes to every block's
-        :meth:`BuildingBlock.forward`, whose class says what is released."""
+        :meth:`BuildingBlock.forward`. Each activation the run makes is
+        released after its last reader (see :class:`BuildingBlock`); ``x``
+        is the caller's and keeps its values."""
         _check_mode(mode)
         k = self.spec.blocks_per_stage
         lo = 0 if start is None else self._steps_before(start, "start")
@@ -329,23 +344,20 @@ class Network:
         if h.data.ndim != 4 or h.data.shape[1:] != (c, height, width):
             raise ValueError(f"{where} shape {h.data.shape} does not match "
                              f"spec (N, {c}, {height}, {width})")
+        layers = []
         if start is None:
-            h = conv2d(h, self.stem, stride=1, padding=1)
+            layers.append(partial(conv2d, kernel=self.stem, stride=1,
+                                  padding=1))
         for step in range(lo, hi):
             s, i = divmod(step, k + 1)
-            if i == k:
-                h = conv2d(h, self.transitions[s], stride=2, padding=1)
-                continue
-            block = self.stages[s][i]
-            out = block.forward(h, mode, hook)
-            if block.pre_mix is not None:
-                _release(h)
-            h = out
-        if stop is not None:
-            return h
-        pooled = global_avg_pool(h)
-        _release(h)
-        return dense(pooled, self.head_weight, self.head_bias)
+            layers.append(
+                partial(conv2d, kernel=self.transitions[s], stride=2,
+                        padding=1) if i == k else
+                partial(self.stages[s][i].forward, mode=mode, hook=hook))
+        if stop is None:
+            layers += [global_avg_pool, partial(dense, weight=self.head_weight,
+                                                bias=self.head_bias)]
+        return _run(h, layers)
 
     # -- parameters and state ------------------------------------------
 

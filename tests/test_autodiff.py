@@ -1251,6 +1251,98 @@ def test_callable_seeds_match_array_seeds(case):
 
 
 # ---------------------------------------------------------------------------
+# declared tapes: Graph(wrt=...) keeps only what its walks can read
+
+_DECLARED_CONVS = [(s, g, norm, mode) for s in (1, 2) for g in (1, 2, 4)
+                   for norm, mode in ((None, "train"), ("bn", "train"),
+                                      ("bn", "eval"), ("bn_relu", "train"),
+                                      ("bn_relu", "eval"))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride,groups,norm,mode", _DECLARED_CONVS,
+                         ids=[f"s{s}-g{g}-{n or 'plain'}-{m}"
+                              for s, g, n, m in _DECLARED_CONVS])
+def test_declared_conv_input_gradient_is_the_undeclared_one(
+        stride, groups, norm, mode, dtype):
+    # a tape declared for x gives x's gradient bit for bit; an eval node,
+    # or one with no normalization, then keeps nothing of x's array (with
+    # a ReLU only A's one-byte mask), while a train node still reads x
+    x, gamma, beta, mean, var, k = _bn_conv_arrays(c=4, o=4, groups=groups,
+                                                   seed=60 + stride + groups)
+    g = np.random.default_rng(61).standard_normal(
+        (2, 4, 3 if stride == 2 else 6, 3 if stride == 2 else 5)).astype(dtype)
+    grads, refs, tapes = [], [], []
+    for declared in (False, True):
+        xt = Tensor(x.astype(dtype), requires_grad=True)   # x's own copy
+        gt, bt, kt = (Tensor(a, requires_grad=True, dtype=dtype)
+                      for a in (gamma, beta, k))
+        kwargs = {}
+        if norm is not None:
+            kwargs = dict(norm=_holding(gt, bt, dtype, mean, var), mode=mode,
+                          relu=norm == "bn_relu")
+        with Graph(wrt=[xt] if declared else None) as graph:
+            out = conv2d(xt, kt, stride, 1, groups, **kwargs)
+        refs.append(weakref.ref(xt.data))
+        ad._release(xt)
+        grads.append(ad.vjp(graph, {out: g}, wrt=[xt])[xt])
+        tapes.append(graph)
+    assert np.array_equal(grads[1], grads[0])
+    assert refs[0]() is not None
+    assert (refs[1]() is None) == (norm is None or mode == "eval")
+
+
+def _declared_tape():
+    """relu(x) * w summed, recorded on a tape declared for x alone, with
+    w requiring a gradient too and ``y = relu(w)`` independent of x."""
+    rng = np.random.default_rng(62)
+    x, w = (Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+            for _ in range(2))
+    with Graph(wrt=[x]) as graph:
+        h = relu(x)
+        y = relu(w)
+        loss = reduce_sum(dense(h, Tensor(rng.standard_normal((3, 3)),
+                                          requires_grad=True)))
+    return graph, loss, x, h, w, y
+
+
+def test_declared_walk_refuses_inactive_tensors():
+    # the pullbacks of a declared tape captured nothing for a gradient
+    # outside it, so a walk that seeds or asks for one raises before it
+    # starts, backward's default leaves (the dense weight among them) too,
+    # and the tape is still whole, for vjp walks as for backward's
+    graph, loss, x, h, w, y = _declared_tape()
+    one = np.ones_like(loss.data)
+    with pytest.raises(ValueError, match="declared graph"):
+        ad.vjp(graph, {loss: one}, wrt=[w])
+    with pytest.raises(ValueError, match="declared graph"):
+        ad.vjp(graph, {y: np.ones((2, 3))}, wrt=[x])
+    with pytest.raises(ValueError, match="declared graph"):
+        backward(graph, loss)
+    expected = ad.vjp(graph, {loss: one}, wrt=[x, h])
+    assert len(graph) == 4
+    got = backward(graph, loss, wrt=[x, h])
+    assert len(graph) == 0
+    for t in (x, h):
+        assert np.array_equal(got[t].data, expected[t])
+
+
+def test_declared_graph_needs_requires_grad_tensors():
+    with pytest.raises(ValueError, match="requires-grad tensors"):
+        Graph(wrt=[Tensor(np.ones(3))])
+    with pytest.raises(ValueError, match="requires-grad tensors"):
+        Graph(wrt=[np.ones(3)])
+
+
+def test_declared_tape_flags_only_active_inputs():
+    # a node's wanted flags start from what the tape declares: the relu
+    # of w, which x does not reach, records no active input
+    graph, _, x, h, w, y = _declared_tape()
+    assert [node.wanted for node in graph.nodes] == [
+        [True], [False], [True, False], [True]]
+
+
+# ---------------------------------------------------------------------------
 # fused ops: batch_norm(..., relu=True) and channel_mix(..., plus=y)
 
 # Finite differences are taken on the float64 oracles with this step, so

@@ -476,6 +476,44 @@ def test_converted_net_gradients_match_central_differences(
         assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), t
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_declared_input_gradient_of_a_converted_net_matches_central_differences(
+        mode):
+    # a tape declared for the input keeps each eval block's ReLU mask in
+    # place of its activations: its dL/dx is the undeclared tape's, bit for
+    # bit, and matches central differences along random directions
+    net = make_net("idempotent_mr", {"B": 2}, k=2, seed=36,
+                   branch_mode="multi", num_branches=2)
+    rng = np.random.default_rng(37)
+    for _ in range(2):   # running statistics away from 0 and 1
+        net.forward(rng.standard_normal((4, 3, 8, 8)), mode="train")
+    conv = eq.convert_idempotent_to_diagonal(net)
+    x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
+    labels = np.array([3, 5])
+
+    def loss() -> Tensor:
+        return softmax_cross_entropy(conv.forward(x, mode=mode), labels)
+
+    with Graph(wrt=[x]) as declared:
+        out = loss()
+    grad = backward(declared, out, wrt=[x])[x].data
+    with Graph() as undeclared:
+        out = loss()
+    assert np.array_equal(grad, backward(undeclared, out)[x].data)
+    h = 1e-5
+    base = x.data
+    for _ in range(3):
+        v = rng.standard_normal(x.shape)
+        x.data = base + h * v
+        up = float(loss().data)
+        x.data = base - h * v
+        down = float(loss().data)
+        x.data = base
+        numeric = (up - down) / (2 * h)
+        analytic = float(np.vdot(grad, v))
+        assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0)
+
+
 def _forward_tape_bytes(net, x, mode) -> int:
     tracemalloc.start()
     try:

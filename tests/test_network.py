@@ -355,8 +355,7 @@ def test_stage_indexes_are_checked(stage):
 def test_forward_positions_compose(dtype, convert):
     # a run stopped at any position and started again there is the whole
     # run, bit for bit, and its two taped halves hold the whole run's
-    # nodes; in the rewritten net every block has a pre_mix, so the second
-    # run releases the array it is started from
+    # nodes; in the rewritten net every block has a pre_mix
     net = build_network(small_spec(transform_kind="orthogonal_tp"), seed=2,
                         dtype=dtype)
     if convert:
@@ -373,6 +372,51 @@ def test_forward_positions_compose(dtype, convert):
             out = net.forward(h, start=p).data
         assert np.array_equal(out, ref), p
         assert len(first) + len(second) == len(whole), p
+
+
+@pytest.mark.parametrize("convert", [False, True])
+def test_forward_keeps_the_tensor_it_starts_from(convert):
+    # a run releases only the activations it makes, never the caller's
+    # start tensor: two runs from one tensor give the same logits bit for
+    # bit, and the tensor keeps its values (a rewritten net, whose blocks
+    # all have a pre_mix, once released it, so its second run read zeros)
+    net = build_network(NetworkSpec(2, transform_kind="orthogonal_tp",
+                                    input_shape=(3, 8, 8)), seed=1)
+    if convert:
+        net = equivalence.convert_orthogonal_to_identity(net)
+    x = np.random.default_rng(6).standard_normal((2, 3, 8, 8))
+    h = net.forward(x, stop=(2, 1))
+    kept = h.data.copy()
+    first = net.forward(h, start=(2, 1)).data
+    second = net.forward(h, start=(2, 1)).data
+    assert np.array_equal(first, second)
+    assert np.array_equal(h.data, kept)
+
+
+@pytest.mark.parametrize("convert", [False, True])
+def test_declared_eval_tape_holds_a_quarter_of_the_undeclared_one(convert):
+    # on a tape declared for the input, an eval block keeps only conv2's
+    # one-byte ReLU mask, not the inputs of its two convolutions (nor the
+    # pre_mix output that a rewritten block's conv1 reads)
+    net = build_network(NetworkSpec(2, transform_kind="orthogonal_tp"),
+                        seed=3)
+    if convert:
+        net = equivalence.convert_orthogonal_to_identity(net)
+    x = np.random.default_rng(7).standard_normal((4, 3, 32, 32))
+
+    def held(declared: bool) -> int:
+        xt = Tensor(x, requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Graph(wrt=[xt] if declared else None) as graph:
+                net.forward(xt, mode="eval")
+            assert len(graph) > 0
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    assert held(True) <= held(False) / 4
 
 
 def test_forward_checks_the_shape_at_its_start():
@@ -522,7 +566,7 @@ def test_stage_blocks_share_matrix_instance():
             assert all(blk.skip is stage[0].skip for blk in stage)
 
 
-def test_set_skip_rejects_complex_and_misfit_matrices():
+def test_skip_assignment_rejects_complex_and_misfit_matrices():
     blk = BuildingBlock(4, 1, tr.make_identity(4), np.random.default_rng(0))
     p = tr.make_idempotent_mr(4, 2)
     with pytest.raises(ValueError, match="must be real, got complex128"):
@@ -533,7 +577,7 @@ def test_set_skip_rejects_complex_and_misfit_matrices():
     assert blk.skip is p
 
 
-def test_set_skip_copies_a_writable_matrix():
+def test_skip_assignment_copies_a_writable_matrix():
     # a later write through the caller's array changes neither P nor the
     # block's output, which an identity P computes with add
     blk = BuildingBlock(4, 1, None, np.random.default_rng(0))
@@ -548,7 +592,7 @@ def test_set_skip_copies_a_writable_matrix():
 
 
 @pytest.mark.parametrize("attr", ["pre_mix", "post_mix"])
-def test_wrap_assignment_holds_a_matrix_as_set_skip_does(attr):
+def test_wrap_assignment_holds_a_matrix_as_the_skip_is(attr):
     # a later write through the caller's writable array changes neither
     # the wrap nor the block's output; a read-only one is kept as given
     blk = BuildingBlock(4, 1, tr.make_identity(4), np.random.default_rng(0))
