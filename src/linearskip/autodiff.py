@@ -55,8 +55,9 @@ convolutions, which the kernel gradients read.
 A walk frees each cotangent once its node has consumed it, so it holds
 only the cotangents still live, not one per tape node, and returns
 exactly the gradients it was asked for (``wrt``). :func:`backward`
-returns the gradients of leaves only: parameters and inputs, never op
-outputs.
+returns the gradients of the tape's active leaves, by the same test:
+every requires-grad parameter and input on an undeclared tape, the
+declared tensors on a declared one, never op outputs.
 
 :func:`backward` takes the tape: its walk empties the graph as it starts
 and drops each node once it has walked it. A pullback's closure, and the
@@ -225,19 +226,21 @@ class Graph:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def _is_active(self, t: Tensor) -> bool:
+        """Whether a walk of this tape may differentiate ``t``: it is
+        ``requires_grad`` and, on a declared tape, depends on its ``wrt``."""
+        return t.requires_grad and (self._active is None or t in self._active)
+
 
 def _active(inputs: Sequence[Tensor]) -> tuple:
     """One flag per input of an op about to be recorded: True if a walk of
-    the recording graph may differentiate it, so the op's pullback must
-    capture what that gradient reads. That is ``requires_grad``, and on a
-    declared graph dependence on its ``wrt`` as well; all False when no
-    graph is recording."""
+    the recording graph may differentiate it (:meth:`Graph._is_active`),
+    so the op's pullback must capture what that gradient reads; all False
+    when no graph is recording."""
     graphs = _ACTIVE_GRAPHS.stack
     if not graphs:
         return (False,) * len(inputs)
-    declared = graphs[-1]._active
-    return tuple(t.requires_grad and (declared is None or t in declared)
-                 for t in inputs)
+    return tuple(map(graphs[-1]._is_active, inputs))
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -496,20 +499,18 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
     # a square kernel wider than the padding
     flipped = stride == 1 and kh == kw and padding < kh
 
-    def conv_input(lo: int, hi: int, xc: Optional[np.ndarray],
-                   clamp: bool) -> np.ndarray:
+    def conv_input(lo: int, hi: int, xc: Optional[np.ndarray]) -> np.ndarray:
         """A for images lo:hi, channel-major as (C, nb, H, W): a view of x,
         or with a normalization a fresh array that repeats the forward's
         arithmetic exactly, from the centred input ``xc`` when there is
-        one; unclamped unless ``clamp``, which only the kernel gradient
-        needs (the ReLU mask A > 0 is the same either way)."""
+        one."""
         if not folded:
             return x_kept[lo:hi].transpose(1, 0, 2, 3)
         acm = np.empty((c, hi - lo, h, w), dtype=x_kept.dtype)
         view = acm.transpose(1, 0, 2, 3)
         centred = (np.subtract(x_kept[lo:hi], mu[None, :, None, None], out=view)
                    if xc is None else xc[lo:hi])
-        _affine(centred, scale, shift, relu and clamp, out=view)
+        _affine(centred, scale, shift, relu, out=view)
         return acm
 
     def pullback(g: np.ndarray, *wanted: bool):
@@ -540,7 +541,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         for lo in range(0, n, step):
             gs = g[lo:lo + step]
             nb = len(gs)
-            acm = (conv_input(lo, lo + nb, xc, want_k)
+            acm = (conv_input(lo, lo + nb, xc)
                    if want_k or (masked and mask is None) else None)
             if by_g:
                 # one column buffer of g serves both gradients: row (o, a, b)
@@ -1093,39 +1094,34 @@ def _seed(t: Tensor, seed) -> np.ndarray:
     return seed
 
 
-def backward(graph: Graph, loss: Tensor,
-             wrt: Optional[Iterable[Tensor]] = None) -> dict:
-    """Gradient of a scalar loss for the graph's leaves, or for ``wrt``.
+def backward(graph: Graph, loss: Tensor) -> dict:
+    """Gradient of a scalar loss for the tape's active leaves.
 
-    Without ``wrt``, the leaves are the requires_grad tensors that no node
-    of the graph produced (parameters and inputs), in tape order, and only
+    The leaves are the tensors that no node of the graph produced
+    (parameters and inputs), in tape order, and the active ones are those
+    that recording flags (:meth:`Graph._is_active`): on an undeclared tape
+    every requires-grad leaf, on a declared one its declared tensors. Only
     their gradients are returned: the walk frees each intermediate
-    cotangent after its node (see :func:`vjp`). With ``wrt``, the
-    gradients of its requires_grad tensors are returned, node outputs
-    among them, and the walk differentiates only inputs that depend on
-    them.
+    cotangent after its node (see :func:`vjp`).
 
     Fan-out accumulates. The walk takes the tape: it calls the module's
     :func:`vjp` with the whole graph, which empties the graph as it starts
     and drops each node once walked, so its pullback closure and, once
     its producer is walked too, each activation are freed during the
     walk, not after it. A second walk of the graph raises ``ValueError``;
-    a tape that must be walked twice is walked with :func:`vjp`.
-
-    On a declared graph the default leaves take in the parameters, which
-    are not active, so the walk raises ``ValueError`` (see :func:`vjp`)
-    and leaves the tape as it was; name ``wrt`` there.
+    a tape that must be walked twice is walked with :func:`vjp`. On a
+    declared graph a loss that is not active raises ``ValueError`` (see
+    :func:`vjp`) and leaves the tape as it was.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-    if wrt is None:
-        produced = {node.output for node in graph.nodes}
-        wrt = dict.fromkeys(t for node in graph.nodes for t in node.inputs
-                            if t.requires_grad and t not in produced)
-        del produced   # it holds every output, which the walk frees
+    produced = {node.output for node in graph.nodes}
+    leaves = dict.fromkeys(t for node in graph.nodes for t in node.inputs
+                           if t not in produced and graph._is_active(t))
+    del produced   # it holds every output, which the walk frees
     graph._consume = True
     try:
-        grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=wrt)
+        grads = vjp(graph, {loss: np.ones_like(loss.data)}, wrt=leaves)
     finally:   # a walk that raised before taking the tape leaves it as it was
         graph._consume = False
-    return {t: Tensor(g) for t, g in grads.items() if t.requires_grad}
+    return {t: Tensor(g) for t, g in grads.items()}

@@ -23,8 +23,8 @@ from .autodiff import Graph, backward, reduce_sum, Tensor
 from .network import Network
 # ``matrix_power`` is no longer called here, but tracers that wrap module
 # attributes (the benchmark's among them) still look it up on this module
-from .transforms import (_check_count, canonical_form, is_orthogonal,
-                         is_periodic, matrix_power,
+from .transforms import (_check_count, _periodic_law, canonical_form,
+                         is_orthogonal, is_periodic, matrix_power,
                          skip_products)  # noqa: F401
 
 __all__ = [
@@ -112,10 +112,10 @@ def convert_idempotent_to_diagonal(net: Network) -> Network:
     """Rewrite each stage's shared skip P, P^(N+1) = P (N: a periodic spec's
     period, else 1), as its canonical form C: diagonal {0,1} if idempotent."""
     n = net.spec.resolve_period() if net.spec.transform_kind == "periodic" else 1
-    law = "idempotent" if n == 1 else f"periodic with P^{n + 1} = P"
     out = net.copy()
     for stage in (1, 2, 3):
-        skips = _stage_skips(out, stage, law, lambda q: is_periodic(q, n),
+        skips = _stage_skips(out, stage, _periodic_law(n),
+                             lambda q: is_periodic(q, n),
                              "convert_orthogonal_to_identity", shared=True)
         v, v_inv, c = canonical_form(skips[0], n)
         k = len(skips) + 1
@@ -181,7 +181,7 @@ def input_gradient_deviation(net_a: Network, net_b: Network,
         xt = Tensor(x, requires_grad=True, dtype=net.dtype)
         with Graph(wrt=[xt]) as g:
             loss = reduce_sum(net.forward(xt, mode="eval"))
-        grads.append(backward(g, loss, wrt=[xt])[xt].data)
+        grads.append(backward(g, loss)[xt].data)
     return float(np.abs(grads[0] - grads[1]).max())
 
 

@@ -240,21 +240,15 @@ class BuildingBlock:
 
     def branch_output(self, x: Tensor, mode: str) -> Tensor:
         """The regular-connection term F(x) (with any conversion wraps)."""
-        layers = [partial(self._normalized_conv, bn=self.bn1,
-                          kernel=self.conv1, mode=mode),
-                  partial(self._normalized_conv, bn=self.bn2,
-                          kernel=self.conv2, mode=mode, relu=True)]
+        conv = partial(conv2d, stride=1, padding=1, groups=self.groups,
+                       mode=mode)
+        layers = [partial(conv, kernel=self.conv1, norm=self.bn1),
+                  partial(conv, kernel=self.conv2, norm=self.bn2, relu=True)]
         if self.pre_mix is not None:
             layers.insert(0, partial(channel_mix, matrix=self.pre_mix))
         if self.post_mix is not None:
             layers.append(partial(channel_mix, matrix=self.post_mix))
         return _run(x, layers)
-
-    def _normalized_conv(self, h: Tensor, bn: BatchNorm, kernel: Tensor,
-                         mode: str, relu: bool = False) -> Tensor:
-        """The branch's 3x3 convolution of ``relu?(bn(h))``, as one node."""
-        return conv2d(h, kernel, stride=1, padding=1, groups=self.groups,
-                      norm=bn, mode=mode, relu=relu)
 
     def forward(self, x: Tensor, mode: str, hook=None) -> Tensor:
         """The block equation ``y = P x + F(x)``. ``hook(x, F(x))``, if

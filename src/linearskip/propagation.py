@@ -102,7 +102,11 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     Two ``Network.forward`` runs: one untaped, from the input to x_m, and
     one taped, from x_m to x_n, whose block hook records each x_i and
     F(x_i). No walk from x_m..x_n reaches an earlier layer, so the trace
-    keeps none of their activations. The probe loss is the sum of the
+    keeps none of their activations. The tape is declared for x_m
+    (``Graph(wrt=[x_m])``), since both of its walks, the probe's and
+    :func:`verify_backward_expansion`'s, ask for x_m alone: an eval
+    trace's ReLU convolutions keep the forward's one-byte mask, not their
+    input. The probe loss is the sum of the
     entries of x_n, so it depends on x_n's basis: a net and its
     function-equivalent rewrite can report different gradient gains (1.0
     against 0.5 for multi-4 ``idempotent_mr``). The probe is not taped:
@@ -130,7 +134,7 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
     try:
         x_m = Tensor(network.forward(x, mode, stop=(stage, m)).data,
                      requires_grad=True)  # where the tape starts
-        with Graph() as graph:
+        with Graph(wrt=[x_m]) as graph:
             x_n = network.forward(
                 x_m, mode, start=(stage, m), stop=(stage, n),
                 hook=lambda x_i, f_i: taken.append((x_i, x_i.data, f_i,

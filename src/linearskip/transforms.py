@@ -236,6 +236,11 @@ def skip_products(skips) -> list:
     return out
 
 
+def _periodic_law(n: int) -> str:
+    """The law P^(n+1) = P by the name the error messages give it."""
+    return "idempotent" if n == 1 else f"periodic with P^{n + 1} = P"
+
+
 def canonical_form(p, n: int) -> tuple:
     """(V, V^-1, C) with P = V C V^-1 for a real P with P^(n+1) = P. C is
     block diagonal: +1s, -1s, [[cos θ, sin θ], [-sin θ, cos θ]] per pair
@@ -246,7 +251,7 @@ def canonical_form(p, n: int) -> tuple:
     m = _as_matrix(p)
     _check_count("period", n)
     r = m.shape[0]
-    law = "idempotent" if n == 1 else f"periodic with P^{n + 1} = P"
+    law = _periodic_law(n)
     w = np.linalg.eigvals(m)
     turns = np.rint(np.angle(w) * n / (2 * np.pi)).astype(int) % n
     # k stands for the pair e^{±2πik/n}, and n for the eigenvalue 0

@@ -1051,7 +1051,7 @@ def test_each_thread_tapes_only_its_own_ops():
                 barrier.wait()
             loss = reduce_sum(net.forward(x, "eval"))
         nodes = list(graph.nodes)
-        return x, nodes, backward(graph, loss, wrt=[x])[x].data
+        return x, nodes, backward(graph, loss)[x].data
 
     alone = [tape_and_walk(net, x, False) for net, x in zip(nets, xs)]
     results, errors = [None, None], []
@@ -1309,22 +1309,25 @@ def _declared_tape():
 def test_declared_walk_refuses_inactive_tensors():
     # the pullbacks of a declared tape captured nothing for a gradient
     # outside it, so a walk that seeds or asks for one raises before it
-    # starts, backward's default leaves (the dense weight among them) too,
-    # and the tape is still whole, for vjp walks as for backward's
+    # starts, a backward from a loss x does not reach too, and the tape is
+    # still whole, for vjp walks as for backward's; backward's active
+    # leaves are the declared x alone, not the dense weight or w
     graph, loss, x, h, w, y = _declared_tape()
     one = np.ones_like(loss.data)
     with pytest.raises(ValueError, match="declared graph"):
         ad.vjp(graph, {loss: one}, wrt=[w])
     with pytest.raises(ValueError, match="declared graph"):
         ad.vjp(graph, {y: np.ones((2, 3))}, wrt=[x])
+    with graph:
+        inactive = reduce_sum(y)
     with pytest.raises(ValueError, match="declared graph"):
-        backward(graph, loss)
-    expected = ad.vjp(graph, {loss: one}, wrt=[x, h])
-    assert len(graph) == 4
-    got = backward(graph, loss, wrt=[x, h])
+        backward(graph, inactive)
+    expected = ad.vjp(graph, {loss: one}, wrt=[x])
+    assert len(graph) == 5
+    got = backward(graph, loss)
     assert len(graph) == 0
-    for t in (x, h):
-        assert np.array_equal(got[t].data, expected[t])
+    assert list(got) == [x]
+    assert np.array_equal(got[x].data, expected[x])
 
 
 def test_declared_graph_needs_requires_grad_tensors():
@@ -1575,9 +1578,7 @@ def test_backward_matches_keep_everything_walk(dtype):
     graph, loss, xt = _net_tape(net, x)
     full = ad.vjp(graph, {loss: np.ones_like(loss.data)},
                   wrt=oracles.tape_tensors(graph))
-    # backward takes its tape, so ``mid`` is picked before the walk, and
     # the leaves come from a fresh tape of the same forward
-    mid = graph.nodes[len(graph) // 2].output
     fresh_graph, fresh_loss, fresh_x = _net_tape(net, x)
     leaves = backward(fresh_graph, fresh_loss)
     params = [t for _, t, _ in net.parameters()]
@@ -1585,11 +1586,35 @@ def test_backward_matches_keep_everything_walk(dtype):
     for t, same in ((fresh_x, xt), *((p, p) for p in params)):
         assert leaves[t].dtype == dtype
         assert np.array_equal(leaves[t].data, full[same])
-    # a wrt tensor that a node produced is still returned
-    picked = backward(graph, loss, wrt=[mid, xt])
-    assert list(picked) == [mid, xt]
-    assert np.array_equal(picked[mid].data, full[mid])
-    assert np.array_equal(picked[xt].data, full[xt])
+
+
+@pytest.mark.parametrize("declared", [False, True],
+                         ids=["undeclared", "declared"])
+def test_backward_returns_the_tapes_active_leaves(declared):
+    # an undeclared tape's active leaves are its requires-grad inputs and
+    # parameters, not a constant leaf or an op output; a declared tape's
+    # are its declared input. Each gradient is a kept tape's walk, bit
+    # for bit
+    spec = NetworkSpec(blocks_per_stage=1, stage_widths=(4, 4, 4),
+                       transform_kind="idempotent_mr",
+                       transform_params={"B": 2}, input_shape=(3, 8, 8))
+    net = build_network(spec, seed=6)
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
+    shift = Tensor(rng.standard_normal((2, 10)))   # a constant leaf
+    tapes = []
+    for _ in range(2):
+        with Graph(wrt=[x] if declared else None) as graph:
+            loss = reduce_sum(add(net.forward(x, "eval"), shift))
+        tapes.append((graph, loss))
+    leaves = {x} if declared else {x, *(t for _, t, _ in net.parameters())}
+    (kept, kept_loss), (taken, taken_loss) = tapes
+    expected = ad.vjp(kept, {kept_loss: np.ones_like(kept_loss.data)},
+                      wrt=leaves)
+    got = backward(taken, taken_loss)
+    assert set(got) == leaves
+    for t in leaves:
+        assert np.array_equal(got[t].data, expected[t])
 
 
 # ---------------------------------------------------------------------------
@@ -1632,7 +1657,6 @@ def test_backward_empties_its_graph_and_refuses_a_second_walk():
     assert len(graph) == 0
     seed = {loss: np.ones_like(loss.data)}
     for walk in (lambda: backward(graph, loss),
-                 lambda: backward(graph, loss, wrt=[xt]),
                  lambda: ad.vjp(graph, seed, wrt=[xt])):
         with pytest.raises(ValueError, match="freed by backward.*vjp"):
             walk()

@@ -461,7 +461,7 @@ def test_converted_net_gradients_match_central_differences(
     tensors = [x] + [t for _, t, _ in conv.parameters()]
     with Graph() as g:
         out = loss()
-    grads = backward(g, out, wrt=tensors)
+    grads = backward(g, out)
     h = 1e-5
     for t in tensors:
         v = rng.standard_normal(t.shape)
@@ -496,7 +496,7 @@ def test_declared_input_gradient_of_a_converted_net_matches_central_differences(
 
     with Graph(wrt=[x]) as declared:
         out = loss()
-    grad = backward(declared, out, wrt=[x])[x].data
+    grad = backward(declared, out)[x].data
     with Graph() as undeclared:
         out = loss()
     assert np.array_equal(grad, backward(undeclared, out)[x].data)

@@ -147,10 +147,9 @@ def test_trace_keeps_only_its_end_gradients():
             trace.grad(i)
 
 
-def test_trace_holds_three_activations_a_block():
-    # x_i and F(x_i) for each block, x_n, the two end gradients and one
-    # array a block keeps on the tape: 3L + 3 for L blocks with skips. A
-    # taped probe node and every interior gradient would make it 4L + 2
+def _activations_held_by_a_trace() -> float:
+    """What an eval trace over the L = 6 blocks of stage 1 holds, counted
+    in float64 activations of x_1's size."""
     spec = NetworkSpec(blocks_per_stage=6, stage_widths=(16,) * 3,
                        transform_kind="idempotent_mr",
                        transform_params={"B": 2}, input_shape=(3, 16, 16))
@@ -163,7 +162,23 @@ def test_trace_holds_three_activations_a_block():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert held <= (3 * 6 + 4) * trace.x(1).nbytes
+    return held / trace.x(1).nbytes
+
+
+def test_trace_holds_three_activations_a_block():
+    # x_i and F(x_i) for each block, x_n, the two end gradients and at
+    # most one array a block keeps on the tape: 3L + 3 for L blocks with
+    # skips. A taped probe node and every interior gradient would make it
+    # 4L + 2
+    assert _activations_held_by_a_trace() <= 3 * 6 + 4
+
+
+def test_eval_trace_keeps_a_mask_not_an_input_a_block():
+    # the trace's tape is declared for x_m, so each block's ReLU
+    # convolution keeps the forward's one-byte mask, an eighth of a
+    # float64 activation, in place of its input: 2L + 3 + L/8, bounded by
+    # 2L + 3 + L/4. Keeping the input would make it 3L + 3
+    assert _activations_held_by_a_trace() <= 2 * 6 + 3 + 6 / 4
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -593,13 +608,20 @@ def test_vjp_wrt_walks_only_dependent_nodes():
     assert list(restricted) == [x_m]
     assert np.array_equal(restricted[x_m], full[x_m])
     assert 0 < len(calls) < full_calls
-    # a trace's own restricted walk matches a walk for the whole tape
+    # a trace's own walk matches a walk for the whole of an undeclared
+    # tape of the same span; its declared tape refuses a kernel walk
     trace = prop.capture_trace(net, input_batch(5), stage=2, m=2, n=3)
     x_n = trace._graph.nodes[-1].output   # the tape ends at x_n
     assert x_n is trace._input_tensors[-1]
-    unrestricted = vjp(trace._graph, {x_n: np.ones_like(x_n.data)},
-                       wrt=oracles.tape_tensors(trace._graph))
-    for i, t in ((trace.m, trace._input_tensors[0]), (trace.n, x_n)):
+    with pytest.raises(ValueError, match="declared graph"):
+        vjp(trace._graph, {x_n: np.ones_like(x_n.data)}, wrt=[block2.conv1])
+    x_2 = Tensor(net.forward(input_batch(5), stop=(2, 2)).data,
+                 requires_grad=True)
+    with Graph() as undeclared:
+        x_3 = net.forward(x_2, start=(2, 2), stop=(2, 3))
+    unrestricted = vjp(undeclared, {x_3: np.ones_like(x_3.data)},
+                       wrt=oracles.tape_tensors(undeclared))
+    for i, t in ((trace.m, x_2), (trace.n, x_3)):
         assert np.array_equal(trace.grad(i), unrestricted[t])
 
 

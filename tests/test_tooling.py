@@ -2,8 +2,9 @@
 command that ROADMAP.md states and fails a piped benchmark run, the
 library keeps no dead import, every callable the traced benchmark
 wraps exists, a traced trace, analysis or train step gives the untraced
-one's result, only ``network`` runs a block's branch, and every field of
-a library dataclass is read somewhere."""
+one's result, only ``network`` runs a block's branch, every tape the
+library records is declared, and every field of a library dataclass is
+read somewhere."""
 
 import ast
 import importlib
@@ -131,6 +132,21 @@ def test_only_the_network_runs_block_branches():
                     if isinstance(node, ast.Attribute)
                     and node.attr == "branch_output"]
     assert not callers
+
+
+def test_every_library_tape_is_declared():
+    # each tape the library records names the tensors its walks ask for
+    # (``Graph(wrt=...)``), so its pullbacks keep nothing for any other
+    # gradient; an undeclared ``Graph()`` cannot come back
+    undeclared = []
+    for path in sorted((ROOT / "src" / "linearskip").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if (isinstance(node, ast.Call) and name == "Graph"
+                    and "wrt" not in {kw.arg for kw in node.keywords}):
+                undeclared.append(f"{path.stem}:{node.lineno}")
+    assert not undeclared
 
 
 def test_traced_train_step_gradients_are_the_untraced_ones():
