@@ -39,25 +39,27 @@ tape and takes a :func:`vjp` seed, and a write to it raises. A network
 releases every activation it makes this way (see ``network._run``), never
 a tensor its caller handed it.
 
-What a pullback captures depends on which of its op's inputs are active:
-``requires_grad`` and, on a declared graph, dependent on its ``wrt``.
-``Graph(wrt=tensors)`` declares the tape's walks: each may seed and ask
-for only those tensors and tensors that depend on them, so each op learns
-at record time which inputs a walk can differentiate and captures only
-the arrays those gradients read; a walk that seeds or asks for any other
-tensor raises ``ValueError``. An eval-mode ``conv2d`` whose only active
-input is x reads only its kernel (and, with a folded ReLU, a one-byte
-``A > 0`` mask), so on a tape declared for a network's input a block
-keeps no activation. On an undeclared ``Graph()`` every requires-grad
-input is active: a train-mode tape keeps the inputs of a block's two
-convolutions, which the kernel gradients read.
+Recording decides what every walk computes, and walks only walk. As an
+op is recorded it flags each input active or not: ``requires_grad`` and,
+on a declared graph, dependent on its ``wrt``. Its pullback captures only
+the arrays the active inputs' gradients read, and every walk computes
+exactly those gradients; a later change to a tensor's ``requires_grad``
+changes no recorded node. ``Graph(wrt=tensors)`` declares the tape's
+walks: each may seed and ask for only those tensors and tensors that
+depend on them, and a walk that seeds or asks for any other tensor raises
+``ValueError``. An eval-mode ``conv2d`` whose only active input is x
+reads only its kernel (and, with a folded ReLU, a one-byte ``A > 0``
+mask), so on a tape declared for a network's input a block keeps no
+activation. On an undeclared ``Graph()`` every requires-grad input is
+active: a train-mode tape keeps the inputs of a block's two convolutions,
+which the kernel gradients read, and each of its walks computes every
+parameter gradient. A walk that wants less declares its tape.
 
 A walk frees each cotangent once its node has consumed it, so it holds
 only the cotangents still live, not one per tape node, and returns
 exactly the gradients it was asked for (``wrt``). :func:`backward`
-returns the gradients of the tape's active leaves, by the same test:
-every requires-grad parameter and input on an undeclared tape, the
-declared tensors on a declared one, never op outputs.
+returns the gradients of the tape's active leaves: every leaf (parameter
+or input) that recording flagged, never op outputs.
 
 :func:`backward` takes the tape: its walk empties the graph as it starts
 and drops each node once it has walked it. A pullback's closure, and the
@@ -153,27 +155,21 @@ class Tensor:
 class Node:
     """One executed operation: inputs, output, and VJP.
 
-    ``vjp_fn`` maps the output cotangent to one gradient per input, or
-    None for each input that ``wanted`` marks False. It is a plain
-    writable slot, so a caller may wrap it, for example to time each
-    node's backward step.
-
-    ``wanted`` holds one flag per input: recording sets each to whether
-    the input is active (``requires_grad``, and on a declared
-    :class:`Graph` dependent on its ``wrt``), and every walk of
-    :func:`vjp` rewrites the list in place before calling ``vjp_fn``, so
-    a wrapped ``vjp_fn`` reads the walk's own flags.
+    ``vjp_fn`` maps the output cotangent to one gradient per input, None
+    for each input that recording flagged inactive (see the module
+    docstring); the flags are bound into it, so every walk computes the
+    same gradients. It is a plain writable slot, so a caller may wrap it,
+    for example to time each node's backward step.
     """
 
-    __slots__ = ("op", "inputs", "output", "vjp_fn", "wanted")
+    __slots__ = ("op", "inputs", "output", "vjp_fn")
 
     def __init__(self, op: str, inputs: Sequence[Tensor], output: Tensor,
-                 vjp_fn: Callable, wanted: list):
+                 vjp_fn: Callable):
         self.op = op
         self.inputs = tuple(inputs)
         self.output = output
         self.vjp_fn = vjp_fn
-        self.wanted = wanted
 
 
 class _ActiveGraphs(threading.local):
@@ -226,21 +222,19 @@ class Graph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def _is_active(self, t: Tensor) -> bool:
-        """Whether a walk of this tape may differentiate ``t``: it is
-        ``requires_grad`` and, on a declared tape, depends on its ``wrt``."""
-        return t.requires_grad and (self._active is None or t in self._active)
-
 
 def _active(inputs: Sequence[Tensor]) -> tuple:
-    """One flag per input of an op about to be recorded: True if a walk of
-    the recording graph may differentiate it (:meth:`Graph._is_active`),
-    so the op's pullback must capture what that gradient reads; all False
-    when no graph is recording."""
+    """One flag per input of an op about to be recorded: True if it is
+    ``requires_grad`` and, on a declared graph, depends on the graph's
+    ``wrt``, so every walk differentiates it and the op's pullback must
+    capture what that gradient reads; all False when no graph is
+    recording."""
     graphs = _ACTIVE_GRAPHS.stack
     if not graphs:
         return (False,) * len(inputs)
-    return tuple(map(graphs[-1]._is_active, inputs))
+    declared = graphs[-1]._active
+    return tuple(t.requires_grad and (declared is None or t in declared)
+                 for t in inputs)
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -248,8 +242,9 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     """Append one node to the active tape; ``pullback(g, *wanted)`` gets
     the output cotangent and one flag per input, and computes a gradient
     only for the inputs flagged True. ``active`` is what :func:`_active`
-    told the op (asked here when not given): no walk flags another
-    input, so the pullback needs to have captured nothing more."""
+    told the op (asked here when not given); those flags are bound into
+    the node's ``vjp_fn``, so the pullback needs to have captured nothing
+    more."""
     dtypes = {t.dtype for t in inputs} | {out_data.dtype}
     if len(dtypes) > 1:
         raise ValueError(f"{op} mixes dtypes {sorted(map(str, dtypes))}")
@@ -257,9 +252,9 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     graphs = _ACTIVE_GRAPHS.stack
     if graphs:
         graph = graphs[-1]
-        wanted = list(_active(inputs) if active is None else active)
+        wanted = _active(inputs) if active is None else active
         graph.nodes.append(
-            Node(op, inputs, out, lambda g: pullback(g, *wanted), wanted))
+            Node(op, inputs, out, lambda g: pullback(g, *wanted)))
         if graph._active is not None and any(wanted):
             graph._active.add(out)
     return out
@@ -428,13 +423,13 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
     gradient is written one contiguous NCHW slice per chunk. A chunk of A
     (recomputed, or x's own) feeds the kernel gradient and, with ``relu``,
     masks A's gradient, unless the forward's mask does. Each gradient is
-    computed only when the walk wants it. At stride 1 (square kernel wider
-    than the padding) A's gradient is a correlation of the output gradient
-    with the flipped, in/out transposed kernel, and the kernel gradient
-    reads the same columns of the output gradient against A. Otherwise,
-    and when only the kernel gradient is wanted, the kernel gradient
-    builds A's columns, and column gradients are scattered back with
-    ``_col2im``. With a normalization, A's gradient then goes through
+    computed only for an input that recording flagged active. At stride 1
+    (square kernel wider than the padding) A's gradient is a correlation
+    of the output gradient with the flipped, in/out transposed kernel, and
+    the kernel gradient reads the same columns of the output gradient
+    against A. Otherwise, and when only the kernel is active, the kernel
+    gradient builds A's columns, and column gradients are scattered back
+    with ``_col2im``. With a normalization, A's gradient then goes through
     batch norm's own gradient formula (:func:`_bn_grads`).
     """
     x = _as_tensor(x)
@@ -484,11 +479,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
     active = _active(inputs)
     act_a, act_k = any(active[:-1]), active[-1]
     # the pullback captures x only for a gradient that reads it: the
-    # kernel's, and batch norm's gamma, beta and train-mode x; A's own
+    # kernel's, and batch norm's through the centred input; A's own
     # gradient reads the kernel and, with a ReLU, A's mask, which is
     # then all the node keeps of x
-    reads_x = act_k or (folded and (active[1] or active[2]
-                                    or (active[0] and mode == "train")))
+    centred = folded and _bn_reads_x(active, mode)
+    reads_x = act_k or centred
     x_kept = xd if reads_x else None
     k_kept = kd if act_a else None
     mask = a > 0 if relu and act_a and not reads_x else None
@@ -530,8 +525,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, groups: int = 1, *,
         masked = relu and want_a
         # batch norm's gradient reads the centred input, so it is made
         # first and each chunk of A is recomputed from it
-        xc = (_bn_centred(x_kept, mu, mode, want_x, want_gamma, want_beta)
-              if folded and want_a else None)
+        xc = x_kept - mu[None, :, None, None] if centred else None
         if by_g:
             # contiguous: a depthwise kflip left as a negative-stride view
             # makes np.matmul bypass BLAS
@@ -687,13 +681,11 @@ def _normalize(xd: np.ndarray, norm: BatchNorm, mode: str,
             scale)
 
 
-def _bn_centred(xd: np.ndarray, mu: np.ndarray, mode: str, want_x: bool,
-                want_gamma: bool, want_beta: bool) -> Optional[np.ndarray]:
-    """The centred input x - mu that :func:`_bn_grads` reads for these
-    wanted gradients, as a fresh array, or None if it reads none."""
-    if want_gamma or want_beta or (want_x and mode == "train"):
-        return xd - mu[None, :, None, None]
-    return None
+def _bn_reads_x(active: Sequence[bool], mode: str) -> bool:
+    """Whether :func:`_bn_grads` reads the centred input x - mu for the
+    active flags of (x, gamma, beta): gamma's and beta's gradients do, and
+    x's in train mode."""
+    return active[1] or active[2] or (active[0] and mode == "train")
 
 
 def _bn_grads(g: np.ndarray, own_g: bool, xc: Optional[np.ndarray],
@@ -701,9 +693,11 @@ def _bn_grads(g: np.ndarray, own_g: bool, xc: Optional[np.ndarray],
               want_gamma: bool, want_beta: bool) -> tuple:
     """(gx, ggamma, gbeta) of batch norm for the cotangent ``g`` of its
     unclamped output (a caller with a ReLU masks g first), each None
-    unless wanted. ``xc`` is :func:`_bn_centred`'s array, which this
-    overwrites. gx is built in g when the caller owns it (``own_g``), so
-    the one activation-sized temporary besides is ``xc``."""
+    unless wanted. ``xc`` is a fresh array of the centred input x - mu,
+    which this overwrites, or None when no wanted gradient reads it
+    (:func:`_bn_reads_x`). gx is built in g when the caller owns it
+    (``own_g``), so the one activation-sized temporary besides is
+    ``xc``."""
     m = g.size // g.shape[1]
     gx = ggamma = gbeta = None
     if xc is not None:
@@ -764,8 +758,7 @@ def batch_norm(x, norm: BatchNorm, mode: str = "train",
     active = _active(inputs)
     # x's values for the gradients that read the centred input, the
     # output's for the ReLU mask of any gradient
-    reads_x = active[1] or active[2] or (active[0] and mode == "train")
-    x_kept = xd if reads_x else None
+    x_kept = xd if _bn_reads_x(active, mode) else None
     out_kept = out_data if relu and any(active) else None
 
     def pullback(g: np.ndarray, want_x: bool, want_gamma: bool,
@@ -777,10 +770,9 @@ def batch_norm(x, norm: BatchNorm, mode: str = "train",
             # to 1.0 / 0.0 as it is written
             masked = np.greater(out_kept, 0, out=np.empty_like(g))
             g = np.multiply(masked, g, out=masked)
-        return _bn_grads(g, relu,
-                         _bn_centred(x_kept, mu, mode, want_x, want_gamma,
-                                     want_beta),
-                         invstd, scale, mode, want_x, want_gamma, want_beta)
+        xc = None if x_kept is None else x_kept - mu[None, :, None, None]
+        return _bn_grads(g, relu, xc, invstd, scale, mode, want_x,
+                         want_gamma, want_beta)
 
     out = _record("batch_norm", inputs, out_data, pullback, active)
     if mode == "train":
@@ -1005,14 +997,15 @@ def vjp(graph: Graph, seeds: dict, wrt: Iterable[Tensor]) -> dict:
     ever written, and addition commutes, so the bits are those of
     ``acc + gi``.
 
-    A walk differentiates a node's input only if it ``requires_grad`` and
-    depends on a ``wrt`` tensor (activity analysis): only nodes with such
-    an input are walked, and inside them no gradient is computed for any
-    other input, so a kernel or batch-norm parameter costs nothing. No
-    skipped gradient can add to a ``wrt`` gradient, so the result is the
-    same bit for bit. The flags are set in one pass over the tape before
-    the walk, whose set of reached outputs is then dropped, so it keeps
-    no activation alive.
+    The walk computes what recording decided (see the module docstring):
+    each node's ``vjp_fn`` returns the gradients of the inputs its tape
+    flagged, whatever the walk asks for, and only the ``wrt`` ones are
+    returned. It runs back from the end of the tape to the first node
+    that reads a ``wrt`` tensor, since no earlier node can reach one, and
+    passes over each node whose output has no cotangent. So on an
+    undeclared tape a walk for the input alone computes every parameter
+    gradient too, and returns the input's with the same bits; a walk that
+    wants less declares its tape.
 
     The walk keeps the tape: ``graph`` holds every node afterwards and
     can be walked again. Only :func:`backward`'s own walk takes it (see
@@ -1040,19 +1033,13 @@ def vjp(graph: Graph, seeds: dict, wrt: Iterable[Tensor]) -> dict:
             graph._active = set()
     lazy = {t: seed for t, seed in seeds.items() if callable(seed)}
     grads = {t: _seed(t, seed) for t, seed in seeds.items() if t not in lazy}
-    # (node, its walk's wanted flags), in tape order; ``reach`` holds every
-    # reached output, so it goes before the walk, which may free them
     keep = set(wrt)
-    reach = set(wrt)
-    walk = []
-    for node in nodes:
-        if any(t in reach for t in node.inputs):
-            walk.append((node, [t.requires_grad and t in reach
-                                for t in node.inputs]))
-            reach.add(node.output)
-    del reach, nodes
+    start = next((i for i, node in enumerate(nodes)
+                  if not keep.isdisjoint(node.inputs)), len(nodes))
+    walk = nodes[start:]
+    del nodes
     while walk:
-        node, wanted = walk.pop()
+        node = walk.pop()
         if node.output in lazy:
             grads[node.output] = _seed(node.output, lazy.pop(node.output)())
         if node.output in keep:
@@ -1061,7 +1048,6 @@ def vjp(graph: Graph, seeds: dict, wrt: Iterable[Tensor]) -> dict:
             g = grads.pop(node.output, None)
         if g is None:
             continue
-        node.wanted[:] = wanted
         for t, gi in zip(node.inputs, node.vjp_fn(g)):
             if gi is None:
                 continue
@@ -1099,25 +1085,34 @@ def backward(graph: Graph, loss: Tensor) -> dict:
 
     The leaves are the tensors that no node of the graph produced
     (parameters and inputs), in tape order, and the active ones are those
-    that recording flags (:meth:`Graph._is_active`): on an undeclared tape
-    every requires-grad leaf, on a declared one its declared tensors. Only
-    their gradients are returned: the walk frees each intermediate
-    cotangent after its node (see :func:`vjp`).
+    that recording flagged (see the module docstring): on an undeclared
+    tape every leaf that was requires-grad when its readers were recorded,
+    on a declared one its declared tensors. Only their gradients are
+    returned: the walk frees each intermediate cotangent after its node
+    (see :func:`vjp`).
 
     Fan-out accumulates. The walk takes the tape: it calls the module's
     :func:`vjp` with the whole graph, which empties the graph as it starts
     and drops each node once walked, so its pullback closure and, once
     its producer is walked too, each activation are freed during the
     walk, not after it. A second walk of the graph raises ``ValueError``;
-    a tape that must be walked twice is walked with :func:`vjp`. On a
-    declared graph a loss that is not active raises ``ValueError`` (see
-    :func:`vjp`) and leaves the tape as it was.
+    a tape that must be walked twice is walked with :func:`vjp`. A loss
+    that no node of the graph produced (one computed outside its ``with``
+    block), or on a declared graph one that is not active (see
+    :func:`vjp`), raises ``ValueError`` and leaves the tape as it was.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
     produced = {node.output for node in graph.nodes}
+    if loss not in produced and not graph._consumed:   # vjp raises for that
+        raise ValueError("the loss was not recorded on this graph: compute "
+                         "it inside the graph's with block")
+    declared = graph._active
+    # the walk returns the leaves it differentiated, which are the ones
+    # recording flagged; on a declared tape only its wrt may be asked for
     leaves = dict.fromkeys(t for node in graph.nodes for t in node.inputs
-                           if t not in produced and graph._is_active(t))
+                           if t not in produced
+                           and (declared is None or t in declared))
     del produced   # it holds every output, which the walk frees
     graph._consume = True
     try:

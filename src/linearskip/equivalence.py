@@ -55,9 +55,11 @@ def _change_basis(net: Network, stage: int, bases, inverses,
 
     ``bases`` and ``inverses`` hold B_1..B_{L+1} and their inverses, with
     B_{i+1} P_i B_i^-1 = ``skip`` for block i's skip P_i, so block i maps
-    z_i to skip z_i + B_{i+1} F(B_i^-1 z_i). After stage 3 the head absorbs
-    B_{L+1}^-1, because global pooling commutes with a channel mix. The
-    wraps and skips are read-only, and blocks given one array share it.
+    z_i to skip z_i + B_{i+1} F(B_i^-1 z_i). A block that a rewrite has
+    already wrapped, F = W_post G(W_pre x), gets the composed wraps W_pre
+    B_i^-1 and B_{i+1} W_post. After stage 3 the head absorbs B_{L+1}^-1,
+    because global pooling commutes with a channel mix. The wraps and
+    skips are read-only, and blocks given one array share it.
     """
     _mix_channels(net.stem if stage == 1 else net.transitions[stage - 2],
                   bases[0], axis=0)
@@ -65,8 +67,9 @@ def _change_basis(net: Network, stage: int, bases, inverses,
     for mat in (skip, *bases, *inverses):
         mat.flags.writeable = False
     for i, blk in enumerate(net.stages[stage - 1]):
-        blk.pre_mix = inverses[i]
-        blk.post_mix = bases[i + 1]
+        pre, post = blk.pre_mix, blk.post_mix
+        blk.pre_mix = inverses[i] if pre is None else pre @ inverses[i]
+        blk.post_mix = bases[i + 1] if post is None else bases[i + 1] @ post
         blk.skip = skip
     _mix_channels(net.head_weight if stage == 3 else net.transitions[stage - 1],
                   inverses[-1], axis=1)

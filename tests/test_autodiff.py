@@ -547,16 +547,20 @@ def _bn_conv_arrays(n=2, c=8, o=8, groups=1, seed=0):
     return x, gamma, beta, mean, var, k
 
 
-def _bn_conv_tape(arrays, mode, relu, dtype, stride=1, groups=1, fused=True):
+def _bn_conv_tape(arrays, mode, relu, dtype, stride=1, groups=1, fused=True,
+                  wrt=None):
     """A tape of the folded node, or of batch_norm then conv2d, on fresh
     leaves (x, gamma, beta, kernel) and a fresh BatchNorm holding gamma
-    and beta; returns the tape, its output, the leaves and the BatchNorm."""
+    and beta; returns the tape, its output, the leaves and the BatchNorm.
+    ``wrt`` holds the indices of the leaves the tape is declared for, or
+    is None for an undeclared tape."""
     x, gamma, beta, mean, var, k = arrays
     leaves = [Tensor(a, requires_grad=True, dtype=dtype)
               for a in (x, gamma, beta, k)]
     xt, gt, bt, kt = leaves
     norm = _holding(gt, bt, dtype, mean, var)
-    with Graph() as graph:
+    declared = None if wrt is None else [leaves[i] for i in wrt]
+    with Graph(wrt=declared) as graph:
         if fused:
             out = conv2d(xt, kt, stride, 1, groups, norm=norm, mode=mode,
                          relu=relu)
@@ -602,12 +606,14 @@ def test_bn_conv_matches_loop_oracle(mode, relu, groups, dtype):
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_bn_conv_kernel_alone_matches_loop_oracle(mode, relu, stride, groups,
                                                   dtype):
-    # a walk for the kernel alone computes no gradient of the normalized
-    # input: at stride 1 it lowers A, not the output gradient as the full
-    # walk does, so it is checked against the oracle, not against that walk
+    # a tape declared for the kernel alone computes no gradient of the
+    # normalized input: at stride 1 it lowers A, not the output gradient as
+    # the full walk does, so it is checked against the oracle, not against
+    # that walk
     arrays = _bn_conv_arrays(c=4, o=4, groups=groups, seed=60 + stride)
     graph, out, leaves, _ = _bn_conv_tape(arrays, mode, relu, dtype,
-                                          stride=stride, groups=groups)
+                                          stride=stride, groups=groups,
+                                          wrt=[3])
     kt = leaves[3]
     g = np.random.default_rng(stride).standard_normal(out.shape).astype(dtype)
     grads = ad.vjp(graph, {out: g}, wrt=[kt])
@@ -618,9 +624,6 @@ def test_bn_conv_kernel_alone_matches_loop_oracle(mode, relu, stride, groups,
                                         groups=groups, **stats)
     assert list(grads) == [kt] and grads[kt].dtype == dtype
     assert oracles.relative_error(grads[kt], ref) <= 2 ** 6 * np.finfo(dtype).eps
-    # a walk that wants no input of the node walks it and gets nothing
-    kt.requires_grad = False
-    assert ad.vjp(graph, {out: g}, wrt=[kt]) == {}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -1032,6 +1035,21 @@ def test_backward_requires_scalar_loss():
         backward(g, y)
 
 
+def test_backward_refuses_a_loss_its_tape_did_not_record():
+    # a loss computed after the with block has no node on the tape, so no
+    # walk from it reaches a leaf: backward raises and keeps the tape
+    x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+    with Graph() as g:
+        y = relu(x)
+    loss = reduce_sum(y)
+    with pytest.raises(ValueError, match="not recorded on this graph"):
+        backward(g, loss)
+    assert len(g) == 1
+    with g:
+        loss = reduce_sum(y)
+    npt.assert_array_equal(backward(g, loss)[x].data, [0.0, 1.0])
+
+
 def test_each_thread_tapes_only_its_own_ops():
     # a graph records the ops of the thread that entered it: two threads,
     # each held inside its graph until both have entered theirs, tape one
@@ -1110,11 +1128,11 @@ _ACTIVITY_CASES += [("conv2d", {"stride": s, "groups": g, "mode": m,
                     for s in (1, 2) for g in (1, 4) for m in ("train", "eval")]
 
 
-def _one_op_tape(op, kwargs, dtype):
+def _one_op_tape(op, kwargs, dtype, declared=False):
     """A tape of relu(op(x, params)) summed, with x and every parameter
     requiring a gradient; 4 channels, so groups=4 is depthwise. A conv2d
     given a ``mode`` folds a batch norm in, with params (gamma, beta,
-    kernel)."""
+    kernel). A ``declared`` tape is declared for x alone."""
     rng = np.random.default_rng(31)
     x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True,
                dtype=dtype)
@@ -1128,7 +1146,7 @@ def _one_op_tape(op, kwargs, dtype):
     if op == "conv2d":
         params += (Tensor(rng.standard_normal((4, 4 // kwargs["groups"], 3, 3)),
                           requires_grad=True, dtype=dtype),)
-    with Graph() as graph:
+    with Graph(wrt=[x] if declared else None) as graph:
         if op == "conv2d" and bn:
             out = conv2d(x, params[2], padding=1, norm=norm, **kwargs)
         elif op == "conv2d":
@@ -1144,23 +1162,28 @@ def _one_op_tape(op, kwargs, dtype):
                          ids=[f"{op}-{'-'.join(map(str, kw.values()))}"
                               for op, kw in _ACTIVITY_CASES])
 def test_restricted_walk_skips_parameter_work(op, kwargs, dtype, monkeypatch):
-    graph, loss, x, params = _one_op_tape(op, kwargs, dtype)
+    # a tape declared for x computes no parameter gradient, and x's
+    # gradient is the one an undeclared tape of the same op gives
+    tapes = [_one_op_tape(op, kwargs, dtype, declared=declared)
+             for declared in (True, False)]
     returned = []
-
-    def recorded(g, inner=graph.nodes[0].vjp_fn):
-        returned.append(inner(g))
-        return returned[-1]
-    graph.nodes[0].vjp_fn = recorded
+    for graph, *_ in tapes:
+        def recorded(g, inner=graph.nodes[0].vjp_fn):
+            returned.append(inner(g))
+            return returned[-1]
+        graph.nodes[0].vjp_fn = recorded
     columns = []
     im2col = ad._im2col
     monkeypatch.setattr(ad, "_im2col",
                         lambda *args: columns.append(1) or im2col(*args))
 
+    graph, loss, x, params = tapes[0]
     restricted = ad.vjp(graph, {loss: np.ones_like(loss.data)}, wrt=[x])
     restricted_columns = len(columns)
+    graph, loss, full_x, _ = tapes[1]
     full = backward(graph, loss)
     assert list(restricted) == [x]
-    assert np.array_equal(restricted[x], full[x].data)
+    assert np.array_equal(restricted[x], full[full_x].data)
     assert returned[0][1:] == (None,) * len(params)
     assert all(g is not None for g in returned[1])
     if op == "conv2d":
@@ -1338,11 +1361,32 @@ def test_declared_graph_needs_requires_grad_tensors():
 
 
 def test_declared_tape_flags_only_active_inputs():
-    # a node's wanted flags start from what the tape declares: the relu
-    # of w, which x does not reach, records no active input
+    # a node's pullback computes the gradients of the inputs its tape
+    # flagged active: the relu of w, which x does not reach, none
     graph, _, x, h, w, y = _declared_tape()
-    assert [node.wanted for node in graph.nodes] == [
-        [True], [False], [True, False], [True]]
+    active = [[gi is not None for gi, _ in
+               zip(node.vjp_fn(np.ones(node.output.shape)), node.inputs)]
+              for node in graph.nodes]
+    assert active == [[True], [False], [True, False], [True]]
+
+
+def test_requires_grad_flipped_after_recording_changes_no_walk():
+    # recording flags each input once: a leaf that stops or starts
+    # requiring a gradient after its node is recorded changes neither
+    # which gradients a later walk computes nor their bits
+    rng = np.random.default_rng(64)
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3)))
+    with Graph() as graph:
+        loss = reduce_sum(relu(dense(x, w)))
+    seed = {loss: np.ones_like(loss.data)}
+    expected = ad.vjp(graph, seed, wrt=[x, w])
+    x.requires_grad, w.requires_grad = False, True
+    got = ad.vjp(graph, seed, wrt=[x, w])
+    taken = backward(graph, loss)
+    assert list(expected) == list(got) == list(taken) == [x]
+    assert np.array_equal(got[x], expected[x])
+    assert np.array_equal(taken[x].data, expected[x])
 
 
 # ---------------------------------------------------------------------------

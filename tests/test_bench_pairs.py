@@ -69,3 +69,22 @@ def test_summary_counts_wins_by_direction():
     assert summary["t"]["wins"] == 3 and summary["r"]["wins"] == 1
     assert summary["t"]["base_median"] == 11 and summary["t"]["change_median"] == 9
     assert summary["t"]["base_iqr"] == 2.0   # quartiles 10 and 12
+
+
+def test_an_incorrect_run_echoes_its_failures(tmp_path, capsys):
+    # a stub checkout whose benchmark prints a failing record: the runner
+    # passes on the record and tells why the run failed
+    stub = tmp_path / "benchmark" / "run.py"
+    stub.parent.mkdir()
+    stub.write_text(
+        "import json, sys\n"
+        "print('environment ' + json.dumps({'nproc': 2}))\n"
+        "print('FAILED stage 1: backward expansion deviation 1.0e+00')\n"
+        "print(json.dumps({'correct': False, 'metrics': {}}))\n"
+        "sys.exit(1)\n")
+    record = _bench_pairs().run_side(str(tmp_path), "w", 7, 0.1, "tiny")
+    assert record["correct"] is False
+    assert record["environment"] == {"nproc": 2}
+    err = capsys.readouterr().err
+    assert "seed 7 exited 1" in err
+    assert "FAILED stage 1: backward expansion deviation 1.0e+00" in err

@@ -562,6 +562,18 @@ def test_rewrites_hold_read_only_matrices_shared_per_stage():
         assert all(blk.post_mix is stage[0].post_mix for blk in stage)
 
 
+@pytest.mark.parametrize("kind,params,converter", [
+    ("orthogonal_tp", {}, eq.convert_orthogonal_to_identity),
+    ("idempotent_mr", {"B": 2}, eq.convert_idempotent_to_diagonal),
+])
+def test_rewriting_a_rewritten_net_keeps_its_function(kind, params, converter):
+    # the second rewrite composes its wraps with the first one's, so the
+    # net still computes the original function
+    net = make_net(kind, params, k=3, seed=36)
+    twice = converter(converter(net))
+    assert eq.verify_equivalence(net, twice, num_inputs=4, seed=8).passed
+
+
 # ---------------------------------------------------------------------------
 # mixing interaction
 

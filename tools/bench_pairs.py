@@ -43,7 +43,9 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float,
              size: str) -> dict:
     """One ``benchmark/run.py`` run in ``checkout``: its last-line record
     plus the ``environment`` it printed; ``correct`` is False when the run
-    printed no record."""
+    printed no record. A run that printed none, or an incorrect one, is
+    echoed to stderr: all its output, or its exit code and ``FAILED``
+    lines."""
     cmd = [sys.executable, os.path.join("benchmark", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0", "--size", size]
@@ -57,6 +59,10 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float,
     record["environment"] = next(
         (json.loads(line.partition(" ")[2]) for line in lines
          if line.startswith("environment ")), {})
+    if not record.get("correct"):
+        sys.stderr.write(f"{checkout}: seed {seed} exited {proc.returncode}\n"
+                         + "".join(line + "\n" for line in lines
+                                   if line.startswith("FAILED ")))
     return record
 
 
