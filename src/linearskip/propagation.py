@@ -13,6 +13,11 @@ where J_i is the Jacobian of x'_{i+1} with respect to x_m. Both are exact
 chain-rule rearrangements, so deviations measure floating-point
 accumulation only. Each check reports its terms' norms: the skip term's,
 then each branch term's (forward) or their sum's (backward).
+
+A trace keeps what the expansions read: x_m, x_n, each x'_{i+1} and the
+end gradients. The capture checks the block equation exactly as it runs,
+so x_m and the x'_{i+1} determine every interior x_i bit for bit, and
+the trace replays one when asked rather than hold them all.
 """
 
 from __future__ import annotations
@@ -47,17 +52,20 @@ __all__ = [
 
 @dataclass
 class PropagationTrace:
-    """Recorded inputs, branch outputs, and end gradients for blocks m..n.
+    """The ends, branch outputs, and end gradients of blocks m..n.
 
-    ``inputs[j]`` is x_{m+j}; ``branch_outputs[j]`` is x'_{m+j+1};
+    ``inputs`` is [x_m, x_n]; ``branch_outputs[j]`` is x'_{m+j+1};
     ``gradients`` is [dL/dx_m, dL/dx_n] for the probe loss L = sum(x_n),
-    which lives in x_n's coordinates (see :func:`capture_trace`).
+    which lives in x_n's coordinates (see :func:`capture_trace`); dL/dx_n
+    is a read-only view of one 1. An interior x_i is not kept: :meth:`x`
+    replays it from x_m by the block equation, which the capture checked
+    to hold exactly, so the replay is the forward's x_i bit for bit.
     The trace keeps its own x and F(x) arrays, as blocks release their
-    tensors (``network.BuildingBlock``): ``_input_tensors`` and
-    ``_branch_tensors`` serve only as the tape keys walks start and end at.
-    ``skips[j]`` is block m+j's skip P_{m+j} (zeros for a block without
-    one); ``transform`` is the one skip they all share, or None when the
-    span's blocks differ.
+    tensors (``network.BuildingBlock``): ``_input_tensors`` ([x_m, x_n])
+    and ``_branch_tensors`` serve only as the tape keys walks start and
+    end at. ``skips[j]`` is block m+j's skip P_{m+j} (zeros for a block
+    without one); ``transform`` is the one skip they all share, or None
+    when the span's blocks differ.
     """
 
     stage: int
@@ -72,18 +80,25 @@ class PropagationTrace:
     _input_tensors: list
     _branch_tensors: list
 
-    def _at(self, values: list, i: int, last: int, what: str) -> np.ndarray:
+    def _offset(self, i: int, last: int, what: str) -> int:
         if not self.m <= i <= last:
             raise IndexError(f"{what} index {i} outside trace range "
                              f"[{self.m}, {last}]")
-        return values[i - self.m]
+        return i - self.m
 
     def x(self, i: int) -> np.ndarray:
-        return self._at(self.inputs, i, self.n, "block")
+        """x_i for m <= i <= n; an interior one is replayed from x_m."""
+        j = self._offset(i, self.n, "block")
+        if i == self.n:
+            return self.inputs[-1]
+        x = self.inputs[0]
+        for p, f in zip(self.skips[:j], self.branch_outputs):
+            x = _block_output(p, x, f)
+        return x
 
     def branch(self, i: int) -> np.ndarray:
         """x'_{i+1} = F(x_i), for m <= i < n."""
-        return self._at(self.branch_outputs, i, self.n - 1, "branch")
+        return self.branch_outputs[self._offset(i, self.n - 1, "branch")]
 
     def grad(self, i: int) -> np.ndarray:
         """dL/dx_i for i = m or n; an interior one is a sub-trace's end."""
@@ -93,25 +108,38 @@ class PropagationTrace:
         return self.gradients[i == self.n]
 
 
+def _block_output(p, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """x_{i+1} = P_i x_i + F(x_i) from plain arrays: the arithmetic of
+    every block (``network.BuildingBlock.forward``) on its own values."""
+    out = apply_transform(p, x)
+    out += f
+    return out
+
+
 def capture_trace(network: Network, x, stage: int, m: int, n: int,
                   mode: str = "eval") -> PropagationTrace:
     """Run the network over blocks m..n of a stage and record the trace;
     n = K + 1 ends it at the stage's output. ValueError names the first
-    block whose replay of the trace is not finite.
+    block whose output is not finite; AssertionError the first whose
+    output is not P_i x_i + F(x_i) exactly.
 
     Two ``Network.forward`` runs: one untaped, from the input to x_m, and
-    one taped, from x_m to x_n, whose block hook records each x_i and
-    F(x_i). No walk from x_m..x_n reaches an earlier layer, so the trace
-    keeps none of their activations. The tape is declared for x_m
-    (``Graph(wrt=[x_m])``), since both of its walks, the probe's and
+    one taped, from x_m to x_n, whose block hook keeps each F(x_i). The
+    hook checks each block's equation as soon as the next block hands it
+    x_{i+1} (the last one against x_n, after the run), then drops x_i:
+    the trace holds x_m, x_n and the F(x_i), and :meth:`PropagationTrace.x`
+    replays the rest. No walk from x_m..x_n reaches an earlier layer, so
+    the trace keeps none of their activations. The tape is declared for
+    x_m (``Graph(wrt=[x_m])``), since both of its walks, the probe's and
     :func:`verify_backward_expansion`'s, ask for x_m alone: an eval
     trace's ReLU convolutions keep the forward's one-byte mask, not their
     input. The probe loss is the sum of the
     entries of x_n, so it depends on x_n's basis: a net and its
     function-equivalent rewrite can report different gradient gains (1.0
     against 0.5 for multi-4 ``idempotent_mr``). The probe is not taped:
-    its cotangent dL/dx_n, all ones, seeds one reverse pass for dL/dx_m
-    alone. That pass is an ``autodiff.vjp`` walk, not ``backward``,
+    its cotangent dL/dx_n, all ones, is a read-only broadcast of one 1
+    that seeds one reverse pass for dL/dx_m alone. That pass is an
+    ``autodiff.vjp`` walk, which writes no seed, not ``backward``,
     because ``backward`` frees the tape that the trace keeps for every
     later :func:`verify_backward_expansion` walk. Batch-norm runs in eval mode
     by default; in either mode capture leaves the running statistics as
@@ -126,50 +154,53 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
              for blk in blocks[m - 1:n - 1]]
     shared = all(np.array_equal(p, skips[0]) for p in skips)
 
-    # a train-mode batch norm rebinds its running statistics, so putting
-    # the old arrays back undoes both forwards' updates
-    kept = [(bn, bn.running_mean, bn.running_var)
-            for st in network.stages for blk in st for bn in (blk.bn1, blk.bn2)]
-    taken = []  # x_i, F(x_i) and their arrays, which their blocks release
-    try:
-        x_m = Tensor(network.forward(x, mode, stop=(stage, m)).data,
-                     requires_grad=True)  # where the tape starts
-        with Graph(wrt=[x_m]) as graph:
-            x_n = network.forward(
-                x_m, mode, start=(stage, m), stop=(stage, n),
-                hook=lambda x_i, f_i: taken.append((x_i, x_i.data, f_i,
-                                                    f_i.data)))
-    finally:
-        for bn, mean, var in kept:
-            bn.running_mean, bn.running_var = mean, var
-    input_tensors, inputs, branch_tensors, branch_outputs = map(list, zip(*taken))
-    input_tensors.append(x_n)
-    inputs.append(x_n.data)
+    # F(x_i) and its array, which its block releases, and the one x_i
+    # whose block is still unchecked
+    branch_tensors, branch_outputs, pending = [], [], []
 
-    g_n = np.ones_like(x_n.data)   # dL/dx_n for the probe L = sum(x_n)
-    gradients = [vjp(graph, {x_n: g_n}, wrt=[x_m])[x_m], g_n]
-    trace = PropagationTrace(
-        stage=stage, m=m, n=n, skips=skips,
-        transform=skips[0] if shared else None,
-        inputs=inputs, branch_outputs=branch_outputs,
-        gradients=gradients, _graph=graph, _input_tensors=input_tensors,
-        _branch_tensors=branch_tensors)
-    _check_trace(trace)
-    return trace
-
-
-def _check_trace(trace: PropagationTrace) -> None:
-    """Replay x_{i+1} = P_i x_i + F(x_i) from the recorded pieces: the
-    block's own arithmetic on its own arrays, so it must be exact."""
-    for i, p in enumerate(trace.skips, start=trace.m):
-        recon = apply_transform(p, trace.x(i)) + trace.branch(i)
-        dev = np.abs(recon - trace.x(i + 1)).max()
+    def check(x_next: np.ndarray) -> None:
+        i = m + len(branch_outputs) - 1
+        recon = _block_output(skips[i - m], pending.pop(), branch_outputs[-1])
+        recon -= x_next
+        dev = np.abs(recon, out=recon).max()
         if not np.isfinite(dev):
             raise ValueError(f"trace is not finite at block {i}")
         if dev > 0:
             raise AssertionError(
                 f"trace violates the block equation at block {i}: "
                 f"deviation {dev:.3e}")
+
+    def hook(x_i: Tensor, f_i: Tensor) -> None:
+        if pending:   # x_i is the unchecked block's output
+            check(x_i.data)
+        pending.append(x_i.data)
+        branch_tensors.append(f_i)
+        branch_outputs.append(f_i.data)
+
+    # a train-mode batch norm rebinds its running statistics, so putting
+    # the old arrays back undoes both forwards' updates
+    kept = [(bn, bn.running_mean, bn.running_var)
+            for st in network.stages for blk in st for bn in (blk.bn1, blk.bn2)]
+    try:
+        x_m = Tensor(network.forward(x, mode, stop=(stage, m)).data,
+                     requires_grad=True)  # where the tape starts
+        with Graph(wrt=[x_m]) as graph:
+            x_n = network.forward(x_m, mode, start=(stage, m),
+                                  stop=(stage, n), hook=hook)
+    finally:
+        for bn, mean, var in kept:
+            bn.running_mean, bn.running_var = mean, var
+    check(x_n.data)
+
+    # dL/dx_n for the probe L = sum(x_n)
+    g_n = np.broadcast_to(np.ones((), dtype=x_n.dtype), x_n.data.shape)
+    return PropagationTrace(
+        stage=stage, m=m, n=n, skips=skips,
+        transform=skips[0] if shared else None,
+        inputs=[x_m.data, x_n.data], branch_outputs=branch_outputs,
+        gradients=[vjp(graph, {x_n: g_n}, wrt=[x_m])[x_m], g_n],
+        _graph=graph, _input_tensors=[x_m, x_n],
+        _branch_tensors=branch_tensors)
 
 
 @dataclass
@@ -193,7 +224,10 @@ def verify_forward_expansion(trace: PropagationTrace) -> ExpansionCheck:
         rhs = None
         for path, v in zip(paths, [trace.inputs[0], *trace.branch_outputs]):
             term = apply_transform(path, v)
-            rhs = term if rhs is None else rhs + term
+            if rhs is None:   # apply_transform's result is fresh: ours
+                rhs = term
+            else:
+                rhs += term
             if norms is not None:
                 norms.append(_norm(term))
         return float(np.abs(rhs - trace.inputs[-1]).max())

@@ -88,3 +88,17 @@ def test_an_incorrect_run_echoes_its_failures(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "seed 7 exited 1" in err
     assert "FAILED stage 1: backward expansion deviation 1.0e+00" in err
+
+
+def test_an_unlisted_workload_is_refused_before_anything_runs(tmp_path):
+    # a workload that BENCHMARK.json does not list would add a worktree,
+    # run 2N doomed runs and append a record of them; it is a usage error
+    worktrees = _git("worktree", "list").stdout
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--base", "HEAD", "--workload", "bogus",
+         "--pairs", "2", "--size", "tiny", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "--workload" in proc.stderr and "bogus" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+    assert _git("worktree", "list").stdout == worktrees

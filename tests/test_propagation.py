@@ -112,13 +112,17 @@ def test_trace_tapes_from_x_m(kind):
     assert len(trace._graph) == block_nodes
     x_m = trace._input_tensors[0]
     assert all(node.output is not x_m for node in trace._graph.nodes)
-    x_2, x_n = whole._input_tensors[1], whole._input_tensors[-1]
+    # the trace keeps no interior x_i tensor; x_2 keys block 1's sum, the
+    # node that reads F(x_1)
+    f_1, x_n = whole._branch_tensors[0], whole._input_tensors[-1]
+    x_2 = next(node.output for node in whole._graph.nodes
+               if any(t is f_1 for t in node.inputs))
     g_n = whole.grad(4)
     g_2 = vjp(whole._graph, {x_n: g_n}, wrt=[x_2])[x_2]
     cut = dataclasses.replace(
-        whole, m=2, skips=whole.skips[1:], inputs=whole.inputs[1:],
+        whole, m=2, skips=whole.skips[1:], inputs=[whole.x(2), whole.x(4)],
         branch_outputs=whole.branch_outputs[1:], gradients=[g_2, g_n],
-        _input_tensors=whole._input_tensors[1:],
+        _input_tensors=[x_2, x_n],
         _branch_tensors=whole._branch_tensors[1:])
     for name in ("inputs", "branch_outputs", "gradients"):
         for got, ref in zip(getattr(trace, name), getattr(cut, name)):
@@ -179,6 +183,35 @@ def test_eval_trace_keeps_a_mask_not_an_input_a_block():
     # float64 activation, in place of its input: 2L + 3 + L/8, bounded by
     # 2L + 3 + L/4. Keeping the input would make it 3L + 3
     assert _activations_held_by_a_trace() <= 2 * 6 + 3 + 6 / 4
+
+
+def test_trace_keeps_its_ends_and_branches():
+    # x_m, x_n, each F(x_i) and dL/dx_m, and each block's one-byte ReLU
+    # mask: L + 3 + L/8, bounded by L + 4 + L/4. Every interior x_i would
+    # add L - 1, and an all-ones dL/dx_n one more
+    assert _activations_held_by_a_trace() <= 6 + 4 + 6 / 4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["none", "identity", "idempotent_mr",
+                                  "orthogonal_tp", "periodic"])
+def test_replayed_x_is_the_forward_s(kind, dtype):
+    # an interior x_i is replayed from x_m and the branch outputs; it is
+    # the array a plain hooked forward made, bit for bit
+    spec = NetworkSpec(blocks_per_stage=4, stage_widths=(8,) * 3,
+                       transform_kind=kind, input_shape=(3, 8, 8),
+                       transform_params={"N": 3} if kind == "periodic"
+                       else {})
+    net = build_network(spec, seed=6, dtype=dtype)
+    x = input_batch(8)
+    made = []
+    net.forward(x, stop=(2, 5), hook=lambda x_i, f_i: made.append(x_i.data))
+    made = made[4:]   # stage 2's x_1..x_4
+    for m in (1, 2):
+        trace = prop.capture_trace(net, x, stage=2, m=m, n=5)
+        for i in range(m + 1, 5):
+            assert np.array_equal(trace.x(i), made[i - 1]), (m, i)
+            assert trace.x(i).dtype == dtype
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -312,24 +345,62 @@ def test_trace_accessors_and_spans_stay_inside_the_trace():
         trace.branch(3)
 
 
+def _nudge_output(blk):
+    """``blk``'s forward, with its output one ulp up at one entry."""
+    forward = blk.forward
+
+    def nudged(x, mode, hook=None):
+        out = forward(x, mode, hook=hook)
+        out.data.flat[5] = np.nextafter(out.data.flat[5], np.inf)
+        return out
+    return nudged
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_trace_replay_is_exact(dtype):
-    # the replay repeats each block's arithmetic on its own arrays, so an
-    # x_{i+1} one ulp off fails it at that block
+def test_trace_replay_is_exact(dtype, monkeypatch):
+    # the capture checks each block's output against the block's own
+    # arithmetic on its own arrays, as soon as the next block (or the end
+    # of the run) hands it over, so an output one ulp off fails it at
+    # that block
     spec = NetworkSpec(blocks_per_stage=3, stage_widths=(8,) * 3,
                        transform_kind="orthogonal_tp", input_shape=(3, 8, 8))
     net = build_network(spec, seed=2, dtype=dtype)
-    trace = prop.capture_trace(net, input_batch(22), stage=2, m=1, n=4)
-    for i in (2, 3, 4):
-        x = trace.x(i)
-        nudged = x.copy()
-        nudged.flat[5] = np.nextafter(x.flat[5], np.inf)
-        trace.inputs[i - 1] = nudged
-        with pytest.raises(AssertionError, match=re.escape(
-                f"trace violates the block equation at block {i - 1}")):
-            prop._check_trace(trace)
-        trace.inputs[i - 1] = x
-    prop._check_trace(trace)
+    x = input_batch(22)
+    for i, blk in enumerate(net.stage_blocks(2), start=1):
+        with monkeypatch.context() as patch:
+            patch.setattr(blk, "forward", _nudge_output(blk))
+            with pytest.raises(AssertionError, match=re.escape(
+                    f"trace violates the block equation at block {i}")):
+                prop.capture_trace(net, x, stage=2, m=1, n=4)
+    prop.capture_trace(net, x, stage=2, m=1, n=4)
+
+
+def test_a_capture_that_raises_leaves_running_statistics_alone(monkeypatch):
+    # the check runs inside the taped forward, so a train-mode capture
+    # that fails there still puts the running statistics back
+    net = stage_net("identity", k=3, seed=4)
+    before = {key: arr.copy() for key, arr in net.state_dict().items()}
+    monkeypatch.setattr(net.stages[0][0], "forward",
+                        _nudge_output(net.stages[0][0]))
+    with pytest.raises(AssertionError, match="at block 1: deviation"):
+        prop.capture_trace(net, input_batch(5, n=4), stage=1, m=1, n=4,
+                           mode="train")
+    after = net.state_dict()
+    for key in before:
+        assert np.array_equal(before[key], after[key]), key
+
+
+def test_probe_cotangent_is_read_only():
+    # dL/dx_n is a view of one 1, not an activation of ones; vjp writes
+    # no seed, so the view is never written
+    trace = prop.capture_trace(stage_net("idempotent_mr", {"B": 2}, k=3),
+                               input_batch(6), stage=1, m=1, n=4)
+    g_n = trace.grad(4)
+    assert not g_n.flags.writeable and not any(g_n.strides)
+    assert np.array_equal(g_n, np.ones_like(trace.x(4)))
+    with pytest.raises(ValueError, match="read-only"):
+        g_n[0, 0, 0, 0] = 2.0
+    assert trace.grad(1).flags.writeable
 
 
 @pytest.mark.parametrize("bad, m", [(np.nan, 1), (np.inf, 2)])

@@ -1,14 +1,15 @@
 """Checks on the repository itself: the CI workflow runs the tier-1
-command that ROADMAP.md states and fails a piped benchmark run, the
-library keeps no dead import, every callable the traced benchmark
-wraps exists, a traced trace, analysis or train step gives the untraced
-one's result, only ``network`` runs a block's branch, every tape the
-library records is declared, and every field of a library dataclass is
-read somewhere."""
+command that ROADMAP.md states, fails a piped benchmark run and runs
+every benchmark workload untraced, the library keeps no dead import,
+every callable the traced benchmark wraps exists, a traced trace,
+analysis or train step gives the untraced one's result, only
+``network`` runs a block's branch, every tape the library records is
+declared, and every field of a library dataclass is read somewhere."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
 import types
 from collections import defaultdict
@@ -221,6 +222,27 @@ def test_piped_benchmark_steps_fail_with_their_run():
         for line in step.splitlines():
             if "benchmark/run.py" in line:
                 assert line.rstrip().endswith('>> "$GITHUB_STEP_SUMMARY"'), line
+
+
+def test_workflow_runs_every_benchmark_workload_untraced():
+    # each benchmark run in the workflow names a workload that
+    # BENCHMARK.json lists, and each listed workload runs there at least
+    # once untraced (``--trace 0``, the default), the run whose record
+    # holds peak_mem_mib
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    listed = {w["name"] for w in
+              json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    runs = [line for line in workflow.splitlines()
+            if "benchmark/run.py" in line]
+    assert runs
+    untraced = set()
+    for line in runs:
+        workload = re.search(r"--workload[ =](\S+)", line)
+        assert workload is not None and workload.group(1) in listed, line
+        trace = re.search(r"--trace[ =](\S+)", line)
+        if trace is None or trace.group(1) == "0":
+            untraced.add(workload.group(1))
+    assert untraced == listed
 
 
 def test_every_result_field_is_read():

@@ -16,7 +16,9 @@ medians, the base's interquartile range and how many pairs the change won
 (by the metric's ``better`` direction). One record of the whole comparison
 is appended to ``BENCH_<workload>.json`` in ``--out-dir`` (default: the
 repository root), a JSON list with one record per comparison. The exit code
-is 1 when any run was not ``correct``, and 0 otherwise.
+is 1 when any run was not ``correct``, and 0 otherwise; a workload that
+``BENCHMARK.json`` does not list is a usage error (exit code 2) before
+anything runs.
 """
 
 from __future__ import annotations
@@ -104,9 +106,12 @@ def append_record(path: str, record: dict) -> None:
 
 
 def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=None,
                         help="timed seconds per run (default: BENCHMARK.json)")
@@ -118,8 +123,6 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be positive")
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        bench = json.load(f)
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     base_sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     change_sha = _git("rev-parse", "HEAD")
