@@ -199,8 +199,8 @@ class BuildingBlock:
     or not. On a tape declared for the network's input (``Graph(wrt=
     [x])``) an eval block keeps only ``conv2``'s one-byte ReLU mask. F(x)
     stays a tensor of its own, because ``propagation.capture_trace`` seeds
-    its walks there; its block hook keeps its own reference to each x and
-    F(x) array before the release.
+    its walks there; its block hook keeps its own reference to each F(x)
+    array, and to x's until the next block's output is checked.
     """
 
     def __init__(self, width: int, groups: int, skip: Optional[np.ndarray],

@@ -57,13 +57,13 @@ class PropagationTrace:
     ``inputs`` is [x_m, x_n]; ``branch_outputs[j]`` is x'_{m+j+1};
     ``gradients`` is [dL/dx_m, dL/dx_n] for the probe loss L = sum(x_n),
     which lives in x_n's coordinates (see :func:`capture_trace`); dL/dx_n
-    is a read-only view of one 1. An interior x_i is not kept: :meth:`x`
-    replays it from x_m by the block equation, which the capture checked
-    to hold exactly, so the replay is the forward's x_i bit for bit.
-    The trace keeps its own x and F(x) arrays, as blocks release their
-    tensors (``network.BuildingBlock``): ``_input_tensors`` ([x_m, x_n])
-    and ``_branch_tensors`` serve only as the tape keys walks start and
-    end at. ``skips[j]`` is block m+j's skip P_{m+j} (zeros for a block
+    is a read-only view of one 1. :meth:`x` replays an interior x_i from
+    x_m by the block equation, which the capture checked to hold exactly,
+    so the replay is the forward's x_i bit for bit. The trace keeps its
+    own x and F(x) arrays, as blocks release their tensors
+    (``network.BuildingBlock``): ``_input_tensors`` ([x_m, x_n]) and
+    ``_branch_tensors`` serve only as the tape keys walks start and end
+    at. ``skips[j]`` is block m+j's skip P_{m+j} (zeros for a block
     without one); ``transform`` is the one skip they all share, or None
     when the span's blocks differ.
     """
@@ -120,30 +120,30 @@ def capture_trace(network: Network, x, stage: int, m: int, n: int,
                   mode: str = "eval") -> PropagationTrace:
     """Run the network over blocks m..n of a stage and record the trace;
     n = K + 1 ends it at the stage's output. ValueError names the first
-    block whose output is not finite; AssertionError the first whose
+    block whose output is not finite, AssertionError the first whose
     output is not P_i x_i + F(x_i) exactly.
 
     Two ``Network.forward`` runs: one untaped, from the input to x_m, and
     one taped, from x_m to x_n, whose block hook keeps each F(x_i). The
-    hook checks each block's equation as soon as the next block hands it
-    x_{i+1} (the last one against x_n, after the run), then drops x_i:
-    the trace holds x_m, x_n and the F(x_i), and :meth:`PropagationTrace.x`
-    replays the rest. No walk from x_m..x_n reaches an earlier layer, so
-    the trace keeps none of their activations. The tape is declared for
-    x_m (``Graph(wrt=[x_m])``), since both of its walks, the probe's and
+    hook checks each block's equation when the next block hands over its
+    output (the last block's, x_n, after the run), then drops the block's
+    input: only x_m and one unchecked x_i are held at a time. No walk
+    from x_m..x_n reaches an earlier layer, so the trace keeps none of
+    their activations. The tape is declared for x_m (``Graph(wrt=
+    [x_m])``), since both of its walks, the probe's and
     :func:`verify_backward_expansion`'s, ask for x_m alone: an eval
     trace's ReLU convolutions keep the forward's one-byte mask, not their
-    input. The probe loss is the sum of the
-    entries of x_n, so it depends on x_n's basis: a net and its
-    function-equivalent rewrite can report different gradient gains (1.0
-    against 0.5 for multi-4 ``idempotent_mr``). The probe is not taped:
-    its cotangent dL/dx_n, all ones, is a read-only broadcast of one 1
-    that seeds one reverse pass for dL/dx_m alone. That pass is an
-    ``autodiff.vjp`` walk, which writes no seed, not ``backward``,
-    because ``backward`` frees the tape that the trace keeps for every
-    later :func:`verify_backward_expansion` walk. Batch-norm runs in eval mode
-    by default; in either mode capture leaves the running statistics as
-    it found them, so it has no side effects.
+    input. The probe loss is the sum of the entries of x_n, so it depends
+    on x_n's basis: a net and its function-equivalent rewrite can report
+    different gradient gains (1.0 against 0.5 for multi-4
+    ``idempotent_mr``). The probe is not taped: its cotangent dL/dx_n,
+    a read-only broadcast of one 1, seeds one reverse pass for dL/dx_m
+    alone. That pass is an ``autodiff.vjp`` walk, which writes no seed,
+    not ``backward``, because ``backward`` frees the tape that the trace
+    keeps for every later :func:`verify_backward_expansion` walk.
+    Batch-norm runs in eval mode by default; in either mode capture
+    leaves the running statistics as it found them, so it has no side
+    effects.
     """
     blocks = network.stage_blocks(stage)
     k = len(blocks)

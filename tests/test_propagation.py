@@ -195,7 +195,7 @@ def test_trace_keeps_its_ends_and_branches():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind", ["none", "identity", "idempotent_mr",
                                   "orthogonal_tp", "periodic"])
-def test_replayed_x_is_the_forward_s(kind, dtype):
+def test_replayed_interior_x_is_what_the_forward_made(kind, dtype):
     # an interior x_i is replayed from x_m and the branch outputs; it is
     # the array a plain hooked forward made, bit for bit
     spec = NetworkSpec(blocks_per_stage=4, stage_widths=(8,) * 3,
